@@ -74,11 +74,7 @@ from .walks import (
     MixingReport,
     TruncationError,
     acceptance_probability,
-    closeness_pair_transition,
     concentration_experiment,
-    coord_rw_step,
-    coord_stationary,
-    coord_transition,
     estimate_mixing,
     product_walk_tau,
     sample_rw_step,

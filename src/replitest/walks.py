@@ -3,10 +3,19 @@
 One step of the walk re-samples a coordinate's count through the
 posterior over the hidden per-bucket branch: given the current count,
 infer which mixture branch generated it, then draw a fresh Poisson
-count from that branch. The resulting transition kernels have closed
-forms, computed here in log-space, together with their stationary
-distributions, total-variation mixing curves, and spectral-gap
-estimates on truncated state spaces.
+count from that branch. The transition kernel therefore factors as
+``P = Post @ B``, where ``Post`` (S x r) holds the branch posteriors of
+the S truncated states and ``B`` (r x S) the truncated Poisson pmf of
+each of the r branches (r = 2 for the coordinate walk, r = 3 for the
+pair walk). Kernels, stationary distributions and posteriors are
+computed here in log-space.
+
+Mixing reports never form ``P``. Since ``P^t = Post (B Post)^{t-1} B``,
+the l1 curves advance through r x S factors and the nonzero spectrum of
+``P`` is the spectrum of the r x r branch chain ``B Post`` (the
+data-augmentation duality of Liu, Wong & Kong, Biometrika 1994). The
+dense ``transition_matrix`` remains for exactness checks and for
+``product_walk_tau``.
 
 The mixing-time convention follows the unhalved l1 metric
 ``sum_j |P^t(i, j) - pi(j)| < delta`` (twice the total variation
@@ -107,10 +116,14 @@ class CoordKernel:
     def stationary(self, a) -> np.ndarray:
         return np.exp(self.log_stationary(a))
 
+    def posterior(self, a) -> np.ndarray:
+        """``Pr(branch | count = a)`` over (heavy, light), stacked last."""
+        w = self._log_branch_weights(a)
+        return np.exp(w - logsumexp(w, axis=-1, keepdims=True))
+
     def posterior_heavy(self, a) -> np.ndarray:
         """``Pr(branch = heavy | count = a)``."""
-        w = self._log_branch_weights(a)
-        return np.exp(w[..., 0] - logsumexp(w, axis=-1))
+        return self.posterior(a)[..., 0]
 
     def branch_rates(self) -> tuple[float, float]:
         return self.rate * (1 + self.xi), self.rate * (1 - self.xi)
@@ -124,12 +137,20 @@ class CoordKernel:
         out = gen.poisson(np.where(heavy, hi, lo))
         return out if out.size > 1 else out[0]
 
-    def transition_matrix(self, a_max: int | None = None) -> np.ndarray:
+    def factors(self, a_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(post, branch)`` with ``post @ branch`` the truncated kernel.
+
+        ``post[a]`` is the branch posterior at count ``a``; ``branch``
+        holds the heavy and light Poisson pmfs.
+        """
         a_max = self.a_max if a_max is None else a_max
-        states = np.arange(a_max + 1)
-        matrix = self.transition(states[:, None], states[None, :])
-        _check_rows(matrix)
-        return matrix
+        post = self.posterior(np.arange(a_max + 1))
+        return post, np.stack(list(self.initial_distributions(a_max).values()))
+
+    def transition_matrix(self, a_max: int | None = None) -> np.ndarray:
+        post, branch = self.factors(a_max)
+        _check_rows(post, branch)
+        return post @ branch
 
     def stationary_vector(self, a_max: int | None = None) -> np.ndarray:
         a_max = self.a_max if a_max is None else a_max
@@ -147,28 +168,6 @@ class CoordKernel:
             "poisson-heavy": np.exp(log_poisson_pmf(states, hi)),
             "poisson-light": np.exp(log_poisson_pmf(states, lo)),
         }
-
-
-def coord_transition(a, b, kernel: CoordKernel) -> np.ndarray:
-    """Transition probability of the coordinate walk (functional form)."""
-    return kernel.transition(a, b)
-
-
-def coord_stationary(a, kernel: CoordKernel) -> np.ndarray:
-    """Stationary probability of the coordinate walk (functional form)."""
-    return kernel.stationary(a)
-
-
-def coord_rw_step(a, kernel: CoordKernel, rng: RngStream):
-    """One coordinate-walk step (functional form)."""
-    return kernel.step(a, rng)
-
-
-def closeness_pair_transition(
-    state: tuple[int, int], next_state: tuple[int, int], kernel: ClosenessPairKernel
-) -> float:
-    """Transition probability of the pair walk (functional form)."""
-    return kernel.transition(state, next_state)
 
 
 def sample_rw_step(counts: CountVector, kernel: CoordKernel, rng: RngStream) -> CountVector:
@@ -260,18 +259,21 @@ class ClosenessPairKernel:
         aa, cc = np.meshgrid(grid, grid, indexing="ij")
         return aa.reshape(-1), cc.reshape(-1)
 
-    def transition_matrix(self, a_max: int | None = None) -> np.ndarray:
+    def factors(self, a_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(post, branch)`` with ``post @ branch`` the truncated kernel.
+
+        ``post`` is the (#states, 3) branch posterior over the flattened
+        pair grid; ``branch`` row k is the ``kron`` of branch k's two
+        Poisson pmfs.
+        """
         a_max = self.a_max if a_max is None else a_max
-        aa, cc = self._flat_states(a_max)
-        post = self.posterior(aa, cc)  # (#states, 3)
-        grid = np.arange(a_max + 1, dtype=np.float64)
-        matrix = np.zeros((aa.size, aa.size))
-        for k, (r1, r2) in enumerate(self.branch_rates()):
-            pb = np.exp(log_poisson_pmf(grid, r1))
-            pd = np.exp(log_poisson_pmf(grid, r2))
-            matrix += post[:, k : k + 1] * np.outer(np.ones(aa.size), np.kron(pb, pd))
-        _check_rows(matrix)
-        return matrix
+        post = self.posterior(*self._flat_states(a_max))
+        return post, np.stack(list(self.initial_distributions(a_max).values()))
+
+    def transition_matrix(self, a_max: int | None = None) -> np.ndarray:
+        post, branch = self.factors(a_max)
+        _check_rows(post, branch)
+        return post @ branch
 
     def stationary_vector(self, a_max: int | None = None) -> np.ndarray:
         a_max = self.a_max if a_max is None else a_max
@@ -292,8 +294,9 @@ class ClosenessPairKernel:
         return out
 
 
-def _check_rows(matrix: np.ndarray) -> None:
-    sums = matrix.sum(axis=1)
+def _check_rows(post: np.ndarray, branch: np.ndarray) -> None:
+    """Row sums of ``post @ branch`` within ``ROW_SUM_TOL`` of 1, in O(S r)."""
+    sums = post @ branch.sum(axis=1)
     if np.any(sums < 1.0 - ROW_SUM_TOL):
         raise TruncationError(
             f"truncated kernel loses mass: min row sum {sums.min():.3e}"
@@ -340,6 +343,23 @@ def _curve_tau(curve: Sequence[float], delta: float) -> int:
     return tau
 
 
+# Point-mass rows of P^t are formed this many at a time, so a report
+# holds O(_ROW_BLOCK * S) floats however large the truncation.
+_ROW_BLOCK = 256
+
+
+def _max_row_l1(post: np.ndarray, points: np.ndarray, pi: np.ndarray) -> float:
+    """``max_i sum_j |(post @ points)[i, j] - pi[j]|``, one row block at a time."""
+    worst = 0.0
+    block = np.empty((min(_ROW_BLOCK, post.shape[0]), pi.size))
+    for lo in range(0, post.shape[0], _ROW_BLOCK):
+        rows = block[: min(_ROW_BLOCK, post.shape[0] - lo)]
+        np.matmul(post[lo : lo + _ROW_BLOCK], points, out=rows)
+        rows -= pi
+        worst = max(worst, float(np.abs(rows, out=rows).sum(axis=1).max()))
+    return worst
+
+
 def estimate_mixing(
     kernel,
     delta: float,
@@ -348,15 +368,30 @@ def estimate_mixing(
     initial: str = "all",
     max_steps: int = 64,
 ) -> MixingReport:
-    """Exact matrix-power mixing measurement on the truncated kernel.
+    """Exact l1 mixing curve and spectral gap of the truncated kernel.
 
     ``initial`` selects the starting family: ``"poisson"`` for the
     kernel's admissible mixture components, ``"point"`` for the worst
     point mass within the truncation, ``"all"`` for both.
+
+    The kernel enters through its factors ``P = post @ branch``
+    (``kernel.factors``; a kernel with only ``transition_matrix`` is
+    taken as ``(I, P)``), and ``P`` itself is never formed. A Poisson
+    start advances as ``(dist @ post) @ branch``, O(S r) per step. The
+    point-mass rows of ``P^t`` are ``post @ M_t`` with the r x S
+    iterates ``M_1 = branch``, ``M_{t+1} = (M_t @ post) @ branch``,
+    reduced to their l1 distances one row block at a time. The gap
+    comes from the eigenvalues of the r x r branch chain
+    ``branch @ post``, which are the nonzero eigenvalues of ``P``.
     """
     if initial not in ("all", "poisson", "point"):
         raise ValueError("initial must be 'all', 'poisson' or 'point'")
-    matrix = kernel.transition_matrix(a_max)
+    if hasattr(kernel, "factors"):
+        post, branch = kernel.factors(a_max)
+    else:
+        branch = kernel.transition_matrix(a_max)
+        post = np.eye(branch.shape[0])
+    _check_rows(post, branch)
     pi = kernel.stationary_vector(a_max)
 
     rows = []
@@ -365,26 +400,29 @@ def estimate_mixing(
     dists = np.stack(rows) if rows else np.zeros((0, pi.size))
     use_points = initial in ("all", "point")
 
-    powers = np.eye(pi.size)
+    points = None  # M_t; None stands for P^0 = I
     curve: list[float] = []
     for _ in range(max_steps + 1):
         worst = 0.0
         if dists.size:
             worst = max(worst, float(np.abs(dists - pi).sum(axis=1).max()))
-        if use_points:
-            worst = max(worst, float(np.abs(powers - pi).sum(axis=1).max()))
+        if use_points and points is None:
+            # sum_j |e_i(j) - pi(j)| = 1 - 2 pi(i) + sum(pi)
+            worst = max(worst, float(1.0 - 2.0 * pi.min() + pi.sum()))
+        elif use_points:
+            worst = max(worst, _max_row_l1(post, points, pi))
         curve.append(worst)
         if worst < delta / 10.0 and len(curve) > 1:
             break
-        dists = dists @ matrix if dists.size else dists
-        powers = powers @ matrix
+        dists = (dists @ post) @ branch
+        points = branch if points is None else (points @ post) @ branch
     if curve[-1] >= delta:
         raise RuntimeError(
             f"walk did not mix below delta={delta} within {max_steps} steps "
             f"(final distance {curve[-1]:.3g}); raise max_steps"
         )
 
-    eigenvalues = np.sort(np.abs(np.linalg.eigvals(matrix)))[::-1]
+    eigenvalues = np.sort(np.abs(np.linalg.eigvals(branch @ post)))[::-1]
     lambda_star = float(eigenvalues[1]) if eigenvalues.size > 1 else 0.0
     return MixingReport(
         delta=delta,

@@ -148,3 +148,13 @@ def test_mixing_command(capsys):
                  "--xi", "0.2", "--delta", "0.04", "--initial", "poisson"])
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["tau_delta"] <= 2
+
+
+def test_mixing_command_closeness_pair_default_truncation(capsys):
+    # 1,936 states; the seed values of bench/mixing_reference.json
+    code = main(["mixing", "--kernel", "closeness-pair", "--n", "100", "--m", "10",
+                 "--epsilon", "0.24", "--xi", "0"])
+    assert code == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["tau_delta"] == 7
+    assert abs(out["gap_estimate"] - 0.4634972953683334) <= 1e-8

@@ -1,7 +1,11 @@
+import contextlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from replitest.measures import uniform_measure
@@ -19,6 +23,8 @@ from replitest.walks import (
     sample_rw_step,
     stationary_counts,
 )
+
+from oracles import dense_mixing_report
 
 ROOT = RngStream(161803, "walk-tests")
 
@@ -276,3 +282,94 @@ def test_concentration_adequate_tester_disperses_at_most_half():
     )
     assert all(r["deviation_fraction"] <= 0.5 for r in rows)
     assert rows[0]["deviation_fraction"] == 0.0
+
+
+def _assert_matches_dense(kernel, delta, initial):
+    """Factored ``estimate_mixing`` against the dense matrix-power oracle."""
+    try:
+        expected = dense_mixing_report(kernel, delta, initial=initial)
+    except RuntimeError as exc:  # a TruncationError, or "did not mix"
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            estimate_mixing(kernel, delta, initial=initial)
+        return
+    report = estimate_mixing(kernel, delta, initial=initial)
+    assert report.tau_delta == expected["tau_delta"]
+    curve = [tv for _, tv in report.tv_curve]
+    assert len(curve) == len(expected["curve"])
+    np.testing.assert_allclose(curve, expected["curve"], rtol=0, atol=1e-10)
+    assert abs(report.gap_estimate - expected["gap_estimate"]) <= 1e-10
+
+
+initials = st.sampled_from(["all", "poisson", "point"])
+deltas = st.floats(1e-4, 0.5)
+xis = st.floats(0.0, 0.3, exclude_max=True)
+
+
+@given(st.integers(1, 30), st.integers(10, 40), xis, st.integers(6, 20), deltas, initials)
+@settings(max_examples=40, deadline=None)
+def test_coord_factors_and_mixing_match_dense(m, n, xi, a_max, delta, initial):
+    kernel = CoordKernel(m=m, n=n, xi=xi, a_max=a_max)
+    post, branch = kernel.factors()
+    states = np.arange(a_max + 1, dtype=np.float64)
+    closed_form = kernel.transition(states[:, None], states[None, :])
+    np.testing.assert_allclose(post @ branch, closed_form, rtol=0, atol=1e-14)
+    with contextlib.suppress(TruncationError):
+        np.testing.assert_allclose(post @ branch, kernel.transition_matrix(), rtol=0, atol=1e-14)
+    _assert_matches_dense(kernel, delta, initial)
+
+
+@st.composite
+def pair_kernels(draw):
+    n = draw(st.integers(20, 200))
+    m = draw(st.integers(1, (n - 1) // 2))
+    epsilon = draw(st.floats(0.15, 0.9))  # 2 epsilon > xi keeps light rates >= 0
+    return ClosenessPairKernel(n=n, m=m, epsilon=epsilon, xi=draw(xis),
+                               a_max=draw(st.integers(4, 20)))
+
+
+@given(pair_kernels(), deltas, initials, st.data())
+@settings(max_examples=25, deadline=None)
+def test_pair_factors_and_mixing_match_dense(kernel, delta, initial, data):
+    post, branch = kernel.factors()
+    side = kernel.a_max + 1
+    for _ in range(5):
+        i = data.draw(st.integers(0, side * side - 1))
+        j = data.draw(st.integers(0, side * side - 1))
+        entry = kernel.transition(divmod(i, side), divmod(j, side))
+        assert abs(post[i] @ branch[:, j] - entry) <= 1e-14
+    with contextlib.suppress(TruncationError):
+        np.testing.assert_allclose(post @ branch, kernel.transition_matrix(), rtol=0, atol=1e-14)
+    _assert_matches_dense(kernel, delta, initial)
+
+
+@pytest.mark.parametrize("initial", ["all", "poisson", "point"])
+@pytest.mark.parametrize("delta", [0.5, 0.05, 1e-3, 1e-6])
+def test_two_state_kernel_matches_dense(delta, initial):
+    _assert_matches_dense(TwoStateKernel(), delta, initial)
+
+
+def test_factored_mixing_keeps_truncation_check():
+    with pytest.raises(TruncationError):
+        estimate_mixing(CoordKernel(m=200, n=10, xi=0.1, a_max=5), 0.04)
+
+
+def test_pair_mixing_never_forms_the_dense_kernel(monkeypatch):
+    small = ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=0.1, a_max=20)
+    expected = dense_mixing_report(small, 0.04)
+
+    def dense(self, a_max=None):
+        raise AssertionError("estimate_mixing formed the dense kernel")
+
+    monkeypatch.setattr(ClosenessPairKernel, "transition_matrix", dense)
+    assert estimate_mixing(small, 0.04).tau_delta == expected["tau_delta"]
+    # At the default truncation (1,936 states) a dense S x S matrix would
+    # take 30 MB; the report stays within a fraction of one.
+    kernel = ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=0.1)
+    states = (kernel.a_max + 1) ** 2
+    tracemalloc.start()
+    try:
+        estimate_mixing(kernel, 0.04)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < states * states * 8 / 4
