@@ -4,6 +4,7 @@ from .closeness import (
     ClosenessConfig,
     closeness_sample_size,
     closeness_statistic,
+    draw_closeness_counts,
     draw_threshold,
     rep_closeness_test,
     soundness_floor,
@@ -32,7 +33,6 @@ from .independence import (
     independence_gap,
     independence_sample_size,
     independence_stats,
-    product_of_marginals_sample,
     product_of_marginals_sampler,
     rep_independence_test,
     stage1_scale,

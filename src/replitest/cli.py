@@ -28,11 +28,11 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     calibrate,
+    config_from_params,
     recompute_aggregate,
     run_experiment,
 )
 from .rng import RngStream
-from .sampling import counts_from_indices
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,9 +43,12 @@ def _load_constants(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read constants file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"constants file {path} must hold a JSON object")
+    return data
 
 
 def _read_1d_samples(path: str) -> np.ndarray:
@@ -88,42 +91,26 @@ def _pool_sampler(pool: np.ndarray):
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    constants = _load_constants(args.constants)
+    # --constants overrides --m-scale; the domain and accuracy flags win.
+    params = {
+        "m_scale": args.m_scale, **_load_constants(args.constants),
+        "n": args.n, "n1": args.n1, "n2": args.n2,
+        "epsilon": args.epsilon, "rho": args.rho,
+    }
     rng = RngStream(args.seed, "cli-test")
     if args.problem == "closeness":
-        config = cl.ClosenessConfig(
-            n=args.n, epsilon=args.epsilon, rho=args.rho,
-            c1=constants.get("c1", cl.DEFAULT_C1),
-            c2=constants.get("c2", cl.DEFAULT_C2),
-            m_scale=constants.get("m_scale", args.m_scale),
-        )
+        config = config_from_params(cl.ClosenessConfig, params)
         pool_p = _read_1d_samples(args.samples_p)
         pool_q = _read_1d_samples(args.samples_q)
         verdict = cl.rep_closeness_test(
             _pool_sampler(pool_p), _pool_sampler(pool_q), config, rng
         )
     elif args.problem == "uniformity":
-        config = un.UniformityConfig(
-            n=args.n, epsilon=args.epsilon, rho=args.rho,
-            c1_u=constants.get("c1_u", un.DEFAULT_C1_U),
-            c2_u=constants.get("c2_u", un.DEFAULT_C2_U),
-            m_scale=constants.get("m_scale", args.m_scale),
-        )
-        samples = _read_1d_samples(args.samples)
-        counts = counts_from_indices(samples, args.n)
-        verdict = un.UniformityTester(config).decide_counts(
-            counts, rng.substream("internal")
-        )
+        config = config_from_params(un.UniformityConfig, params)
+        pool = _read_1d_samples(args.samples)
+        verdict = un.UniformityTester(config).run(_pool_sampler(pool), rng)
     elif args.problem == "independence":
-        config = ind.IndependenceConfig(
-            n1=args.n1, n2=args.n2, epsilon=args.epsilon, rho=args.rho,
-            c_n=constants.get("c_n", ind.DEFAULT_C_N),
-            c_i1=constants.get("c_i1", ind.DEFAULT_C_I1),
-            c_i2=constants.get("c_i2", ind.DEFAULT_C_I2),
-            k_avg=int(constants.get("k_avg", ind.DEFAULT_K_AVG)),
-            median_reps=int(constants.get("median_reps", ind.DEFAULT_MEDIAN_REPS)),
-            m_scale=constants.get("m_scale", args.m_scale),
-        )
+        config = config_from_params(ind.IndependenceConfig, params)
         pool = _read_2d_samples(args.samples)
         flat = pool[:, 0] * args.n2 + pool[:, 1]
         verdict = ind.rep_independence_test(_pool_sampler(flat), config, rng)

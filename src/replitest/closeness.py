@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibrated import CLOSENESS_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, counts_from_indices, measure_sampler, multinomial_split
 from .verdict import CalibrationError, TesterVerdict
-
-# Desk-scale defaults; `replitest calibrate closeness` regenerates them.
-DEFAULT_C1 = 2.0
-DEFAULT_C2 = 3.0
 
 
 def closeness_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -101,8 +98,8 @@ class ClosenessConfig:
     n: int
     epsilon: float
     rho: float
-    c1: float = DEFAULT_C1
-    c2: float = DEFAULT_C2
+    c1: float = CLOSENESS_DESK["c1"]
+    c2: float = CLOSENESS_DESK["c2"]
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -118,6 +115,28 @@ class ClosenessConfig:
 
     def sample_size(self) -> int:
         return closeness_sample_size(self.n, self.epsilon, self.rho, self.m_scale)
+
+
+def draw_closeness_counts(
+    sampler_p: IndexSampler,
+    sampler_q: IndexSampler,
+    sizes: np.ndarray,
+    n: int,
+    sample_rng: RngStream,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four count vectors ``(X, X', Y, Y')`` of batch sizes ``sizes``.
+
+    The two batches from ``p`` come in order from the ``sample-1``
+    substream of ``sample_rng``, the two from ``q`` from ``sample-2``.
+    """
+    gen_p = sample_rng.substream("sample-1").generator()
+    gen_q = sample_rng.substream("sample-2").generator()
+    return (
+        counts_from_indices(sampler_p(int(sizes[0]), gen_p), n),
+        counts_from_indices(sampler_p(int(sizes[1]), gen_p), n),
+        counts_from_indices(sampler_q(int(sizes[2]), gen_q), n),
+        counts_from_indices(sampler_q(int(sizes[3]), gen_q), n),
+    )
 
 
 def rep_closeness_test(
@@ -147,15 +166,9 @@ def rep_closeness_test(
     m = config.sample_size()
     internal = rng.substream("internal")
     sizes = multinomial_split(4 * m, 4, internal.substream("split"))
-
-    gen_p = sample_rng.substream("sample-1").generator()
-    gen_q = sample_rng.substream("sample-2").generator()
-    x = counts_from_indices(sampler_p(int(sizes[0]), gen_p), config.n)
-    x_prime = counts_from_indices(sampler_p(int(sizes[1]), gen_p), config.n)
-    y = counts_from_indices(sampler_q(int(sizes[2]), gen_q), config.n)
-    y_prime = counts_from_indices(sampler_q(int(sizes[3]), gen_q), config.n)
-
-    z = closeness_statistic(x, x_prime, y, y_prime)
+    z = closeness_statistic(
+        *draw_closeness_counts(sampler_p, sampler_q, sizes, config.n, sample_rng)
+    )
     floor = soundness_floor(m, config.n, config.epsilon, config.c2)
     r = draw_threshold(m, floor, config.c1, internal.substream("threshold"))
     return TesterVerdict(

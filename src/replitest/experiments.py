@@ -13,10 +13,10 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -221,6 +221,33 @@ def uniformity_meta_pair_fn(
     return run
 
 
+@cache
+def _field_casts(cls) -> tuple:
+    # Resolving the annotations costs ~0.1 ms, several percent of a small
+    # trial, and experiments build a config per trial: resolve once per class.
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default is MISSING) for f in fields(cls))
+
+
+def config_from_params(cls, params: dict):
+    """Build the tester config dataclass ``cls`` from a parameter dict.
+
+    Field names, defaults and casts come from ``cls``; keys that are not
+    fields are ignored and ``None`` counts as absent.
+    """
+    missing = []
+    kwargs = {}
+    for name, cast, required in _field_casts(cls):
+        value = params.get(name)
+        if value is not None:
+            kwargs[name] = cast(value)
+        elif required:
+            missing.append(name)
+    if missing:
+        raise ConfigError(f"{cls.__name__} needs parameters {missing}")
+    return cls(**kwargs)
+
+
 def _load_instance_measures(params: dict, expected: int) -> list[NonNegativeMeasure]:
     from .hard_instances import instance_from_json
 
@@ -252,45 +279,8 @@ def _closeness_instance(params: dict) -> tuple[NonNegativeMeasure, NonNegativeMe
     raise ConfigError(f"unknown closeness instance {name!r}")
 
 
-def _closeness_config(params: dict) -> cl.ClosenessConfig:
-    return cl.ClosenessConfig(
-        n=int(params["n"]),
-        epsilon=float(params["epsilon"]),
-        rho=float(params["rho"]),
-        c1=float(params.get("c1", cl.DEFAULT_C1)),
-        c2=float(params.get("c2", cl.DEFAULT_C2)),
-        m_scale=float(params.get("m_scale", 1.0)),
-    )
-
-
-def _uniformity_config(params: dict) -> un.UniformityConfig:
-    return un.UniformityConfig(
-        n=int(params["n"]),
-        epsilon=float(params["epsilon"]),
-        rho=float(params["rho"]),
-        c1_u=float(params.get("c1_u", un.DEFAULT_C1_U)),
-        c2_u=float(params.get("c2_u", un.DEFAULT_C2_U)),
-        m_scale=float(params.get("m_scale", 1.0)),
-    )
-
-
-def _independence_config(params: dict) -> ind.IndependenceConfig:
-    return ind.IndependenceConfig(
-        n1=int(params["n1"]),
-        n2=int(params["n2"]),
-        epsilon=float(params["epsilon"]),
-        rho=float(params["rho"]),
-        c_n=float(params.get("c_n", ind.DEFAULT_C_N)),
-        c_i1=float(params.get("c_i1", ind.DEFAULT_C_I1)),
-        c_i2=float(params.get("c_i2", ind.DEFAULT_C_I2)),
-        k_avg=int(params.get("k_avg", ind.DEFAULT_K_AVG)),
-        median_reps=int(params.get("median_reps", ind.DEFAULT_MEDIAN_REPS)),
-        m_scale=float(params.get("m_scale", 1.0)),
-    )
-
-
 def _closeness_trial(params: dict, seed: int, t: int) -> dict:
-    tester_config = _closeness_config(params)
+    tester_config = config_from_params(cl.ClosenessConfig, params)
     p, q = _closeness_instance(params)
     stream = RngStream(seed, "closeness-acceptance").substream("trial", t)
     verdict = cl.rep_closeness_test(p, q, tester_config, stream)
@@ -299,7 +289,7 @@ def _closeness_trial(params: dict, seed: int, t: int) -> dict:
 
 
 def _uniformity_trial(params: dict, seed: int, t: int) -> dict:
-    tester_config = _uniformity_config(params)
+    tester_config = config_from_params(un.UniformityConfig, params)
     name = params.get("instance", "uniform")
     trial = RngStream(seed, "uniformity-acceptance").substream("trial", t)
     if name == "uniform":
@@ -323,7 +313,7 @@ def _uniformity_trial(params: dict, seed: int, t: int) -> dict:
 
 
 def _independence_trial(params: dict, seed: int, t: int) -> dict:
-    tester_config = _independence_config(params)
+    tester_config = config_from_params(ind.IndependenceConfig, params)
     name = params.get("instance", "product-uniform")
     if name == "product-uniform":
         p = uniform_product_measure(tester_config.n1, tester_config.n2)
@@ -343,7 +333,7 @@ def _independence_trial(params: dict, seed: int, t: int) -> dict:
 def _replicability_pair_fn(params: dict) -> PairFn:
     tester = params.get("tester", "closeness")
     if tester == "closeness":
-        tester_config = _closeness_config(params)
+        tester_config = config_from_params(cl.ClosenessConfig, params)
         if params.get("instance") == "hard-meta":
             return closeness_meta_pair_fn(
                 int(params["n"]), int(params["hard_m"]), float(params["epsilon"]),
@@ -352,7 +342,7 @@ def _replicability_pair_fn(params: dict) -> PairFn:
         p, q = _closeness_instance(params)
         return closeness_pair_fn(p, q, tester_config)
     if tester == "uniformity":
-        tester_config = _uniformity_config(params)
+        tester_config = config_from_params(un.UniformityConfig, params)
         if params.get("instance") == "hard-meta":
             return uniformity_meta_pair_fn(
                 int(params["n"]), float(params["epsilon"]), tester_config,
@@ -369,35 +359,28 @@ def _replicability_trial(params: dict, seed: int, t: int) -> dict:
 
 
 def _variance_trial(params: dict, seed: int, t: int) -> dict:
-    from .sampling import counts_from_indices, measure_sampler, multinomial_split
+    from .sampling import measure_sampler, multinomial_split
 
-    tester_config = _closeness_config(params)
+    tester_config = config_from_params(cl.ClosenessConfig, params)
     p, q = _closeness_instance(params)
-    sampler_p = measure_sampler(p)
-    sampler_q = measure_sampler(q)
     m = tester_config.sample_size()
     trial = RngStream(seed, "variance-audit").substream("trial", t)
     sizes = multinomial_split(4 * m, 4, trial.substream("split"))
-    gen_p = trial.substream("sample-1").generator()
-    gen_q = trial.substream("sample-2").generator()
-    z = cl.closeness_statistic(
-        counts_from_indices(sampler_p(int(sizes[0]), gen_p), tester_config.n),
-        counts_from_indices(sampler_p(int(sizes[1]), gen_p), tester_config.n),
-        counts_from_indices(sampler_q(int(sizes[2]), gen_q), tester_config.n),
-        counts_from_indices(sampler_q(int(sizes[3]), gen_q), tester_config.n),
-    )
-    return {"trial": t, "statistic": z}
+    z = cl.closeness_statistic(*cl.draw_closeness_counts(
+        measure_sampler(p), measure_sampler(q), sizes, tester_config.n, trial
+    ))
+    return {"trial": t, "statistic": z, "m": m}
 
 
-def _replicability_aggregate(records: list[dict], params: dict) -> dict:
+def _replicability_aggregate(records: list[dict]) -> dict:
     disagreements = sum(r["verdict_1"] != r["verdict_2"] for r in records)
     result = ReplicabilityResult(len(records), disagreements)
     return {"pairs": result.pairs, "disagreement_rate": result.rate,
             "stderr": result.stderr}
 
 
-def _variance_aggregate(records: list[dict], params: dict) -> dict:
-    m = _closeness_config(params).sample_size()
+def _variance_aggregate(records: list[dict]) -> dict:
+    m = records[0]["m"]
     stats = np.array([r["statistic"] for r in records], dtype=float)
     return {
         "m": m,
@@ -438,7 +421,7 @@ def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
     from .walks import concentration_experiment
 
     params = config.params
-    tester_config = _uniformity_config(params)
+    tester_config = config_from_params(un.UniformityConfig, params)
     tester = un.UniformityTester(tester_config)
     internal = RngStream(config.seed, "concentration-internal")
     verdict_cache = tester.decide_counts
@@ -472,15 +455,11 @@ def _rate_aggregate(records: list[dict]) -> dict:
     }
 
 
-def _rate_aggregate_with_params(records: list[dict], params: dict) -> dict:
-    return _rate_aggregate(records)
-
-
 # kinds whose trials are independent pure functions of (params, seed, index)
 _TRIAL_FUNCS = {
-    "closeness-acceptance": (_closeness_trial, _rate_aggregate_with_params),
-    "uniformity-acceptance": (_uniformity_trial, _rate_aggregate_with_params),
-    "independence-acceptance": (_independence_trial, _rate_aggregate_with_params),
+    "closeness-acceptance": (_closeness_trial, _rate_aggregate),
+    "uniformity-acceptance": (_uniformity_trial, _rate_aggregate),
+    "independence-acceptance": (_independence_trial, _rate_aggregate),
     "replicability": (_replicability_trial, _replicability_aggregate),
     "variance-audit": (_variance_trial, _variance_aggregate),
 }
@@ -513,7 +492,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                 )
         else:
             records = [worker(t) for t in range(config.trials)]
-        aggregate = aggregate_fn(records, config.params)
+        aggregate = aggregate_fn(records)
     else:
         records, aggregate = _RUNNERS[config.kind](config)
     result = ExperimentResult(config, records, aggregate, time.perf_counter() - start)
@@ -524,29 +503,31 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 def recompute_aggregate(kind: str, records: list[dict]) -> dict:
     """Rebuild the aggregate from per-trial records (the `report` command)."""
-    if kind in ("closeness-acceptance", "uniformity-acceptance", "independence-acceptance"):
-        return _rate_aggregate(records)
-    if kind == "replicability":
-        disagreements = sum(r["verdict_1"] != r["verdict_2"] for r in records)
-        result = ReplicabilityResult(len(records), disagreements)
-        return {"pairs": result.pairs, "disagreement_rate": result.rate,
-                "stderr": result.stderr}
-    if kind == "variance-audit":
-        stats = np.array([r["statistic"] for r in records], dtype=float)
-        return {"mean": float(stats.mean()), "variance": float(stats.var(ddof=1))}
-    raise ConfigError(f"no aggregate recomputation for kind {kind!r}")
+    if kind not in _TRIAL_FUNCS:
+        raise ConfigError(f"no aggregate recomputation for kind {kind!r}")
+    if not records:
+        raise ConfigError("no records to aggregate")
+    try:
+        return _TRIAL_FUNCS[kind][1](records)
+    except KeyError as exc:
+        raise ConfigError(f"{kind} records need a {exc.args[0]!r} column") from exc
 
 
 def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
-    """Desk-scale calibration; returns the constants dict it would write.
+    """Desk-scale audit of the constants in ``params`` (defaults where absent).
 
-    Verifies that the packaged default constants satisfy the gap
-    conditions and the target acceptance/rejection rates at the given
-    parameters, adjusting the margins when needed. The output feeds the
-    ``--constants`` flag of the CLI and the tester config constructors.
+    Reports the constants with what they give at the given parameters
+    and never changes them. Closeness runs the tester on a uniform pair
+    and a uniform/half-flat pair and reports the accept and reject
+    rates; uniformity draws no samples and reports the ceiling, the
+    floor and whether the gap is open; independence reports the
+    averaged non-singleton count and the spread of the averaged
+    statistic on product-uniform sets. The output can be passed to the
+    CLI's ``--constants`` flag, which ignores the keys that are not
+    constants.
     """
     if kind == "closeness":
-        config = _closeness_config(params)
+        config = config_from_params(cl.ClosenessConfig, params)
         trials = int(params.get("calibration_trials", 50))
         p_u = uniform_measure(config.n)
         far_q = half_flat_measure(config.n)
@@ -566,7 +547,7 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
             "far_reject_rate": sum(rejects) / trials,
         }
     if kind == "uniformity":
-        config = _uniformity_config(params)
+        config = config_from_params(un.UniformityConfig, params)
         m = config.sample_size()
         return {
             "kind": kind, "c1_u": config.c1_u, "c2_u": config.c2_u, "m": m,
@@ -575,7 +556,7 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
             "floor": config.soundness_floor(m),
         }
     if kind == "independence":
-        config = _independence_config(params)
+        config = config_from_params(ind.IndependenceConfig, params)
         m = config.sample_size()
         trials = int(params.get("calibration_trials", 20))
         root = RngStream(seed, "calibrate-independence")

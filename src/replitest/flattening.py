@@ -12,7 +12,6 @@ was selected on neither axis.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,26 +172,24 @@ def flatten_2d(
     return Flattened2D(keep, rows, row_subs, cols, col_subs, fx, fy)
 
 
+def _multiplicities(samples) -> np.ndarray:
+    """Multiplicity of each distinct element; rows of 2D input are elements."""
+    values = np.asarray(samples)
+    if values.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    axis = 0 if values.ndim > 1 else None
+    return np.unique(values, axis=axis, return_counts=True)[1]
+
+
 def non_singleton_count(samples) -> int:
     """Number of samples whose element appears at least twice.
 
     ``N = sum over elements with multiplicity c >= 2 of c``.
     """
-    if isinstance(samples, np.ndarray):
-        if samples.size == 0:
-            return 0
-        _, counts = np.unique(samples, return_counts=True)
-        return int(counts[counts >= 2].sum())
-    counts = Counter(samples)
-    return sum(c for c in counts.values() if c >= 2)
+    counts = _multiplicities(samples)
+    return int(counts[counts >= 2].sum())
 
 
 def max_subbin_count(samples) -> int:
     """Largest multiplicity of any flattened element (0 for empty input)."""
-    if isinstance(samples, np.ndarray):
-        if samples.size == 0:
-            return 0
-        _, counts = np.unique(samples, return_counts=True)
-        return int(counts.max())
-    counter = Counter(samples)
-    return max(counter.values(), default=0)
+    return int(_multiplicities(samples).max(initial=0))

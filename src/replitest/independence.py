@@ -18,18 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibrated import INDEPENDENCE_DESK
 from .flattening import non_singleton_count, pack_keys, subbin_indices
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, measure_sampler
 from .verdict import TesterVerdict
-
-# Desk-scale defaults; `replitest calibrate independence` regenerates them.
-DEFAULT_C_N = 4.0
-DEFAULT_C_I1 = 1.0
-DEFAULT_C_I2 = 4.0
-DEFAULT_K_AVG = 200
-DEFAULT_MEDIAN_REPS = 1
 
 
 def independence_sample_size(
@@ -85,11 +79,11 @@ class IndependenceConfig:
     n2: int
     epsilon: float
     rho: float
-    c_n: float = DEFAULT_C_N
-    c_i1: float = DEFAULT_C_I1
-    c_i2: float = DEFAULT_C_I2
-    k_avg: int = DEFAULT_K_AVG
-    median_reps: int = DEFAULT_MEDIAN_REPS
+    c_n: float = INDEPENDENCE_DESK["c_n"]
+    c_i1: float = INDEPENDENCE_DESK["c_i1"]
+    c_i2: float = INDEPENDENCE_DESK["c_i2"]
+    k_avg: int = 200
+    median_reps: int = 1
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -115,22 +109,12 @@ class IndependenceConfig:
         return min(self.n2 / (100.0 * m), 1.0)
 
 
-def product_of_marginals_sample(
-    sampler_p: IndexSampler, shape: tuple[int, int], rng: RngStream
-) -> tuple[int, int]:
-    """One sample from the product of marginals of ``p``.
-
-    Draws two independent samples from ``p`` and combines the row of
-    the first with the column of the second.
-    """
-    gen = rng.generator()
-    flat = sampler_p(2, gen)
-    _, n2 = shape
-    return int(flat[0] // n2), int(flat[1] % n2)
-
-
 def product_of_marginals_sampler(sampler_p: IndexSampler, shape: tuple[int, int]) -> IndexSampler:
-    """Batch sampler over flat codes for the product of marginals of ``p``."""
+    """Batch sampler over flat codes for the product of marginals of ``p``.
+
+    Each draw combines the row of one sample from ``p`` with the column
+    of an independent one.
+    """
     _, n2 = shape
 
     def draw(k: int, gen: np.random.Generator) -> np.ndarray:

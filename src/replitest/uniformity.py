@@ -18,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibrated import UNIFORMITY_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import CountVector, IndexSampler, counts_from_indices, sample_counts_poissonized
 from .verdict import TesterVerdict
-
-# Desk-scale defaults; `replitest calibrate uniformity` regenerates them.
-DEFAULT_C1_U = 1.0
-DEFAULT_C2_U = 0.5
 
 
 def uniformity_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -52,8 +49,8 @@ class UniformityConfig:
     n: int
     epsilon: float
     rho: float
-    c1_u: float = DEFAULT_C1_U
-    c2_u: float = DEFAULT_C2_U
+    c1_u: float = UNIFORMITY_DESK["c1_u"]
+    c2_u: float = UNIFORMITY_DESK["c2_u"]
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:

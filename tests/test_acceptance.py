@@ -18,7 +18,12 @@ from replitest.calibrated import (
     UNIFORMITY_DESK,
     VARIANCE_RATIO_C,
 )
-from replitest.closeness import ClosenessConfig, closeness_statistic, rep_closeness_test
+from replitest.closeness import (
+    ClosenessConfig,
+    closeness_statistic,
+    draw_closeness_counts,
+    rep_closeness_test,
+)
 from replitest.experiments import (
     closeness_pair_fn,
     measure_replicability,
@@ -44,7 +49,7 @@ from replitest.measures import (
     zipf_measure,
 )
 from replitest.rng import RngStream
-from replitest.sampling import counts_from_indices, measure_sampler, multinomial_split
+from replitest.sampling import measure_sampler, multinomial_split
 from replitest.uniformity import UniformityConfig
 from replitest.walks import (
     ClosenessPairKernel,
@@ -65,22 +70,15 @@ def _report(num: int, name: str, ok: bool, detail: str, started: float) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _closeness_config(n: int) -> ClosenessConfig:
+def _desk_closeness(n: int) -> ClosenessConfig:
     return ClosenessConfig(n=n, epsilon=0.3, rho=0.1, **CLOSENESS_DESK)
 
 
 def _closeness_statistic_trial(p, q, config, stream) -> int:
-    sampler_p, sampler_q = measure_sampler(p), measure_sampler(q)
-    m = config.sample_size()
-    sizes = multinomial_split(4 * m, 4, stream.substream("split"))
-    gen_p = stream.substream("sample-1").generator()
-    gen_q = stream.substream("sample-2").generator()
-    return closeness_statistic(
-        counts_from_indices(sampler_p(int(sizes[0]), gen_p), config.n),
-        counts_from_indices(sampler_p(int(sizes[1]), gen_p), config.n),
-        counts_from_indices(sampler_q(int(sizes[2]), gen_q), config.n),
-        counts_from_indices(sampler_q(int(sizes[3]), gen_q), config.n),
-    )
+    sizes = multinomial_split(4 * config.sample_size(), 4, stream.substream("split"))
+    return closeness_statistic(*draw_closeness_counts(
+        measure_sampler(p), measure_sampler(q), sizes, config.n, stream
+    ))
 
 
 _AUDITS: dict = {}
@@ -89,7 +87,7 @@ _AUDITS: dict = {}
 def _variance_audit(n: int, instance: str, trials: int = 2000):
     key = (n, instance)
     if key not in _AUDITS:
-        config = _closeness_config(n)
+        config = _desk_closeness(n)
         p = uniform_measure(n) if instance == "uniform" else zipf_measure(n)
         stream = ROOT.substream("audit", n, instance)
         values = np.array(
@@ -109,7 +107,7 @@ def _variance_audit(n: int, instance: str, trials: int = 2000):
 
 def test_criterion_01_closeness_correctness():
     started = time.perf_counter()
-    config = _closeness_config(500)
+    config = _desk_closeness(500)
     trials = 200
     rates = {}
     for label, (p, q) in {
@@ -137,7 +135,7 @@ def test_criterion_01_closeness_correctness():
 
 def test_criterion_02_closeness_replicability():
     started = time.perf_counter()
-    config = _closeness_config(500)
+    config = _desk_closeness(500)
     pairs = 500
     rho = config.rho
     worst = ("", 0.0, 0.0)

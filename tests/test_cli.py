@@ -7,6 +7,7 @@ from replitest.closeness import ClosenessConfig
 from replitest.measures import half_flat_measure, uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import measure_sampler
+from replitest.uniformity import UniformityConfig
 
 
 def _write_samples(path, indices):
@@ -54,22 +55,58 @@ def test_closeness_file_too_small_is_validation_error(tmp_path, capsys):
     assert "exhausted" in capsys.readouterr().err
 
 
-def test_uniformity_file_verdict(tmp_path, capsys):
+def _uniform_file(path, multiple: float) -> None:
+    """Write ``multiple * m`` uniform samples on [64]."""
     gen = RngStream(2, "cli-unif").generator()
     sampler = measure_sampler(uniform_measure(64))
-    from replitest.uniformity import UniformityConfig
-
     m = UniformityConfig(n=64, epsilon=0.3, rho=0.15).sample_size()
+    _write_samples(path, sampler(int(multiple * m), gen))
+
+
+_UNIFORMITY_ARGS = ["test", "uniformity", "--n", "64", "--epsilon", "0.3", "--rho", "0.15"]
+
+
+def test_uniformity_file_verdict(tmp_path, capsys):
     path = tmp_path / "s.txt"
-    _write_samples(path, sampler(int(gen.poisson(m)), gen))
-    code = main([
-        "test", "uniformity", "--samples", str(path), "--n", "64",
-        "--epsilon", "0.3", "--rho", "0.15",
-    ])
+    _uniform_file(path, 2)
+    code = main(_UNIFORMITY_ARGS + ["--samples", str(path)])
     assert code == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "accept"
     assert out["calibrated"] is True
+
+
+@pytest.mark.parametrize("multiple", [2, 5])
+def test_uniformity_accepts_files_longer_than_budget(tmp_path, capsys, multiple):
+    # The tester draws Poi(m) samples from the file, however long it is.
+    path = tmp_path / "s.txt"
+    _uniform_file(path, multiple)
+    for seed in range(5):
+        assert main(_UNIFORMITY_ARGS + ["--samples", str(path), "--seed", str(seed)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdict"] == "accept"
+
+
+def test_uniformity_short_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    _uniform_file(path, 0.5)
+    assert main(_UNIFORMITY_ARGS + ["--samples", str(path)]) == EXIT_VALIDATION
+    assert "exhausted" in capsys.readouterr().err
+
+
+def test_constants_file_overrides_m_scale_flag(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    _uniform_file(path, 2)
+    constants = tmp_path / "constants.json"
+    constants.write_text(json.dumps({"m_scale": 1.0}))
+    args = _UNIFORMITY_ARGS + ["--samples", str(path), "--m-scale", "100"]
+    assert main(args) == EXIT_VALIDATION
+    assert "exhausted" in capsys.readouterr().err
+    assert main(args + ["--constants", str(constants)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"] == "accept"
+
+    constants.write_text("[1.0]")
+    assert main(args + ["--constants", str(constants)]) == EXIT_VALIDATION
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_independence_file_verdict(tmp_path, capsys):
@@ -133,6 +170,27 @@ def test_report_command_recomputes(tmp_path, capsys):
                  "--kind", "closeness-acceptance"]) == EXIT_OK
     second = json.loads(capsys.readouterr().out)
     assert second["accept_rate"] == pytest.approx(first["aggregate"]["accept_rate"])
+
+
+def test_report_matches_experiment_for_variance_audit(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "kind": "variance-audit", "seed": 9, "trials": 12,
+        "params": {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"},
+    }))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    first = json.loads(capsys.readouterr().out)["aggregate"]
+    records = tmp_path / "o" / "variance-audit-records.csv"
+    assert main(["report", "--records", str(records), "--kind", "variance-audit"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == pytest.approx(first)
+
+    lines = records.read_text().splitlines()
+    assert lines[0] == "trial,statistic,m"
+    records.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    assert main(["report", "--records", str(records), "--kind", "variance-audit"]) == (
+        EXIT_VALIDATION
+    )
+    assert "'m' column" in capsys.readouterr().err
 
 
 def test_calibrate_command(tmp_path, capsys):

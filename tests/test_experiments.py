@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from replitest.experiments import (
     ConfigError,
@@ -10,11 +11,14 @@ from replitest.experiments import (
     ReplicabilityResult,
     calibrate,
     closeness_pair_fn,
+    config_from_params,
     measure_replicability,
     recompute_aggregate,
     run_experiment,
 )
 from replitest.closeness import ClosenessConfig
+from replitest.independence import IndependenceConfig
+from replitest.uniformity import UniformityConfig
 from replitest.measures import uniform_measure
 from replitest.rng import RngStream
 
@@ -90,17 +94,79 @@ def test_parallel_trials_match_sequential():
     assert [r["trial"] for r in parallel.records] == list(range(16))
 
 
-def test_aggregate_order_independent():
+@pytest.mark.parametrize("kind", ["closeness-acceptance", "replicability", "variance-audit"])
+def test_aggregate_order_independent(kind):
     config = ExperimentConfig(
-        "closeness-acceptance", seed=12, trials=20,
+        kind, seed=12, trials=20,
         params={"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"},
     )
     result = run_experiment(config)
     shuffled = list(result.records)
     RngStream(1, "shuffle").generator().shuffle(shuffled)
     recomputed = recompute_aggregate(config.kind, shuffled)
+    assert recomputed.keys() == result.aggregate.keys()
     for key, value in result.aggregate.items():
         assert recomputed[key] == pytest.approx(value, abs=1e-12)
+
+
+def test_recompute_names_missing_column():
+    with pytest.raises(ConfigError, match="'m' column"):
+        recompute_aggregate("variance-audit", [{"trial": 0, "statistic": 3}])
+    with pytest.raises(ConfigError, match="no aggregate"):
+        recompute_aggregate("mixing", [{"t": 0}])
+    with pytest.raises(ConfigError, match="no records"):
+        recompute_aggregate("replicability", [])
+
+
+_OPTIONAL_FIELDS = {
+    ClosenessConfig: {"c1": st.floats(0.5, 3.0), "c2": st.floats(3.0, 9.0),
+                      "m_scale": st.floats(0.5, 4.0)},
+    UniformityConfig: {"c1_u": st.floats(0.0, 2.0), "c2_u": st.floats(0.1, 2.0),
+                       "m_scale": st.floats(0.05, 4.0)},
+    IndependenceConfig: {"c_n": st.floats(0.5, 8.0), "c_i1": st.floats(0.0, 2.0),
+                         "c_i2": st.floats(2.5, 8.0), "k_avg": st.integers(1, 400),
+                         "median_reps": st.sampled_from([1, 3, 5]),
+                         "m_scale": st.floats(0.01, 2.0)},
+}
+_REQUIRED = {
+    ClosenessConfig: {"n": 100, "epsilon": 0.3, "rho": 0.1},
+    UniformityConfig: {"n": 500, "epsilon": 0.3, "rho": 0.1},
+    IndependenceConfig: {"n1": 40, "n2": 20, "epsilon": 0.35, "rho": 0.2},
+}
+
+
+@st.composite
+def _config_params(draw):
+    cls = draw(st.sampled_from(list(_OPTIONAL_FIELDS)))
+    fields = _OPTIONAL_FIELDS[cls]
+    chosen = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+    return cls, {name: draw(fields[name]) for name in chosen}
+
+
+@given(_config_params(), st.dictionaries(st.sampled_from(["kind", "instance", "seed", "zz"]),
+                                         st.integers()))
+@settings(max_examples=80, deadline=None)
+def test_config_from_params_matches_explicit_construction(cls_and_subset, unknown):
+    cls, subset = cls_and_subset
+    explicit_kwargs = {**_REQUIRED[cls], **subset}
+    try:
+        explicit = cls(**explicit_kwargs)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            config_from_params(cls, {**unknown, **explicit_kwargs})
+        return
+    assert config_from_params(cls, {**unknown, **explicit_kwargs}) == explicit
+
+
+def test_config_from_params_casts_and_names_missing_fields():
+    built = config_from_params(
+        IndependenceConfig, {"n1": "40", "n2": 20.0, "epsilon": "0.35", "rho": 0.2,
+                             "k_avg": 10.0, "median_reps": None},
+    )
+    assert built == IndependenceConfig(40, 20, 0.35, 0.2, k_avg=10)
+    assert isinstance(built.n1, int) and isinstance(built.k_avg, int)
+    with pytest.raises(ConfigError, match="epsilon"):
+        config_from_params(ClosenessConfig, {"n": 100, "rho": 0.1})
 
 
 def test_variance_audit_outputs_mean_and_variance():

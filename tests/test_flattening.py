@@ -157,13 +157,19 @@ def test_non_singleton_count_examples():
     assert non_singleton_count(np.array([], dtype=np.int64)) == 0
 
 
-@given(st.lists(st.integers(min_value=0, max_value=8), max_size=40))
+@given(
+    st.lists(st.integers(min_value=0, max_value=8), max_size=40),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40),
+)
 @settings(max_examples=60, deadline=None)
-def test_non_singleton_count_matches_definition(values):
+def test_non_singleton_count_matches_definition(values, pairs):
     counts = Counter(values)
     expected = sum(c for c in counts.values() if c >= 2)
     assert non_singleton_count(values) == expected
     assert non_singleton_count(np.array(values, dtype=np.int64)) == expected
+    pair_counts = Counter(pairs)
+    assert non_singleton_count(pairs) == sum(c for c in pair_counts.values() if c >= 2)
+    assert max_subbin_count(pairs) == max(pair_counts.values(), default=0)
 
 
 def test_max_subbin_count_examples():

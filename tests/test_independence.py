@@ -12,7 +12,6 @@ from replitest.independence import (
     independence_gap,
     independence_sample_size,
     independence_stats,
-    product_of_marginals_sample,
     product_of_marginals_sampler,
     rep_independence_test,
     stage1_scale,
@@ -24,7 +23,7 @@ from replitest.measures import (
     uniform_product_measure,
 )
 from replitest.rng import RngStream
-from replitest.sampling import measure_sampler
+from replitest.sampling import measure_sampler, unravel_pairs
 
 from oracles import enumerate_independence_means, zc_mean, zc_value
 
@@ -76,9 +75,10 @@ def test_gap_scale_is_minimum_of_three():
 
 def test_product_of_marginals_point_mass():
     p = measure_2d(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    sampler = measure_sampler(p)
-    for t in range(10):
-        assert product_of_marginals_sample(sampler, (2, 2), ROOT.substream("pm", t)) == (1, 1)
+    draw = product_of_marginals_sampler(measure_sampler(p), (2, 2))
+    codes = draw(10, ROOT.substream("pm").generator())
+    for row, col in unravel_pairs(codes, (2, 2)):
+        assert (row, col) == (1, 1)
 
 
 def test_product_of_marginals_diagonal_becomes_uniform():
