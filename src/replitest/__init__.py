@@ -11,9 +11,7 @@ from .closeness import (
 )
 from .flattening import (
     FlattenAssignment,
-    Flattened2D,
     flatten_1d,
-    flatten_2d,
     max_subbin_count,
     non_singleton_count,
 )
@@ -27,9 +25,8 @@ from .hard_instances import (
 )
 from .independence import (
     IndependenceConfig,
+    averaged_stats,
     closeness_stat_marked,
-    estimate_n_a,
-    estimate_z_a,
     independence_gap,
     independence_sample_size,
     independence_stats,

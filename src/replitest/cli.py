@@ -51,26 +51,54 @@ def _load_constants(path: str | None) -> dict:
     return data
 
 
-def _read_1d_samples(path: str) -> np.ndarray:
+def _read_1d_samples(path: str, n: int) -> np.ndarray:
+    values, lines = [], []
     try:
-        values = [int(line) for line in Path(path).read_text().split()]
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            for token in line.split():
+                values.append(int(token))
+                lines.append(lineno)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse 1D sample file {path}: {exc}") from exc
-    return np.asarray(values, dtype=np.int64)
+    samples = np.asarray(values, dtype=np.int64)
+    _check_domain(path, samples, lines, (n,))
+    return samples
 
 
-def _read_2d_samples(path: str) -> np.ndarray:
-    rows = []
+def _read_2d_samples(path: str, n1: int, n2: int) -> np.ndarray:
+    rows, lines = [], []
     try:
-        for line in Path(path).read_text().splitlines():
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             a, b = line.split()
             rows.append((int(a), int(b)))
+            lines.append(lineno)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot parse 2D sample file {path}: {exc}") from exc
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    samples = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    _check_domain(path, samples, lines, (n1, n2))
+    return samples
+
+
+def _check_domain(path: str, samples: np.ndarray, lines: list[int], shape: tuple) -> None:
+    """Raise ``ConfigError`` naming the first sample outside ``[0, n)`` per coordinate.
+
+    Without this, an out-of-range closeness value would widen the domain
+    and an independence column ``>= n2`` would fold into the next row
+    through ``row * n2 + col``.
+    """
+    bad = (samples < 0) | (samples >= np.asarray(shape))
+    if bad.ndim > 1:
+        bad = bad.any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        domain = " x ".join(f"[0, {n})" for n in shape)
+        raise ConfigError(
+            f"{path} line {lines[i]}: sample {samples[i].tolist()} "
+            f"lies outside the domain {domain}"
+        )
 
 
 def _pool_sampler(pool: np.ndarray):
@@ -100,19 +128,27 @@ def _cmd_test(args: argparse.Namespace) -> int:
     rng = RngStream(args.seed, "cli-test")
     if args.problem == "closeness":
         config = config_from_params(cl.ClosenessConfig, params)
-        pool_p = _read_1d_samples(args.samples_p)
-        pool_q = _read_1d_samples(args.samples_q)
+        pool_p = _read_1d_samples(args.samples_p, config.n)
+        pool_q = _read_1d_samples(args.samples_q, config.n)
         verdict = cl.rep_closeness_test(
             _pool_sampler(pool_p), _pool_sampler(pool_q), config, rng
         )
     elif args.problem == "uniformity":
         config = config_from_params(un.UniformityConfig, params)
-        pool = _read_1d_samples(args.samples)
+        pool = _read_1d_samples(args.samples, config.n)
         verdict = un.UniformityTester(config).run(_pool_sampler(pool), rng)
     elif args.problem == "independence":
         config = config_from_params(ind.IndependenceConfig, params)
-        pool = _read_2d_samples(args.samples)
-        flat = pool[:, 0] * args.n2 + pool[:, 1]
+        pool = _read_2d_samples(args.samples, config.n1, config.n2)
+        # 100 m pairs from p and 200 m for the product of marginals per
+        # estimate, median_reps estimates per stage, two stages
+        need = 2 * 300 * config.sample_size() * config.median_reps
+        if pool.shape[0] < need:
+            raise ConfigError(
+                f"{args.samples} holds {pool.shape[0]} pairs; "
+                f"this file needs at least {need} pairs"
+            )
+        flat = pool[:, 0] * config.n2 + pool[:, 1]
         verdict = ind.rep_independence_test(_pool_sampler(flat), config, rng)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown problem {args.problem!r}")
@@ -146,7 +182,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         merged = dict(config.params)
         merged.update(_load_constants(args.constants))
         config = ExperimentConfig(config.kind, config.seed, config.trials, merged, config.out)
-    result = run_experiment(config, threads=max(1, args.threads))
+    result = run_experiment(config, processes=max(1, args.processes))
     print(json.dumps({"kind": config.kind, "aggregate": result.aggregate}, indent=2))
     if args.check:
         checks = config.params.get("check", {})
@@ -247,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--trials", type=int)
     p_exp.add_argument("--out")
-    p_exp.add_argument("--threads", type=int, default=1,
+    p_exp.add_argument("--processes", type=int, default=1,
                        help="worker processes for independent trials")
     p_exp.add_argument("--constants")
     p_exp.add_argument("--check", action="store_true",

@@ -58,7 +58,6 @@ class ExperimentConfig:
         "variance-audit",
         "mixing",
         "concentration",
-        "calibration",
     )
 
     def __post_init__(self) -> None:
@@ -471,24 +470,22 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentResult:
     """Execute one experiment; deterministic given ``(config, seed)``.
 
-    ``threads > 1`` runs independent trials in a process pool; per-trial
+    ``processes > 1`` runs independent trials in a process pool; per-trial
     streams are derived from the trial index, so records are identical
     to a sequential run and are written in trial order.
     """
-    if config.kind == "calibration":
-        raise ConfigError("use calibrate() for calibration runs")
     start = time.perf_counter()
     if config.kind in _TRIAL_FUNCS:
         trial_fn, aggregate_fn = _TRIAL_FUNCS[config.kind]
         worker = partial(trial_fn, config.params, config.seed)
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+        if processes > 1:
+            with ProcessPoolExecutor(max_workers=processes) as pool:
                 records = list(
                     pool.map(worker, range(config.trials),
-                             chunksize=max(1, config.trials // (4 * threads)))
+                             chunksize=max(1, config.trials // (4 * processes)))
                 )
         else:
             records = [worker(t) for t in range(config.trials)]
@@ -569,9 +566,8 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
             sp, sq = ind._draw_pair_sets(
                 sampler, (config.n1, config.n2), 100 * m, root.substream("sets", t)
             )
-            z_a, n_a = ind._averaged_stats(
-                sp, sq, config, root.substream("avg", t),
-                min(config.k_avg, 50), None, None, None, True,
+            z_a, n_a = ind.averaged_stats(
+                sp, sq, config, root.substream("avg", t), k_avg=min(config.k_avg, 50)
             )
             n_hats.append(n_a)
             z_hats.append(z_a)

@@ -5,9 +5,10 @@ binary vector F) act as dividers: under a random order, each kept
 sample is tagged with the number of flattening samples of the same
 element that precede it. Two kept samples collide only if they share
 the element and the tag, so heavy elements are diluted into sub-bins
-while distinct elements are never merged. The 2D variant flattens the
-row and column coordinates independently and keeps a sample only if it
-was selected on neither axis.
+while distinct elements are never merged. The 2D flattening of the
+independence tester (``independence._stat_run``) tags the row and column
+coordinates independently with :func:`subbin_indices` and keeps a sample
+only if it was selected on neither axis.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ class FlattenAssignment:
 
 
 def subbin_indices(values: np.ndarray, flags: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Per-sample tag: flattening samples with the same value strictly before it."""
+    """Per-sample tag: flattening samples with the same value strictly before it.
+
+    ``sigma`` is any array whose stable argsort lists the samples from
+    first to last: a permutation of positions, or distinct priorities.
+    """
     values = np.asarray(values)
     k = values.size
     if k == 0:
@@ -85,46 +90,6 @@ def flatten_1d(samples, assignment: FlattenAssignment) -> list[tuple[int, int]]:
     return [(int(v), int(s)) for v, s in zip(values[keep], subs[keep])]
 
 
-@dataclass(frozen=True)
-class Flattened2D:
-    """Result of a 2D flattening pass, aligned with the input samples."""
-
-    keep: np.ndarray        # bool, True where F^x = F^y = 0
-    rows: np.ndarray
-    row_subs: np.ndarray
-    cols: np.ndarray
-    col_subs: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
-
-    def kept_count(self) -> int:
-        return int(self.keep.sum())
-
-    def kept_keys(self) -> np.ndarray:
-        """Collision keys of kept samples, in input order.
-
-        Keys are equal iff the flattened pairs ``((row, row_sub),
-        (col, col_sub))`` are equal.
-        """
-        return pack_keys(
-            self.rows[self.keep],
-            self.row_subs[self.keep],
-            self.cols[self.keep],
-            self.col_subs[self.keep],
-        )
-
-    def kept_tuples(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        return [
-            ((int(r), int(rs)), (int(c), int(cs)))
-            for r, rs, c, cs in zip(
-                self.rows[self.keep],
-                self.row_subs[self.keep],
-                self.cols[self.keep],
-                self.col_subs[self.keep],
-            )
-        ]
-
-
 def pack_keys(*columns: np.ndarray) -> np.ndarray:
     """Pack parallel non-negative integer columns into single int64 keys."""
     if not columns:
@@ -142,34 +107,6 @@ def pack_keys(*columns: np.ndarray) -> np.ndarray:
             raise OverflowError("key does not fit in int64; domain too large")
         key = key * radix + col
     return key
-
-
-def flatten_2d(
-    samples: np.ndarray, alpha: float, beta: float, rng: RngStream
-) -> Flattened2D:
-    """Flatten ``(row, col)`` samples with per-axis rates ``alpha`` and ``beta``.
-
-    Selectors are i.i.d. Bernoulli per axis and the two axes use
-    independent random orders. A sample survives iff unselected on
-    both axes.
-    """
-    samples = np.asarray(samples, dtype=np.int64)
-    if samples.ndim != 2 or samples.shape[1] != 2:
-        raise ValueError("samples must be a (k, 2) array of (row, col)")
-    if not (0 <= alpha <= 1 and 0 <= beta <= 1):
-        raise ValueError("alpha and beta must lie in [0, 1]")
-    k = samples.shape[0]
-    gen = rng.generator()
-    fx = (gen.random(k) < alpha).astype(np.int8)
-    fy = (gen.random(k) < beta).astype(np.int8)
-    sigma_x = gen.permutation(k)
-    sigma_y = gen.permutation(k)
-    rows = samples[:, 0]
-    cols = samples[:, 1]
-    row_subs = subbin_indices(rows, fx, sigma_x)
-    col_subs = subbin_indices(cols, fy, sigma_y)
-    keep = (fx == 0) & (fy == 0)
-    return Flattened2D(keep, rows, row_subs, cols, col_subs, fx, fy)
 
 
 def _multiplicities(samples) -> np.ndarray:

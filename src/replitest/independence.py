@@ -209,22 +209,14 @@ def _stat_run(
     cols = np.concatenate([sp_pairs[:, 1], sq_pairs[:, 1]])[subset]
     fx_sub = fx[subset].astype(np.int8)
     fy_sub = fy[subset].astype(np.int8)
-    rank_x = _priority_ranks(gen_flat.random(subset.size))
-    rank_y = _priority_ranks(gen_flat.random(subset.size))
-    row_subs = subbin_indices(rows, fx_sub, rank_x)
-    col_subs = subbin_indices(cols, fy_sub, rank_y)
+    row_subs = subbin_indices(rows, fx_sub, gen_flat.random(subset.size))
+    col_subs = subbin_indices(cols, fy_sub, gen_flat.random(subset.size))
 
     kept = ell_p + ell_q
     keys = pack_keys(rows[:kept], row_subs[:kept], cols[:kept], col_subs[:kept])
     z = closeness_stat_marked(keys[:ell_p], keys[ell_p:], rng.substream("marking"))
     n = non_singleton_count(keys)
     return z, n
-
-
-def _priority_ranks(priorities: np.ndarray) -> np.ndarray:
-    ranks = np.empty(priorities.size, dtype=np.int64)
-    ranks[np.argsort(priorities)] = np.arange(priorities.size)
-    return ranks
 
 
 def _resolve_run_params(
@@ -259,35 +251,44 @@ def independence_stats(
     beta: float | None = None,
     poisson_mean: float | None = None,
     strict_size: bool = True,
-) -> int:
-    """One randomized independence statistic ``Z`` on fixed sample sets.
+) -> tuple[int, int]:
+    """One randomized evaluation ``(Z, N)`` on fixed sample sets, drawn from ``rng``.
 
-    The keyword overrides exist for enumeration-scale tests; defaults
-    follow the configuration (``alpha = min(n1/(100m), 1/100)``,
-    ``beta = n2/(100m)``, truncation sizes ``~ Poi(m)``).
+    ``Z`` is the marked statistic and ``N`` the non-singleton count of
+    the truncated flattened sets. The keyword overrides exist for
+    enumeration-scale tests; defaults follow the configuration
+    (``alpha = min(n1/(100m), 1/100)``, ``beta = n2/(100m)``,
+    truncation sizes ``~ Poi(m)``).
     """
     sp_pairs = np.asarray(sp_pairs, dtype=np.int64)
     sq_pairs = np.asarray(sq_pairs, dtype=np.int64)
     a, b, mean = _resolve_run_params(
         sp_pairs, sq_pairs, config, alpha, beta, poisson_mean, strict_size
     )
-    z, _ = _stat_run(
+    return _stat_run(
         sp_pairs, sq_pairs, a, b, mean, 10.0 * config.n1, 10.0 * config.n2, rng
     )
-    return z
 
 
-def _averaged_stats(
+def averaged_stats(
     sp_pairs: np.ndarray,
     sq_pairs: np.ndarray,
     config: IndependenceConfig,
     rng: RngStream,
-    k_avg: int,
-    alpha: float | None,
-    beta: float | None,
-    poisson_mean: float | None,
-    strict_size: bool,
+    *,
+    k_avg: int | None = None,
+    alpha: float | None = None,
+    beta: float | None = None,
+    poisson_mean: float | None = None,
+    strict_size: bool = True,
 ) -> tuple[float, float]:
+    """Monte Carlo estimates ``(Z_a, N_a)`` of the averaged statistic and count.
+
+    Averages ``k_avg`` (default ``config.k_avg``) evaluations on fixed
+    sample sets; run ``j`` draws from ``rng.substream("avg", j)``. The
+    other keywords are those of :func:`independence_stats`.
+    """
+    k = config.k_avg if k_avg is None else k_avg
     sp_pairs = np.asarray(sp_pairs, dtype=np.int64)
     sq_pairs = np.asarray(sq_pairs, dtype=np.int64)
     a, b, mean = _resolve_run_params(
@@ -295,42 +296,14 @@ def _averaged_stats(
     )
     z_sum = 0.0
     n_sum = 0.0
-    for j in range(k_avg):
+    for j in range(k):
         z, n = _stat_run(
             sp_pairs, sq_pairs, a, b, mean,
             10.0 * config.n1, 10.0 * config.n2, rng.substream("avg", j),
         )
         z_sum += z
         n_sum += n
-    return z_sum / k_avg, n_sum / k_avg
-
-
-def estimate_z_a(
-    sp_pairs, sq_pairs, config: IndependenceConfig, rng: RngStream, *,
-    k_avg: int | None = None, alpha: float | None = None,
-    beta: float | None = None, poisson_mean: float | None = None,
-    strict_size: bool = True,
-) -> float:
-    """Monte Carlo estimate of the averaged statistic ``Z_a`` on fixed sets."""
-    k = config.k_avg if k_avg is None else k_avg
-    z_a, _ = _averaged_stats(
-        sp_pairs, sq_pairs, config, rng, k, alpha, beta, poisson_mean, strict_size
-    )
-    return z_a
-
-
-def estimate_n_a(
-    sp_pairs, sq_pairs, config: IndependenceConfig, rng: RngStream, *,
-    k_avg: int | None = None, alpha: float | None = None,
-    beta: float | None = None, poisson_mean: float | None = None,
-    strict_size: bool = True,
-) -> float:
-    """Monte Carlo estimate of the averaged non-singleton count ``N_a``."""
-    k = config.k_avg if k_avg is None else k_avg
-    _, n_a = _averaged_stats(
-        sp_pairs, sq_pairs, config, rng, k, alpha, beta, poisson_mean, strict_size
-    )
-    return n_a
+    return z_sum / k, n_sum / k
 
 
 def _draw_pair_sets(
@@ -390,12 +363,7 @@ def rep_independence_test(
                 sampler_p, (config.n1, config.n2), 100 * m,
                 sample_rng.substream(stage, rep),
             )
-            out.append(
-                _averaged_stats(
-                    sp, sq, config, internal.substream(stage, rep),
-                    config.k_avg, None, None, None, True,
-                )
-            )
+            out.append(averaged_stats(sp, sq, config, internal.substream(stage, rep)))
         return out
 
     n_threshold = float(

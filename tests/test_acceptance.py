@@ -33,10 +33,8 @@ from replitest.flattening import FlattenAssignment, flatten_1d, max_subbin_count
 from replitest.hard_instances import draw_meta_closeness
 from replitest.independence import (
     IndependenceConfig,
-    _averaged_stats,
     _draw_pair_sets,
-    estimate_n_a,
-    estimate_z_a,
+    averaged_stats,
     independence_stats,
     rep_independence_test,
     stage1_scale,
@@ -268,13 +266,13 @@ def test_criterion_07_estimators_match_enumeration():
         sp_arr, sq_arr = np.array(sp), np.array(sq)
         run_kw = dict(strict_size=False, **kw)
         stream = ROOT.substream("c7", label)
-        est_z = estimate_z_a(sp_arr, sq_arr, config, stream.substream("z"),
-                             k_avg=k_avg, **run_kw)
-        est_n = estimate_n_a(sp_arr, sq_arr, config, stream.substream("n"),
-                             k_avg=k_avg, **run_kw)
+        est_z = averaged_stats(sp_arr, sq_arr, config, stream.substream("z"),
+                               k_avg=k_avg, **run_kw)[0]
+        est_n = averaged_stats(sp_arr, sq_arr, config, stream.substream("n"),
+                               k_avg=k_avg, **run_kw)[1]
         pilot = np.array([
             independence_stats(sp_arr, sq_arr, config, stream.substream("pilot", j),
-                               **run_kw)
+                               **run_kw)[0]
             for j in range(2000)
         ], dtype=float)
         se_z = pilot.std(ddof=1) / math.sqrt(k_avg)
@@ -305,8 +303,8 @@ def test_criterion_08_product_non_singleton_bound():
         values = np.empty(500)
         for t in range(500):
             sp, sq = _draw_pair_sets(sampler, (n1, n2), 100 * m, stream.substream(t))
-            _, values[t] = _averaged_stats(sp, sq, config, stream.substream("r", t),
-                                           1, None, None, None, True)
+            _, values[t] = averaged_stats(sp, sq, config, stream.substream("r", t),
+                                          k_avg=1)
         bound = config.c_n * stage1_scale(m, n1, n2)
         ok &= values.mean() <= bound
         details.append(f"({n1},{n2}): E[N]={values.mean():.1f} <= {bound:.1f}")
@@ -328,8 +326,8 @@ def test_criterion_09_variance_by_collisions():
         n_hats = np.empty(500)
         for t in range(500):
             sp, sq = _draw_pair_sets(sampler, (n1, n2), 100 * m, stream.substream(t))
-            z_hats[t], n_hats[t] = _averaged_stats(
-                sp, sq, config, stream.substream("avg", t), k_avg, None, None, None, True
+            z_hats[t], n_hats[t] = averaged_stats(
+                sp, sq, config, stream.substream("avg", t)
             )
         bound = VARIANCE_RATIO_C * math.log(n1 * n2) ** 3
         ratio_z = z_hats.var(ddof=1) / n_hats.mean()

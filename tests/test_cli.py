@@ -3,7 +3,9 @@ import json
 import pytest
 
 from replitest.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_VALIDATION, main
+from replitest import independence as ind
 from replitest.closeness import ClosenessConfig
+from replitest.independence import IndependenceConfig
 from replitest.measures import half_flat_measure, uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import measure_sampler
@@ -109,23 +111,68 @@ def test_constants_file_overrides_m_scale_flag(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_independence_file_verdict(tmp_path, capsys):
-    gen = RngStream(3, "cli-ind").generator()
-    rows = gen.integers(0, 8, size=200000)
-    cols = gen.integers(0, 8, size=200000)
-    path = tmp_path / "pairs.txt"
-    _write_pairs(path, zip(rows.tolist(), cols.tolist()))
+_IND_CONSTANTS = {"c_n": 4.0, "c_i1": 1.0, "c_i2": 4.0, "k_avg": 10,
+                  "median_reps": 1, "m_scale": 0.05}
+
+
+def _independence_args(tmp_path, pairs_path) -> list[str]:
     constants = tmp_path / "constants.json"
-    constants.write_text(json.dumps(
-        {"c_n": 4.0, "c_i1": 1.0, "c_i2": 4.0, "k_avg": 10,
-         "median_reps": 1, "m_scale": 0.05}
-    ))
-    code = main([
-        "test", "independence", "--samples", str(path), "--n1", "8", "--n2", "8",
+    constants.write_text(json.dumps(_IND_CONSTANTS))
+    return [
+        "test", "independence", "--samples", str(pairs_path), "--n1", "8", "--n2", "8",
         "--epsilon", "0.35", "--rho", "0.2", "--constants", str(constants),
-    ])
+    ]
+
+
+def _uniform_pairs(count: int):
+    gen = RngStream(3, "cli-ind").generator()
+    rows = gen.integers(0, 8, size=count)
+    cols = gen.integers(0, 8, size=count)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def test_independence_file_verdict(tmp_path, capsys):
+    path = tmp_path / "pairs.txt"
+    _write_pairs(path, _uniform_pairs(200000))
+    code = main(_independence_args(tmp_path, path))
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["verdict"] == "accept"
+
+
+def test_independence_file_length_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    config = IndependenceConfig(n1=8, n2=8, epsilon=0.35, rho=0.2, **_IND_CONSTANTS)
+    need = 2 * 300 * config.sample_size() * config.median_reps
+    path = tmp_path / "pairs.txt"
+    _write_pairs(path, _uniform_pairs(need))
+    assert main(_independence_args(tmp_path, path)) == EXIT_OK
+    capsys.readouterr()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the tester ran on a short file")
+
+    monkeypatch.setattr(ind, "rep_independence_test", no_run)
+    _write_pairs(path, _uniform_pairs(need - 1))
+    assert main(_independence_args(tmp_path, path)) == EXIT_VALIDATION
+    assert f"this file needs at least {need} pairs" in capsys.readouterr().err
+
+
+def test_sample_values_outside_the_domain_are_validation_errors(tmp_path, capsys):
+    p_file, q_file = tmp_path / "p.txt", tmp_path / "q.txt"
+    closeness = ["test", "closeness", "--samples-p", str(p_file), "--samples-q",
+                 str(q_file), "--n", "50", "--epsilon", "0.3", "--rho", "0.15"]
+    _write_samples(q_file, [0, 1, 2])
+    for bad in (59, 50, -1):
+        _write_samples(p_file, [0, 49, bad, 7])
+        assert main(closeness) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line 3: sample {bad} lies outside the domain [0, 50)" in err
+
+    path = tmp_path / "pairs.txt"
+    for bad in ((1, 8), (8, 1), (-1, 0)):
+        _write_pairs(path, [(0, 0), (7, 7), bad, (1, 1)])
+        assert main(_independence_args(tmp_path, path)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line 3: sample {list(bad)} lies outside the domain [0, 8) x [0, 8)" in err
 
 
 def test_experiment_command_with_check(tmp_path, capsys):

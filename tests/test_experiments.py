@@ -55,6 +55,14 @@ def test_config_validation():
         ExperimentConfig("mixing", seed=1, trials=0)
 
 
+def test_calibration_kind_is_unknown(tmp_path):
+    # calibrate() is the only calibration entry point
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "calibration", "seed": 1, "trials": 1}))
+    with pytest.raises(ConfigError, match="unknown experiment kind"):
+        ExperimentConfig.from_json_file(path)
+
+
 def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -87,8 +95,8 @@ def test_parallel_trials_match_sequential():
         "variance-audit", seed=21, trials=16,
         params={"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"},
     )
-    sequential = run_experiment(config, threads=1)
-    parallel = run_experiment(config, threads=2)
+    sequential = run_experiment(config, processes=1)
+    parallel = run_experiment(config, processes=2)
     assert sequential.records == parallel.records
     assert sequential.aggregate == parallel.aggregate
     assert [r["trial"] for r in parallel.records] == list(range(16))

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from itertools import permutations
 
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from replitest.flattening import (
     FlattenAssignment,
     flatten_1d,
-    flatten_2d,
     max_subbin_count,
     non_singleton_count,
     pack_keys,
@@ -104,49 +102,6 @@ def test_exchangeability_under_input_relabeling():
     relabeled = histogram([9, 2, 2, 9, 2], [1, 1, 0, 0, 0])
     # same multiset of (value, flag) pairs, different input order
     assert base == relabeled
-
-
-def test_flatten_2d_degenerate_rates():
-    samples = np.array([[1, 2], [1, 2], [3, 4]])
-    result = flatten_2d(samples, 0.0, 0.0, ROOT.substream("deg"))
-    assert result.kept_count() == 3
-    assert result.kept_tuples() == [
-        ((1, 0), (2, 0)),
-        ((1, 0), (2, 0)),
-        ((3, 0), (4, 0)),
-    ]
-
-
-def test_flatten_2d_survival_rate():
-    samples = np.tile([[2, 3]], (40, 1))
-    alpha, beta = 0.3, 0.2
-    draws = 10**4
-    sizes = np.array(
-        [flatten_2d(samples, alpha, beta, ROOT.substream("sv", t)).kept_count()
-         for t in range(draws)]
-    )
-    expected = (1 - alpha) * (1 - beta) * 40
-    sigma = math.sqrt(40 * (1 - alpha) * (1 - beta) * (1 - (1 - alpha) * (1 - beta)))
-    assert abs(sizes.mean() - expected) <= 3 * sigma / math.sqrt(draws)
-
-
-def test_flatten_2d_single_sample_survival():
-    samples = np.array([[0, 0]])
-    draws = 10**5
-    kept = sum(
-        flatten_2d(samples, 0.5, 0.5, ROOT.substream("one", t)).kept_count()
-        for t in range(draws)
-    )
-    sigma = math.sqrt(0.25 * 0.75 / draws)
-    assert abs(kept / draws - 0.25) <= 3 * sigma
-
-
-def test_flatten_2d_axes_use_independent_selectors():
-    samples = np.tile([[1, 1]], (2000, 1))
-    result = flatten_2d(samples, 0.5, 0.5, ROOT.substream("ind"))
-    fx = result.fx.astype(float)
-    fy = result.fy.astype(float)
-    assert abs(np.corrcoef(fx, fy)[0, 1]) < 0.1
 
 
 def test_non_singleton_count_examples():

@@ -6,9 +6,8 @@ from scipy import stats
 
 from replitest.independence import (
     IndependenceConfig,
+    averaged_stats,
     closeness_stat_marked,
-    estimate_n_a,
-    estimate_z_a,
     independence_gap,
     independence_sample_size,
     independence_stats,
@@ -173,7 +172,7 @@ def test_independence_stats_forced_abort_returns_zero():
         sp, sq, config, ROOT.substream("abort"),
         poisson_mean=1000.0, strict_size=False,
     )
-    assert value == 0
+    assert value == (0, 0)
 
 
 def test_estimate_with_k_avg_one_equals_single_run():
@@ -182,7 +181,7 @@ def test_estimate_with_k_avg_one_equals_single_run():
     sp = gen.integers(0, 4, size=(8, 2))
     sq = gen.integers(0, 4, size=(8, 2))
     kwargs = dict(alpha=0.2, beta=0.1, poisson_mean=3.0, strict_size=False)
-    est = estimate_z_a(sp, sq, config, ROOT.substream("one"), k_avg=1, **kwargs)
+    est = averaged_stats(sp, sq, config, ROOT.substream("one"), k_avg=1, **kwargs)
     single = independence_stats(
         sp, sq, config, ROOT.substream("one").substream("avg", 0), **kwargs
     )
@@ -194,14 +193,14 @@ def test_estimate_degenerate_instance_is_exactly_zero():
     config = IndependenceConfig(n1=4, n2=4, **DESK)
     sp = np.zeros((5, 2), dtype=np.int64)
     values = [
-        estimate_z_a(sp, sp, config, ROOT.substream("zero", j), k_avg=20,
-                     alpha=1.0, beta=0.0, poisson_mean=2.0, strict_size=False)
+        averaged_stats(sp, sp, config, ROOT.substream("zero", j), k_avg=20,
+                       alpha=1.0, beta=0.0, poisson_mean=2.0, strict_size=False)[0]
         for j in range(5)
     ]
     assert values == [0.0] * 5
     n_values = [
-        estimate_n_a(sp, sp, config, ROOT.substream("zero-n", j), k_avg=20,
-                     alpha=1.0, beta=0.0, poisson_mean=2.0, strict_size=False)
+        averaged_stats(sp, sp, config, ROOT.substream("zero-n", j), k_avg=20,
+                       alpha=1.0, beta=0.0, poisson_mean=2.0, strict_size=False)[1]
         for j in range(5)
     ]
     assert n_values == [0.0] * 5
@@ -219,15 +218,35 @@ def test_estimators_match_enumeration_on_flattening_free_instance():
     k_avg = 20000
     kwargs = dict(alpha=0.0, beta=0.0, poisson_mean=2.0, strict_size=False)
     sp_a, sq_a = np.array(sp), np.array(sq)
-    est_z = estimate_z_a(sp_a, sq_a, config, ROOT.substream("ez"), k_avg=k_avg, **kwargs)
-    est_n = estimate_n_a(sp_a, sq_a, config, ROOT.substream("en"), k_avg=k_avg, **kwargs)
+    est_z = averaged_stats(sp_a, sq_a, config, ROOT.substream("ez"), k_avg=k_avg, **kwargs)[0]
+    est_n = averaged_stats(sp_a, sq_a, config, ROOT.substream("en"), k_avg=k_avg, **kwargs)[1]
     singles = np.array([
-        independence_stats(sp_a, sq_a, config, ROOT.substream("sd", j), **kwargs)
+        independence_stats(sp_a, sq_a, config, ROOT.substream("sd", j), **kwargs)[0]
         for j in range(2000)
     ])
     se_z = max(singles.std(ddof=1), 0.05) / math.sqrt(k_avg)
     assert abs(est_z - exact_z) <= 4 * se_z
     assert abs(est_n - exact_n) <= 0.05
+
+
+def test_stat_run_matches_enumeration_with_unequal_axis_rates():
+    # alpha != beta and a shared row: swapping the rates, or one selector
+    # for both axes, moves E[Z] and E[N] off the enumeration
+    config = IndependenceConfig(n1=4, n2=4, **DESK)
+    sp = [(0, 0), (0, 1)]
+    sq = [(0, 0), (0, 1)]
+    kwargs = dict(alpha=0.4, beta=0.1, poisson_mean=1.5)
+    exact = enumerate_independence_means(
+        sp, sq, **kwargs, abort_excess_p=40.0, abort_excess_q=40.0,
+    )
+    runs = 30000
+    values = np.array([
+        independence_stats(np.array(sp), np.array(sq), config,
+                           ROOT.substream("unequal", j), strict_size=False, **kwargs)
+        for j in range(runs)
+    ], dtype=float)
+    se = values.std(axis=0, ddof=1) / math.sqrt(runs)
+    assert np.all(np.abs(values.mean(axis=0) - exact) <= 4 * se)
 
 
 def test_product_expected_statistic_below_gap():
@@ -238,7 +257,7 @@ def test_product_expected_statistic_below_gap():
     values = np.empty(500)
     for t in range(500):
         sp, sq = _draw_pair_sets(sampler, (40, 20), 100 * m, ROOT.substream("prod", t))
-        values[t] = independence_stats(sp, sq, config, ROOT.substream("prod-i", t))
+        values[t] = independence_stats(sp, sq, config, ROOT.substream("prod-i", t))[0]
     bound = config.c_i1 * independence_gap(m, 40, 20, config.epsilon)
     assert values.mean() <= bound
 
