@@ -6,7 +6,7 @@ sample is tagged with the number of flattening samples of the same
 element that precede it. Two kept samples collide only if they share
 the element and the tag, so heavy elements are diluted into sub-bins
 while distinct elements are never merged. The 2D flattening of the
-independence tester (``independence._stat_run``) tags the row and column
+independence tester (``independence._stat_runs``) tags the row and column
 coordinates independently with :func:`subbin_indices` and keeps a sample
 only if it was selected on neither axis.
 """
@@ -56,27 +56,25 @@ class FlattenAssignment:
 def subbin_indices(values: np.ndarray, flags: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Per-sample tag: flattening samples with the same value strictly before it.
 
-    ``sigma`` is any array whose stable argsort lists the samples from
-    first to last: a permutation of positions, or distinct priorities.
+    ``sigma[l]`` is the position of sample ``l`` in the order and must be
+    a permutation of ``range(len(values))``. Then ``values * len(values)
+    + sigma`` are distinct keys whose single argsort lists the samples by
+    value and, within a value, from first to last. Raises
+    ``OverflowError`` when those keys do not fit in int64.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=np.int64)
     k = values.size
     if k == 0:
         return np.zeros(0, dtype=np.int64)
-    by_pos = np.argsort(sigma, kind="stable")
-    v = values[by_pos]
-    f = np.asarray(flags, dtype=np.int64)[by_pos]
-    by_val = np.argsort(v, kind="stable")
-    v2 = v[by_val]
-    f2 = f[by_val]
-    inclusive = np.cumsum(f2)
-    new_group = np.r_[True, v2[1:] != v2[:-1]]
-    starts = np.flatnonzero(new_group)
-    base_at_start = np.where(starts > 0, inclusive[starts - 1], 0)
-    base = base_at_start[np.cumsum(new_group) - 1]
-    sub_sorted = inclusive - f2 - base
+    if max(-int(values.min()), int(values.max()) + 1) * k > 2**63:
+        raise OverflowError("values * len(values) does not fit in int64")
+    order = np.argsort(values * k + np.asarray(sigma, dtype=np.int64))
+    v = values[order]
+    f = np.asarray(flags, dtype=np.int64)[order]
+    before = np.cumsum(f) - f
+    group_start = np.searchsorted(v, v)
     out = np.empty(k, dtype=np.int64)
-    out[by_pos[by_val]] = sub_sorted
+    out[order] = before - before[group_start]
     return out
 
 

@@ -9,6 +9,14 @@ tester works with its average over the internal randomness, estimated
 by rerunning the statistic many times on fixed sample sets. A pre-test
 on the averaged non-singleton count keeps the variance of the averaged
 statistic in check before the main threshold comparison.
+
+The reruns execute as one array program per chunk of runs
+(``_stat_runs``). Each run draws its flattening selectors sparsely: a
+Binomial number of dividers at a uniform subset of positions, which has
+the law of iid Bernoulli flags, so a run touches only its kept samples
+and dividers, not the whole sample sets. Keys carry the run index, so
+the statistic and the count of all runs of a chunk come from one call
+each and equal the sums of the per-run values exactly.
 """
 
 from __future__ import annotations
@@ -162,7 +170,33 @@ def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStre
     return int(z.sum())
 
 
-def _stat_run(
+# Expected kept samples plus dividers in one chunk of averaged runs: it
+# bounds the working memory of an average, whatever K_avg is.
+_CHUNK_ITEMS = 2**14
+
+
+def _distinct_positions(
+    pop: np.ndarray, count: np.ndarray, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count[i]`` distinct uniform positions in ``range(pop[i])`` per segment ``i``.
+
+    Returns ``(segment, position)``, grouped by segment and sorted within
+    it. Each segment draws uniform positions and redraws, as often as
+    needed, one fresh position per repeat it lost. That procedure treats
+    every position alike, so its final set is a uniform
+    ``count[i]``-subset. Needs ``count <= pop``.
+    """
+    offset = np.cumsum(pop) - pop
+    segment = np.repeat(np.arange(pop.size), count)
+    keys = np.sort(offset[segment] + gen.integers(0, pop[segment]))
+    while (repeat := keys[1:] == keys[:-1]).any():
+        lost = segment[1:][repeat]
+        redraw = offset[lost] + gen.integers(0, pop[lost])
+        keys = np.sort(np.concatenate([np.unique(keys), redraw]))
+    return segment, keys - offset[segment]
+
+
+def _stat_runs(
     sp_pairs: np.ndarray,
     sq_pairs: np.ndarray,
     alpha: float,
@@ -170,51 +204,86 @@ def _stat_run(
     poisson_mean: float,
     abort_excess_p: float,
     abort_excess_q: float,
+    k: int,
     rng: RngStream,
 ) -> tuple[int, int]:
-    """One randomized evaluation; returns ``(Z, N)`` of the truncated flattened sets.
+    """``(sum_j Z_j, sum_j N_j)`` over ``k`` independent randomized runs on fixed sets.
 
-    Aborted runs (too many samples consumed by flattening, or a Poisson
-    size exceeding a flattened set) contribute ``(0, 0)``, matching the
+    Run ``j`` flattens both axes, truncates to Poisson sizes and returns
+    ``(Z_j, N_j)`` of the truncated flattened sets. Aborted runs (more
+    dividers than ``abort_excess_*`` on a side, or a Poisson size
+    exceeding the kept count) contribute ``(0, 0)``, matching the
     convention that the flattened sets are empty on abort.
 
-    Sub-bin tags are computed on the truncated samples plus the
-    flattening samples only. Relative orders of a subset under a
-    uniform permutation are themselves uniform, so tagging the subset
-    with fresh uniform priorities reproduces the full-set flattening
-    law exactly while skipping the untagged remainder.
+    Selectors are sparse. The iid flags ``F_x ~ Bernoulli(alpha)`` and
+    ``F_y ~ Bernoulli(beta)`` make a sample a divider with probability
+    ``r = 1 - (1 - alpha)(1 - beta)``, so each side holds
+    ``D ~ Binomial(size, r)`` dividers at a uniform ``D``-subset of
+    positions, each independently x-only, both or y-only with weights
+    ``alpha(1-beta) : alpha beta : (1-alpha) beta``: the same law
+    (Devroye 1986). The kept samples are the first ``ell`` non-dividers,
+    computed from the sorted divider positions alone.
+
+    Sub-bin tags are computed on the kept samples plus the dividers
+    only. Relative orders of a subset under a uniform permutation are
+    uniform, and independent across disjoint subsets, so one permutation
+    of all runs' items tags every run with the full-set flattening law.
+    Tagging ``run * radix + row`` (and ``+ col``) and keying on it keeps
+    runs apart: samples of different runs never collide, so the marked
+    statistic and the non-singleton count of all runs' keys at once are
+    exactly the sums of the per-run values.
     """
-    k_p = sp_pairs.shape[0]
-    k_q = sq_pairs.shape[0]
-    total = k_p + k_q
-    gen_flat = rng.substream("flatten").generator()
-    fx = gen_flat.random(total) < alpha
-    fy = gen_flat.random(total) < beta
-    keep = ~fx & ~fy
-    kept_p = int(np.count_nonzero(keep[:k_p]))
-    kept_q = int(np.count_nonzero(keep[k_p:]))
-    if k_p - kept_p > abort_excess_p or k_q - kept_q > abort_excess_q:
-        return 0, 0
-    gen_poi = rng.substream("poisson").generator()
-    ell_p = int(gen_poi.poisson(poisson_mean))
-    ell_q = int(gen_poi.poisson(poisson_mean))
-    if ell_p > kept_p or ell_q > kept_q:
+    sizes = np.array([sp_pairs.shape[0], sq_pairs.shape[0]])
+    rate = 1.0 - (1.0 - alpha) * (1.0 - beta)
+    gen = rng.generator()
+    dividers = gen.binomial(sizes, rate, size=(k, 2))
+    ell = gen.poisson(poisson_mean, size=(k, 2))
+    live = (
+        ((dividers <= (abort_excess_p, abort_excess_q)) & (ell <= sizes - dividers)).all(axis=1)
+        & ell.any(axis=1)
+    )
+    dividers = dividers[live].T.ravel()
+    ell = ell[live].T.ravel()
+    runs = ell.size // 2
+    if runs == 0:
         return 0, 0
 
-    p_idx = np.flatnonzero(keep[:k_p])[:ell_p]
-    q_idx = k_p + np.flatnonzero(keep[k_p:])[:ell_q]
-    divider_idx = np.flatnonzero(fx | fy)
-    subset = np.concatenate([p_idx, q_idx, divider_idx])
-    rows = np.concatenate([sp_pairs[:, 0], sq_pairs[:, 0]])[subset]
-    cols = np.concatenate([sp_pairs[:, 1], sq_pairs[:, 1]])[subset]
-    fx_sub = fx[subset].astype(np.int8)
-    fy_sub = fy[subset].astype(np.int8)
-    row_subs = subbin_indices(rows, fx_sub, gen_flat.random(subset.size))
-    col_subs = subbin_indices(cols, fy_sub, gen_flat.random(subset.size))
+    # Segment s holds side s // runs of run s % runs: all p segments first.
+    pop = np.repeat(sizes, runs)
+    div_seg, div_pos = _distinct_positions(pop, dividers, gen)
+    # The i-th non-divider of a segment sits after every divider t with
+    # (non-dividers before it) = pos_t - t <= i.
+    div_start = np.cumsum(dividers) - dividers
+    radix = int(sizes.max()) + 1
+    gaps = div_seg * radix + div_pos - (np.arange(div_seg.size) - div_start[div_seg])
+    kept_seg = np.repeat(np.arange(pop.size), ell)
+    rank = np.arange(kept_seg.size) - (np.cumsum(ell) - ell)[kept_seg]
+    kept_pos = rank + np.searchsorted(gaps, kept_seg * radix + rank, side="right")
+    kept_pos -= div_start[kept_seg]
 
-    kept = ell_p + ell_q
+    kept_p = int(ell[:runs].sum())
+    div_p = int(dividers[:runs].sum())
+    pairs = np.concatenate([
+        sp_pairs[kept_pos[:kept_p]], sq_pairs[kept_pos[kept_p:]],
+        sp_pairs[div_pos[:div_p]], sq_pairs[div_pos[div_p:]],
+    ])
+    run = np.concatenate([kept_seg, div_seg]) % runs
+    # A divider has F_x with probability alpha / r; F_x alone makes it a
+    # divider, so F_y is then an independent Bernoulli(beta), else 1.
+    u = gen.random((2, div_seg.size))
+    div_fx = u[0] * rate < alpha
+    div_fy = ~div_fx | (u[1] < beta)
+    unflagged = np.zeros(kept_seg.size, dtype=bool)
+    fx = np.concatenate([unflagged, div_fx])
+    fy = np.concatenate([unflagged, div_fy])
+    rows = run * (int(pairs[:, 0].max()) + 1) + pairs[:, 0]
+    cols = run * (int(pairs[:, 1].max()) + 1) + pairs[:, 1]
+    row_subs = subbin_indices(rows, fx, gen.permutation(run.size))
+    col_subs = subbin_indices(cols, fy, gen.permutation(run.size))
+
+    kept = kept_seg.size
     keys = pack_keys(rows[:kept], row_subs[:kept], cols[:kept], col_subs[:kept])
-    z = closeness_stat_marked(keys[:ell_p], keys[ell_p:], rng.substream("marking"))
+    z = closeness_stat_marked(keys[:kept_p], keys[kept_p:], rng.substream("marking"))
     n = non_singleton_count(keys)
     return z, n
 
@@ -265,8 +334,8 @@ def independence_stats(
     a, b, mean = _resolve_run_params(
         sp_pairs, sq_pairs, config, alpha, beta, poisson_mean, strict_size
     )
-    return _stat_run(
-        sp_pairs, sq_pairs, a, b, mean, 10.0 * config.n1, 10.0 * config.n2, rng
+    return _stat_runs(
+        sp_pairs, sq_pairs, a, b, mean, 10.0 * config.n1, 10.0 * config.n2, 1, rng
     )
 
 
@@ -284,9 +353,11 @@ def averaged_stats(
 ) -> tuple[float, float]:
     """Monte Carlo estimates ``(Z_a, N_a)`` of the averaged statistic and count.
 
-    Averages ``k_avg`` (default ``config.k_avg``) evaluations on fixed
-    sample sets; run ``j`` draws from ``rng.substream("avg", j)``. The
-    other keywords are those of :func:`independence_stats`.
+    Averages ``k_avg`` (default ``config.k_avg``) independent evaluations
+    on fixed sample sets. The runs execute in chunks of about 2^14 kept
+    samples and dividers; chunk ``c`` draws from
+    ``rng.substream("avg", c)``. The other keywords are those of
+    :func:`independence_stats`.
     """
     k = config.k_avg if k_avg is None else k_avg
     sp_pairs = np.asarray(sp_pairs, dtype=np.int64)
@@ -294,12 +365,15 @@ def averaged_stats(
     a, b, mean = _resolve_run_params(
         sp_pairs, sq_pairs, config, alpha, beta, poisson_mean, strict_size
     )
-    z_sum = 0.0
-    n_sum = 0.0
-    for j in range(k):
-        z, n = _stat_run(
-            sp_pairs, sq_pairs, a, b, mean,
-            10.0 * config.n1, 10.0 * config.n2, rng.substream("avg", j),
+    rate = 1.0 - (1.0 - a) * (1.0 - b)
+    run_items = 2.0 * mean + rate * (sp_pairs.shape[0] + sq_pairs.shape[0])
+    chunk = max(1, int(_CHUNK_ITEMS // max(run_items, 1.0)))
+    z_sum = 0
+    n_sum = 0
+    for c, start in enumerate(range(0, k, chunk)):
+        z, n = _stat_runs(
+            sp_pairs, sq_pairs, a, b, mean, 10.0 * config.n1, 10.0 * config.n2,
+            min(chunk, k - start), rng.substream("avg", c),
         )
         z_sum += z
         n_sum += n

@@ -266,10 +266,8 @@ def test_criterion_07_estimators_match_enumeration():
         sp_arr, sq_arr = np.array(sp), np.array(sq)
         run_kw = dict(strict_size=False, **kw)
         stream = ROOT.substream("c7", label)
-        est_z = averaged_stats(sp_arr, sq_arr, config, stream.substream("z"),
-                               k_avg=k_avg, **run_kw)[0]
-        est_n = averaged_stats(sp_arr, sq_arr, config, stream.substream("n"),
-                               k_avg=k_avg, **run_kw)[1]
+        est_z, est_n = averaged_stats(sp_arr, sq_arr, config, stream.substream("avg"),
+                                      k_avg=k_avg, **run_kw)
         pilot = np.array([
             independence_stats(sp_arr, sq_arr, config, stream.substream("pilot", j),
                                **run_kw)[0]

@@ -146,6 +146,28 @@ def test_subbin_indices_vectorized_agrees_with_reference():
     assert [(v, s) for v, s in zip(values[kept], fast[kept])] == literal
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_subbin_indices_matches_definition_on_wide_values(data):
+    pool = data.draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4))
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    flags = data.draw(st.lists(st.integers(0, 1), min_size=len(values),
+                               max_size=len(values)))
+    sigma = np.array(data.draw(st.permutations(range(len(values)))))
+    tags = subbin_indices(np.array(values), np.array(flags), sigma)
+    literal = flatten_by_definition(values, flags, list(np.argsort(sigma)))
+    kept = np.array(flags) == 0
+    assert [(v, int(t)) for v, t in zip(np.array(values)[kept], tags[kept])] == literal
+
+
+def test_subbin_indices_overflow_is_an_error():
+    # values * len(values) + sigma must fit in int64
+    with pytest.raises(OverflowError):
+        subbin_indices(np.array([2**62, 0, 1]), np.zeros(3), np.arange(3))
+    assert subbin_indices(np.array([2**61, 2**61]), np.array([1, 0]),
+                          np.arange(2)).tolist() == [0, 1]
+
+
 def test_pack_keys_injective_on_tuples():
     gen = ROOT.substream("pack").generator()
     cols = [gen.integers(0, 9, size=500) for _ in range(4)]

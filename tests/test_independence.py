@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from replitest.calibrated import INDEPENDENCE_DESK
 from replitest.independence import (
     IndependenceConfig,
     averaged_stats,
@@ -14,6 +16,7 @@ from replitest.independence import (
     product_of_marginals_sampler,
     rep_independence_test,
     stage1_scale,
+    _distinct_positions,
     _draw_pair_sets,
 )
 from replitest.measures import (
@@ -218,8 +221,8 @@ def test_estimators_match_enumeration_on_flattening_free_instance():
     k_avg = 20000
     kwargs = dict(alpha=0.0, beta=0.0, poisson_mean=2.0, strict_size=False)
     sp_a, sq_a = np.array(sp), np.array(sq)
-    est_z = averaged_stats(sp_a, sq_a, config, ROOT.substream("ez"), k_avg=k_avg, **kwargs)[0]
-    est_n = averaged_stats(sp_a, sq_a, config, ROOT.substream("en"), k_avg=k_avg, **kwargs)[1]
+    est_z, est_n = averaged_stats(sp_a, sq_a, config, ROOT.substream("ezn"), k_avg=k_avg,
+                                  **kwargs)
     singles = np.array([
         independence_stats(sp_a, sq_a, config, ROOT.substream("sd", j), **kwargs)[0]
         for j in range(2000)
@@ -247,6 +250,56 @@ def test_stat_run_matches_enumeration_with_unequal_axis_rates():
     ], dtype=float)
     se = values.std(axis=0, ddof=1) / math.sqrt(runs)
     assert np.all(np.abs(values.mean(axis=0) - exact) <= 4 * se)
+
+
+def test_distinct_positions_are_a_uniform_subset():
+    # 2 of 5 positions: repeats (probability 1/5) are redrawn, and each
+    # of the 10 pairs must come out with frequency 1/10
+    segments = 10**5
+    seg, pos = _distinct_positions(np.full(segments, 5), np.full(segments, 2),
+                                   ROOT.substream("subset").generator())
+    assert np.array_equal(seg, np.repeat(np.arange(segments), 2))
+    first, second = pos[0::2], pos[1::2]
+    assert np.all(first < second)
+    pairs, counts = np.unique(first * 5 + second, return_counts=True)
+    se = math.sqrt(0.1 * 0.9 / segments)
+    assert pairs.size == 10
+    assert np.all(np.abs(counts / segments - 0.1) <= 4 * se)
+
+
+def test_runs_in_one_chunk_are_independent():
+    # the 50 runs of one average share a chunk; Var(Z_a) must be the
+    # single-run variance / 50, which shared truncation sizes or shared
+    # selectors across the chunk would inflate
+    config = IndependenceConfig(n1=4, n2=4, **DESK)
+    sp = np.array([(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)])
+    sq = np.array([(0, 0), (1, 1), (0, 1), (0, 1), (2, 2)])
+    kwargs = dict(alpha=0.3, beta=0.3, poisson_mean=2.0, strict_size=False)
+    single = np.array([
+        independence_stats(sp, sq, config, ROOT.substream("chunk-single", j), **kwargs)[0]
+        for j in range(10000)
+    ], dtype=float)
+    z_a = np.array([
+        averaged_stats(sp, sq, config, ROOT.substream("chunk", s), k_avg=50, **kwargs)[0]
+        for s in range(200)
+    ])
+    statistic = 199 * z_a.var(ddof=1) / (single.var(ddof=1) / 50)
+    low, high = stats.chi2.ppf([5e-4, 1 - 5e-4], 199)
+    assert low <= statistic <= high
+
+
+def test_desk_average_memory_is_bounded_by_the_chunk():
+    config = IndependenceConfig(n1=40, n2=20, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+    m = config.sample_size()
+    sampler = measure_sampler(uniform_product_measure(40, 20))
+    sp, sq = _draw_pair_sets(sampler, (40, 20), 100 * m, ROOT.substream("memory"))
+    tracemalloc.start()
+    try:
+        averaged_stats(sp, sq, config, ROOT.substream("memory-avg"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_product_expected_statistic_below_gap():
