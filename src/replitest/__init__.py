@@ -32,6 +32,7 @@ from .independence import (
     independence_stats,
     product_of_marginals_sampler,
     rep_independence_test,
+    sampled_averaged_stats,
     stage1_scale,
 )
 from .measures import (

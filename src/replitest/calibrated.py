@@ -29,9 +29,9 @@ INDEPENDENCE_DESK = {
     "c_i1": 1.0,
     "c_i2": 4.0,
     # Desk overrides of the library's k_avg=200 and m_scale=1. At full
-    # budget (40, 20) has m=11,598: 1.16M pairs per sample set, each set
-    # averaged over 200 statistic runs. 5% of the budget and 50 runs keep
-    # one desk verdict near 0.25 s on 2 CPUs.
+    # budget (40, 20) has m=11,598: sample sets of 1.16M pairs, of which
+    # the 200 statistic runs per set read about 24,000. 5% of the budget
+    # and 50 runs keep the acceptance criteria's hundreds of verdicts fast.
     "k_avg": 50,
     "median_reps": 1,
     "m_scale": 0.05,

@@ -140,8 +140,9 @@ def _cmd_test(args: argparse.Namespace) -> int:
     elif args.problem == "independence":
         config = config_from_params(ind.IndependenceConfig, params)
         pool = _read_2d_samples(args.samples, config.n1, config.n2)
-        # 100 m pairs from p and 200 m for the product of marginals per
-        # estimate, median_reps estimates per stage, two stages
+        # At most 100 m pairs from p and 200 m for the product of
+        # marginals per estimate, median_reps estimates per stage, two
+        # stages; the runs read only their touched positions, far fewer
         need = 2 * 300 * config.sample_size() * config.median_reps
         if pool.shape[0] < need:
             raise ConfigError(

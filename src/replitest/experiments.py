@@ -563,11 +563,9 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
         sampler = measure_sampler(p)
         n_hats, z_hats = [], []
         for t in range(trials):
-            sp, sq = ind._draw_pair_sets(
-                sampler, (config.n1, config.n2), 100 * m, root.substream("sets", t)
-            )
-            z_a, n_a = ind.averaged_stats(
-                sp, sq, config, root.substream("avg", t), k_avg=min(config.k_avg, 50)
+            z_a, n_a = ind.sampled_averaged_stats(
+                sampler, config, root.substream("sets", t), root.substream("avg", t),
+                k_avg=min(config.k_avg, 50),
             )
             n_hats.append(n_a)
             z_hats.append(z_a)

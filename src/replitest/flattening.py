@@ -72,9 +72,13 @@ def subbin_indices(values: np.ndarray, flags: np.ndarray, sigma: np.ndarray) -> 
     v = values[order]
     f = np.asarray(flags, dtype=np.int64)[order]
     before = np.cumsum(f) - f
-    group_start = np.searchsorted(v, v)
+    # ``before`` never decreases, so its running maximum over the group
+    # starts (zero elsewhere) is its value at the current group's start.
+    new = np.empty(k, dtype=bool)
+    new[0] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
     out = np.empty(k, dtype=np.int64)
-    out[order] = before - before[group_start]
+    out[order] = before - np.maximum.accumulate(np.where(new, before, 0))
     return out
 
 

@@ -17,12 +17,24 @@ the law of iid Bernoulli flags, so a run touches only its kept samples
 and dividers, not the whole sample sets. Keys carry the run index, so
 the statistic and the count of all runs of a chunk come from one call
 each and equal the sums of the per-run values exactly.
+
+The tester itself never draws the sets of ``100 m`` pairs in full
+(``sampled_averaged_stats``). Every run's selectors are drawn first;
+they name the positions the runs read: a prefix that holds every kept
+sample, plus the scattered dividers beyond it. Pairs are then drawn for
+those positions only, in position order. The pairs are iid and
+independent of the selectors, and a pair that no run reads never
+reaches ``Z`` or ``N``, so leaving it undrawn changes no law (the
+principle of deferred decisions, Motwani & Raghavan, *Randomized
+Algorithms*, 1995). At desk scale a set then holds about 3,600 of its
+58,000 pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -196,34 +208,91 @@ def _distinct_positions(
     return segment, keys - offset[segment]
 
 
-def _stat_runs(
-    sp_pairs: np.ndarray,
-    sq_pairs: np.ndarray,
+@dataclass(frozen=True)
+class _RunPlan:
+    """Selectors of the live runs of one chunk, before any sample is read.
+
+    Segment ``s`` holds side ``s // runs`` (0 for ``S_p``, 1 for ``S_q``)
+    of run ``s % runs``: ``dividers[s]`` dividers at the positions
+    ``div_pos`` of ``div_seg == s``, and the first ``ell[s]``
+    non-dividers kept. ``gen`` is the chunk's generator, part way
+    through its draws.
+    """
+
+    sizes: np.ndarray
+    alpha: float
+    beta: float
+    runs: int
+    dividers: np.ndarray
+    ell: np.ndarray
+    div_seg: np.ndarray
+    div_pos: np.ndarray
+    gen: np.random.Generator
+    rng: RngStream
+
+    def reach(self, side: int) -> int:
+        """Bound on the kept positions of ``side``: ``max_j(ell_j + D_j)``."""
+        seg = slice(side * self.runs, (side + 1) * self.runs)
+        return int((self.ell[seg] + self.dividers[seg]).max())
+
+    def side_dividers(self, side: int) -> np.ndarray:
+        cut = int(self.dividers[: self.runs].sum())
+        return self.div_pos[cut:] if side else self.div_pos[:cut]
+
+
+def _plan_runs(
+    sizes: np.ndarray,
     alpha: float,
     beta: float,
     poisson_mean: float,
-    abort_excess_p: float,
-    abort_excess_q: float,
+    abort_excess: tuple[float, float],
     k: int,
     rng: RngStream,
-) -> tuple[int, int]:
-    """``(sum_j Z_j, sum_j N_j)`` over ``k`` independent randomized runs on fixed sets.
+) -> _RunPlan | None:
+    """Draw the selectors of ``k`` runs on sets of ``sizes`` pairs; ``None`` if all abort.
 
-    Run ``j`` flattens both axes, truncates to Poisson sizes and returns
-    ``(Z_j, N_j)`` of the truncated flattened sets. Aborted runs (more
-    dividers than ``abort_excess_*`` on a side, or a Poisson size
-    exceeding the kept count) contribute ``(0, 0)``, matching the
-    convention that the flattened sets are empty on abort.
-
-    Selectors are sparse. The iid flags ``F_x ~ Bernoulli(alpha)`` and
-    ``F_y ~ Bernoulli(beta)`` make a sample a divider with probability
+    The iid flags ``F_x ~ Bernoulli(alpha)`` and ``F_y ~ Bernoulli(beta)``
+    make a sample a divider with probability
     ``r = 1 - (1 - alpha)(1 - beta)``, so each side holds
     ``D ~ Binomial(size, r)`` dividers at a uniform ``D``-subset of
-    positions, each independently x-only, both or y-only with weights
-    ``alpha(1-beta) : alpha beta : (1-alpha) beta``: the same law
-    (Devroye 1986). The kept samples are the first ``ell`` non-dividers,
-    computed from the sorted divider positions alone.
+    positions: the same law (Devroye 1986). A run aborts, adding
+    ``(0, 0)``, when a side has more dividers than ``abort_excess`` or a
+    Poisson size ``ell`` exceeds the kept count; an aborted run adds no
+    items, matching the convention that its flattened sets are empty.
+    """
+    rate = 1.0 - (1.0 - alpha) * (1.0 - beta)
+    gen = rng.generator()
+    dividers = gen.binomial(sizes, rate, size=(k, 2))
+    ell = gen.poisson(poisson_mean, size=(k, 2))
+    live = (
+        ((dividers <= abort_excess) & (ell <= sizes - dividers)).all(axis=1)
+        & ell.any(axis=1)
+    )
+    dividers = dividers[live].T.ravel()
+    ell = ell[live].T.ravel()
+    runs = ell.size // 2
+    if runs == 0:
+        return None
+    div_seg, div_pos = _distinct_positions(np.repeat(sizes, runs), dividers, gen)
+    return _RunPlan(sizes, alpha, beta, runs, dividers, ell, div_seg, div_pos, gen, rng)
 
+
+def _finish_runs(
+    plan: _RunPlan,
+    sets: tuple[np.ndarray, np.ndarray],
+    touched: tuple[np.ndarray | None, np.ndarray | None],
+) -> tuple[int, int]:
+    """``(sum_j Z_j, sum_j N_j)`` over the live runs of ``plan``.
+
+    ``sets[s]`` holds the pairs of side ``s`` at the sorted positions
+    ``touched[s]``, or at every position when that is ``None``. Kept
+    samples lie in the prefix ``[0, plan.reach(s))`` that ``touched[s]``
+    starts with, so their positions index ``sets[s]`` directly; only the
+    dividers are looked up.
+
+    The kept samples are the first ``ell`` non-dividers, computed from
+    the sorted divider positions alone. Each divider is x-only, both or
+    y-only with weights ``alpha(1-beta) : alpha beta : (1-alpha) beta``.
     Sub-bin tags are computed on the kept samples plus the dividers
     only. Relative orders of a subset under a uniform permutation are
     uniform, and independent across disjoint subsets, so one permutation
@@ -233,46 +302,36 @@ def _stat_runs(
     statistic and the non-singleton count of all runs' keys at once are
     exactly the sums of the per-run values.
     """
-    sizes = np.array([sp_pairs.shape[0], sq_pairs.shape[0]])
-    rate = 1.0 - (1.0 - alpha) * (1.0 - beta)
-    gen = rng.generator()
-    dividers = gen.binomial(sizes, rate, size=(k, 2))
-    ell = gen.poisson(poisson_mean, size=(k, 2))
-    live = (
-        ((dividers <= (abort_excess_p, abort_excess_q)) & (ell <= sizes - dividers)).all(axis=1)
-        & ell.any(axis=1)
-    )
-    dividers = dividers[live].T.ravel()
-    ell = ell[live].T.ravel()
-    runs = ell.size // 2
-    if runs == 0:
-        return 0, 0
-
-    # Segment s holds side s // runs of run s % runs: all p segments first.
-    pop = np.repeat(sizes, runs)
-    div_seg, div_pos = _distinct_positions(pop, dividers, gen)
+    runs, dividers, ell = plan.runs, plan.dividers, plan.ell
+    div_seg, div_pos, gen = plan.div_seg, plan.div_pos, plan.gen
     # The i-th non-divider of a segment sits after every divider t with
     # (non-dividers before it) = pos_t - t <= i.
     div_start = np.cumsum(dividers) - dividers
-    radix = int(sizes.max()) + 1
+    radix = int(plan.sizes.max()) + 1
     gaps = div_seg * radix + div_pos - (np.arange(div_seg.size) - div_start[div_seg])
-    kept_seg = np.repeat(np.arange(pop.size), ell)
+    kept_seg = np.repeat(np.arange(ell.size), ell)
     rank = np.arange(kept_seg.size) - (np.cumsum(ell) - ell)[kept_seg]
     kept_pos = rank + np.searchsorted(gaps, kept_seg * radix + rank, side="right")
     kept_pos -= div_start[kept_seg]
 
     kept_p = int(ell[:runs].sum())
     div_p = int(dividers[:runs].sum())
+
+    def locate(side: int, pos: np.ndarray) -> np.ndarray:
+        return pos if touched[side] is None else np.searchsorted(touched[side], pos)
+
+    sp, sq = sets
     pairs = np.concatenate([
-        sp_pairs[kept_pos[:kept_p]], sq_pairs[kept_pos[kept_p:]],
-        sp_pairs[div_pos[:div_p]], sq_pairs[div_pos[div_p:]],
+        sp[kept_pos[:kept_p]], sq[kept_pos[kept_p:]],
+        sp[locate(0, div_pos[:div_p])], sq[locate(1, div_pos[div_p:])],
     ])
     run = np.concatenate([kept_seg, div_seg]) % runs
     # A divider has F_x with probability alpha / r; F_x alone makes it a
     # divider, so F_y is then an independent Bernoulli(beta), else 1.
+    rate = 1.0 - (1.0 - plan.alpha) * (1.0 - plan.beta)
     u = gen.random((2, div_seg.size))
-    div_fx = u[0] * rate < alpha
-    div_fy = ~div_fx | (u[1] < beta)
+    div_fx = u[0] * rate < plan.alpha
+    div_fy = ~div_fx | (u[1] < plan.beta)
     unflagged = np.zeros(kept_seg.size, dtype=bool)
     fx = np.concatenate([unflagged, div_fx])
     fy = np.concatenate([unflagged, div_fy])
@@ -283,14 +342,55 @@ def _stat_runs(
 
     kept = kept_seg.size
     keys = pack_keys(rows[:kept], row_subs[:kept], cols[:kept], col_subs[:kept])
-    z = closeness_stat_marked(keys[:kept_p], keys[kept_p:], rng.substream("marking"))
+    z = closeness_stat_marked(keys[:kept_p], keys[kept_p:], plan.rng.substream("marking"))
     n = non_singleton_count(keys)
     return z, n
 
 
+# Sample sets of the runs, given their plans: the pairs of each side and
+# their positions (``None``: every position).
+_Fetch = Callable[
+    [list[_RunPlan]],
+    tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray | None, np.ndarray | None]],
+]
+
+
+def _stat_runs(
+    sizes: tuple[int, int],
+    alpha: float,
+    beta: float,
+    poisson_mean: float,
+    abort_excess: tuple[float, float],
+    chunks: list[tuple[int, RngStream]],
+    fetch: _Fetch,
+) -> tuple[int, int]:
+    """``(sum_j Z_j, sum_j N_j)`` over independent randomized runs on sets of ``sizes`` pairs.
+
+    ``chunks`` lists ``(runs, stream)``; each chunk executes as one array
+    program on its stream. Every chunk's selectors are drawn first
+    (:func:`_plan_runs`), then ``fetch`` supplies the sample sets the
+    plans read, then each chunk finishes on its own generator
+    (:func:`_finish_runs`). Run ``j`` flattens both axes, truncates to
+    Poisson sizes and contributes ``(Z_j, N_j)`` of the truncated
+    flattened sets.
+    """
+    sizes = np.array(sizes)
+    plans = [
+        plan for k, rng in chunks
+        if (plan := _plan_runs(sizes, alpha, beta, poisson_mean, abort_excess, k, rng))
+    ]
+    sets, touched = fetch(plans)
+    z_sum = 0
+    n_sum = 0
+    for plan in plans:
+        z, n = _finish_runs(plan, sets, touched)
+        z_sum += z
+        n_sum += n
+    return z_sum, n_sum
+
+
 def _resolve_run_params(
-    sp_pairs: np.ndarray,
-    sq_pairs: np.ndarray,
+    sizes: tuple[int, int],
     config: IndependenceConfig,
     alpha: float | None,
     beta: float | None,
@@ -298,16 +398,49 @@ def _resolve_run_params(
     strict_size: bool,
 ) -> tuple[float, float, float]:
     m = config.sample_size()
-    if strict_size and (sp_pairs.shape[0] != 100 * m or sq_pairs.shape[0] != 100 * m):
+    if strict_size and sizes != (100 * m, 100 * m):
         raise ValueError(
-            f"expected |S_p| = |S_q| = 100 m = {100 * m}; "
-            f"got {sp_pairs.shape[0]} and {sq_pairs.shape[0]}"
+            f"expected |S_p| = |S_q| = 100 m = {100 * m}; got {sizes[0]} and {sizes[1]}"
         )
     return (
         config.alpha(m) if alpha is None else alpha,
         config.beta(m) if beta is None else beta,
         float(m) if poisson_mean is None else poisson_mean,
     )
+
+
+def _averaged(
+    sizes: tuple[int, int],
+    fetch: _Fetch,
+    config: IndependenceConfig,
+    rng: RngStream,
+    k_avg: int | None,
+    alpha: float | None = None,
+    beta: float | None = None,
+    poisson_mean: float | None = None,
+    strict_size: bool = True,
+) -> tuple[float, float]:
+    """Average of ``k_avg`` runs in chunks of about 2^14 kept samples plus
+    dividers, chunk ``c`` on ``rng.substream("avg", c)``."""
+    k = config.k_avg if k_avg is None else k_avg
+    a, b, mean = _resolve_run_params(sizes, config, alpha, beta, poisson_mean, strict_size)
+    run_items = 2.0 * mean + (1.0 - (1.0 - a) * (1.0 - b)) * sum(sizes)
+    chunk = max(1, int(_CHUNK_ITEMS // max(run_items, 1.0)))
+    chunks = [
+        (min(chunk, k - start), rng.substream("avg", c))
+        for c, start in enumerate(range(0, k, chunk))
+    ]
+    z_sum, n_sum = _stat_runs(
+        sizes, a, b, mean, (10.0 * config.n1, 10.0 * config.n2), chunks, fetch
+    )
+    return z_sum / k, n_sum / k
+
+
+def _explicit_sets(
+    sp_pairs: np.ndarray, sq_pairs: np.ndarray
+) -> tuple[tuple[int, int], _Fetch]:
+    sets = (np.asarray(sp_pairs, dtype=np.int64), np.asarray(sq_pairs, dtype=np.int64))
+    return (sets[0].shape[0], sets[1].shape[0]), lambda plans: (sets, (None, None))
 
 
 def independence_stats(
@@ -329,13 +462,10 @@ def independence_stats(
     (``alpha = min(n1/(100m), 1/100)``, ``beta = n2/(100m)``,
     truncation sizes ``~ Poi(m)``).
     """
-    sp_pairs = np.asarray(sp_pairs, dtype=np.int64)
-    sq_pairs = np.asarray(sq_pairs, dtype=np.int64)
-    a, b, mean = _resolve_run_params(
-        sp_pairs, sq_pairs, config, alpha, beta, poisson_mean, strict_size
-    )
+    sizes, fetch = _explicit_sets(sp_pairs, sq_pairs)
+    a, b, mean = _resolve_run_params(sizes, config, alpha, beta, poisson_mean, strict_size)
     return _stat_runs(
-        sp_pairs, sq_pairs, a, b, mean, 10.0 * config.n1, 10.0 * config.n2, 1, rng
+        sizes, a, b, mean, (10.0 * config.n1, 10.0 * config.n2), [(1, rng)], fetch
     )
 
 
@@ -359,42 +489,78 @@ def averaged_stats(
     ``rng.substream("avg", c)``. The other keywords are those of
     :func:`independence_stats`.
     """
-    k = config.k_avg if k_avg is None else k_avg
-    sp_pairs = np.asarray(sp_pairs, dtype=np.int64)
-    sq_pairs = np.asarray(sq_pairs, dtype=np.int64)
-    a, b, mean = _resolve_run_params(
-        sp_pairs, sq_pairs, config, alpha, beta, poisson_mean, strict_size
-    )
-    rate = 1.0 - (1.0 - a) * (1.0 - b)
-    run_items = 2.0 * mean + rate * (sp_pairs.shape[0] + sq_pairs.shape[0])
-    chunk = max(1, int(_CHUNK_ITEMS // max(run_items, 1.0)))
-    z_sum = 0
-    n_sum = 0
-    for c, start in enumerate(range(0, k, chunk)):
-        z, n = _stat_runs(
-            sp_pairs, sq_pairs, a, b, mean, 10.0 * config.n1, 10.0 * config.n2,
-            min(chunk, k - start), rng.substream("avg", c),
-        )
-        z_sum += z
-        n_sum += n
-    return z_sum / k, n_sum / k
+    sizes, fetch = _explicit_sets(sp_pairs, sq_pairs)
+    return _averaged(sizes, fetch, config, rng, k_avg, alpha, beta, poisson_mean, strict_size)
 
 
 def _draw_pair_sets(
     sampler_p: IndexSampler,
     shape: tuple[int, int],
-    size: int,
+    sizes: tuple[int, int],
     rng: RngStream,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """``sizes[0]`` pairs from ``p`` and ``sizes[1]`` from the product of its marginals.
+
+    They come from the substreams ``sample-1`` and ``sample-2`` of ``rng``,
+    in that order.
+    """
     n2 = shape[1]
     gen_p = rng.substream("sample-1").generator()
     gen_q = rng.substream("sample-2").generator()
     sampler_q = product_of_marginals_sampler(sampler_p, shape)
-    flat_p = sampler_p(size, gen_p)
-    flat_q = sampler_q(size, gen_q)
+    flat_p = sampler_p(sizes[0], gen_p)
+    flat_q = sampler_q(sizes[1], gen_q)
     sp = np.stack([flat_p // n2, flat_p % n2], axis=1)
     sq = np.stack([flat_q // n2, flat_q % n2], axis=1)
     return sp, sq
+
+
+def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
+    """Sorted positions of ``side`` that some plan reads.
+
+    The prefix ``[0, P)`` with ``P = max_j(ell_j + D_j)`` holds every
+    kept sample; the divider positions at or above ``P`` follow it.
+    """
+    reach = max((plan.reach(side) for plan in plans), default=0)
+    scattered = np.concatenate(
+        [plan.side_dividers(side) for plan in plans] + [np.zeros(0, dtype=np.int64)]
+    )
+    return np.concatenate([np.arange(reach), np.unique(scattered[scattered >= reach])])
+
+
+def sampled_averaged_stats(
+    sampler_p: IndexSampler,
+    config: IndependenceConfig,
+    sample_rng: RngStream,
+    rng: RngStream,
+    *,
+    k_avg: int | None = None,
+) -> tuple[float, float]:
+    """``(Z_a, N_a)`` of ``k_avg`` runs on fresh sets of ``100 m`` pairs from ``sampler_p``.
+
+    Has the law of :func:`averaged_stats` on the sets
+    ``_draw_pair_sets(sampler_p, shape, (100 m, 100 m), sample_rng)``,
+    and draws the runs from ``rng`` the same way, but draws pairs only
+    where a run reads one. The pairs at distinct positions are iid and
+    independent of the selectors, and a pair that no run reads never
+    reaches ``Z`` or ``N``, so the decision of what it is can be
+    deferred until a run needs it, or never made (the principle of
+    deferred decisions, Motwani & Raghavan, *Randomized Algorithms*,
+    1995). Every run's selectors are drawn first; then each side draws
+    pairs, from the substreams ``sample-1`` and ``sample-2`` of
+    ``sample_rng``, for its touched positions in position order: about
+    ``1.02 m + K_avg (n1 + n2)`` of the ``100 m``.
+    """
+    m = config.sample_size()
+    sizes = (100 * m, 100 * m)
+    shape = (config.n1, config.n2)
+
+    def fetch(plans: list[_RunPlan]):
+        touched = (_touched_positions(plans, 0), _touched_positions(plans, 1))
+        sets = _draw_pair_sets(sampler_p, shape, (touched[0].size, touched[1].size), sample_rng)
+        return sets, touched
+
+    return _averaged(sizes, fetch, config, rng, k_avg)
 
 
 def rep_independence_test(
@@ -413,7 +579,9 @@ def rep_independence_test(
     exceeds a random multiple (uniform on ``[C_I1, C_I2]``) of the
     expectation-gap scale. Each stage computes ``median_reps``
     estimates on independent sample sets and compares their median to
-    the stage's single shared threshold.
+    the stage's single shared threshold. Each estimate is
+    :func:`sampled_averaged_stats`, which draws only the pairs its runs
+    read.
     """
     if isinstance(sampler_p, NonNegativeMeasure):
         if sampler_p.ndim != 2:
@@ -431,14 +599,12 @@ def rep_independence_test(
     m = config.sample_size()
 
     def stage_estimates(stage: str) -> list[tuple[float, float]]:
-        out = []
-        for rep in range(config.median_reps):
-            sp, sq = _draw_pair_sets(
-                sampler_p, (config.n1, config.n2), 100 * m,
-                sample_rng.substream(stage, rep),
+        return [
+            sampled_averaged_stats(
+                sampler_p, config, sample_rng.substream(stage, rep), internal.substream(stage, rep)
             )
-            out.append(averaged_stats(sp, sq, config, internal.substream(stage, rep)))
-        return out
+            for rep in range(config.median_reps)
+        ]
 
     n_threshold = float(
         internal.substream("threshold-N").generator().uniform(2 * config.c_n, 100 * config.c_n)

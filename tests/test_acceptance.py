@@ -33,10 +33,10 @@ from replitest.flattening import FlattenAssignment, flatten_1d, max_subbin_count
 from replitest.hard_instances import draw_meta_closeness
 from replitest.independence import (
     IndependenceConfig,
-    _draw_pair_sets,
     averaged_stats,
     independence_stats,
     rep_independence_test,
+    sampled_averaged_stats,
     stage1_scale,
 )
 from replitest.measures import (
@@ -300,9 +300,9 @@ def test_criterion_08_product_non_singleton_bound():
         stream = ROOT.substream("c8", n1)
         values = np.empty(500)
         for t in range(500):
-            sp, sq = _draw_pair_sets(sampler, (n1, n2), 100 * m, stream.substream(t))
-            _, values[t] = averaged_stats(sp, sq, config, stream.substream("r", t),
-                                          k_avg=1)
+            _, values[t] = sampled_averaged_stats(
+                sampler, config, stream.substream(t), stream.substream("r", t), k_avg=1
+            )
         bound = config.c_n * stage1_scale(m, n1, n2)
         ok &= values.mean() <= bound
         details.append(f"({n1},{n2}): E[N]={values.mean():.1f} <= {bound:.1f}")
@@ -317,15 +317,13 @@ def test_criterion_09_variance_by_collisions():
     for n1, n2 in ((20, 10), (40, 20)):
         config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2,
                                     **{**INDEPENDENCE_DESK, "k_avg": k_avg})
-        m = config.sample_size()
         sampler = measure_sampler(uniform_product_measure(n1, n2))
         stream = ROOT.substream("c9", n1)
         z_hats = np.empty(500)
         n_hats = np.empty(500)
         for t in range(500):
-            sp, sq = _draw_pair_sets(sampler, (n1, n2), 100 * m, stream.substream(t))
-            z_hats[t], n_hats[t] = averaged_stats(
-                sp, sq, config, stream.substream("avg", t)
+            z_hats[t], n_hats[t] = sampled_averaged_stats(
+                sampler, config, stream.substream(t), stream.substream("avg", t)
             )
         bound = VARIANCE_RATIO_C * math.log(n1 * n2) ** 3
         ratio_z = z_hats.var(ddof=1) / n_hats.mean()

@@ -16,6 +16,7 @@ from replitest.experiments import (
     recompute_aggregate,
     run_experiment,
 )
+from replitest.calibrated import INDEPENDENCE_DESK
 from replitest.closeness import ClosenessConfig
 from replitest.independence import IndependenceConfig
 from replitest.uniformity import UniformityConfig
@@ -267,6 +268,21 @@ def test_calibrate_uniformity_reports_gap():
     constants = calibrate("uniformity", {"n": 500, "epsilon": 0.3, "rho": 0.1})
     assert constants["calibrated_gap"] is True
     assert constants["floor"] > constants["ceiling"]
+
+
+def test_calibrate_independence_reports_the_collision_scale():
+    params = {"n1": 40, "n2": 20, "epsilon": 0.35, "rho": 0.2, **INDEPENDENCE_DESK,
+              "calibration_trials": 10}
+    constants = calibrate("independence", params, seed=3)
+    assert set(constants) == {
+        "kind", "m", "c_n", "c_i1", "c_i2", "k_avg", "median_reps", "m_scale",
+        "mean_n_a", "n_a_over_scale", "sd_z_a", "gap_scale",
+    }
+    config = IndependenceConfig(n1=40, n2=20, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+    assert constants["m"] == config.sample_size()
+    assert constants["mean_n_a"] > 0 and constants["sd_z_a"] > 0
+    # criterion 08's rule on the uniform product: E[N_a] <= C_N * scale
+    assert constants["n_a_over_scale"] <= constants["c_n"]
 
 
 def test_calibrate_unknown_kind():

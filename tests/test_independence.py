@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import replitest.independence as ind
 from replitest.calibrated import INDEPENDENCE_DESK
 from replitest.independence import (
     IndependenceConfig,
@@ -15,6 +16,7 @@ from replitest.independence import (
     independence_stats,
     product_of_marginals_sampler,
     rep_independence_test,
+    sampled_averaged_stats,
     stage1_scale,
     _distinct_positions,
     _draw_pair_sets,
@@ -292,7 +294,7 @@ def test_desk_average_memory_is_bounded_by_the_chunk():
     config = IndependenceConfig(n1=40, n2=20, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
     m = config.sample_size()
     sampler = measure_sampler(uniform_product_measure(40, 20))
-    sp, sq = _draw_pair_sets(sampler, (40, 20), 100 * m, ROOT.substream("memory"))
+    sp, sq = _draw_pair_sets(sampler, (40, 20), (100 * m, 100 * m), ROOT.substream("memory"))
     tracemalloc.start()
     try:
         averaged_stats(sp, sq, config, ROOT.substream("memory-avg"))
@@ -302,6 +304,56 @@ def test_desk_average_memory_is_bounded_by_the_chunk():
     assert peak < 4 * 2**20
 
 
+def test_lazy_sets_equal_eager_sets_holding_the_drawn_pairs(monkeypatch):
+    # the lazy path draws pairs only at the touched positions; full sets
+    # holding those pairs there and junk everywhere else must give the
+    # same (Z_a, N_a) from the same run streams, so no run reads the junk
+    drawn = {}
+    touched_positions = ind._touched_positions
+    draw_pair_sets = ind._draw_pair_sets
+
+    def record_touched(plans, side):
+        drawn[side] = touched_positions(plans, side)
+        return drawn[side]
+
+    def record_sets(*args):
+        drawn["sets"] = draw_pair_sets(*args)
+        return drawn["sets"]
+
+    monkeypatch.setattr(ind, "_touched_positions", record_touched)
+    monkeypatch.setattr(ind, "_draw_pair_sets", record_sets)
+    cases = [(uniform_product_measure(40, 20), (40, 20)), (diagonal_measure(20), (20, 20))]
+    for t in range(10):
+        p, (n1, n2) = cases[t % 2]
+        config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+        size = 100 * config.sample_size()
+        runs = ROOT.substream("lazy-runs", t)
+        lazy = sampled_averaged_stats(measure_sampler(p), config,
+                                      ROOT.substream("lazy-sets", t), runs)
+        assert drawn[0].size < size // 10 and drawn[1].size < size // 10
+        junk = ROOT.substream("junk", t).generator()
+        eager = []
+        for side in (0, 1):
+            full = np.stack([junk.integers(0, n1, size), junk.integers(0, n2, size)], axis=1)
+            full[drawn[side]] = drawn["sets"][side]
+            eager.append(full)
+        assert averaged_stats(eager[0], eager[1], config, runs) == lazy
+
+
+def test_library_default_verdict_memory_is_small():
+    # 2 x 100 m = 2.3M pairs per estimate if drawn in full; the verdict
+    # draws only the pairs its runs read
+    config = IndependenceConfig(n1=40, n2=20, epsilon=0.35, rho=0.2, k_avg=20)
+    p = uniform_product_measure(40, 20)
+    tracemalloc.start()
+    try:
+        rep_independence_test(p, config, ROOT.substream("default-memory"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_product_expected_statistic_below_gap():
     # 500 fresh-sample runs of the raw statistic under a product instance
     config = IndependenceConfig(n1=40, n2=20, **DESK)
@@ -309,8 +361,8 @@ def test_product_expected_statistic_below_gap():
     sampler = measure_sampler(uniform_product_measure(40, 20))
     values = np.empty(500)
     for t in range(500):
-        sp, sq = _draw_pair_sets(sampler, (40, 20), 100 * m, ROOT.substream("prod", t))
-        values[t] = independence_stats(sp, sq, config, ROOT.substream("prod-i", t))[0]
+        values[t] = sampled_averaged_stats(sampler, config, ROOT.substream("prod", t),
+                                           ROOT.substream("prod-i", t), k_avg=1)[0]
     bound = config.c_i1 * independence_gap(m, 40, 20, config.epsilon)
     assert values.mean() <= bound
 
