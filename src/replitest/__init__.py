@@ -29,7 +29,6 @@ from .independence import (
     closeness_stat_marked,
     independence_gap,
     independence_sample_size,
-    independence_stats,
     product_of_marginals_sampler,
     rep_independence_test,
     sampled_averaged_stats,
@@ -42,9 +41,6 @@ from .measures import (
     l1_distance,
     measure_1d,
     measure_2d,
-    point_mass,
-    product_of_marginals,
-    tv_distance,
     uniform_measure,
     uniform_product_measure,
     zipf_measure,
@@ -54,9 +50,7 @@ from .sampling import (
     counts_from_indices,
     measure_sampler,
     multinomial_split,
-    sample_counts_fixed,
     sample_counts_poissonized,
-    unravel_pairs,
 )
 from .uniformity import (
     UniformityConfig,
@@ -71,12 +65,8 @@ from .walks import (
     CoordKernel,
     MixingReport,
     TruncationError,
-    acceptance_probability,
-    concentration_experiment,
     estimate_mixing,
     product_walk_tau,
-    sample_rw_step,
-    stationary_counts,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -154,12 +154,17 @@ def rep_closeness_test(
     (default ``rng.substream("samples")``). Passing the same ``rng``
     with fresh ``sample_rng`` values reruns the tester with shared
     internal randomness, which is the pairing used to measure
-    replicability.
+    replicability. A measure must live on the configured ``[n]``.
     """
-    if isinstance(sampler_p, NonNegativeMeasure):
-        sampler_p = measure_sampler(sampler_p)
-    if isinstance(sampler_q, NonNegativeMeasure):
-        sampler_q = measure_sampler(sampler_q)
+
+    def sampler(source: IndexSampler | NonNegativeMeasure) -> IndexSampler:
+        if not isinstance(source, NonNegativeMeasure):
+            return source
+        if source.shape != (config.n,):
+            raise ValueError(f"measure shape {source.shape} != configured {(config.n,)}")
+        return measure_sampler(source)
+
+    sampler_p, sampler_q = sampler(sampler_p), sampler(sampler_q)
     if sample_rng is None:
         sample_rng = rng.substream("samples")
 

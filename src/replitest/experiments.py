@@ -3,7 +3,9 @@ experiments, and desk-scale calibration.
 
 Every experiment is a pure function of ``(config, seed)``: per-trial
 randomness comes from substreams derived from the experiment seed, so
-records reproduce bit-for-bit and aggregate in any order.
+records reproduce bit-for-bit and aggregate in any order. The trial
+kinds look their tester up in one table (``_TESTERS``) that names its
+config class, its test function and its instances.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
 from . import closeness as cl
+from . import hard_instances
 from . import independence as ind
 from . import uniformity as un
-from .hard_instances import draw_meta_closeness, draw_meta_uniformity
+from .hard_instances import UniformityHardParams, draw_meta_closeness, draw_meta_uniformity
 from .measures import (
     NonNegativeMeasure,
     diagonal_measure,
@@ -33,6 +36,8 @@ from .measures import (
     zipf_measure,
 )
 from .rng import RngStream
+from .sampling import CountVector, measure_sampler, multinomial_split, sample_counts_poissonized
+from .verdict import TesterVerdict
 from .walks import ClosenessPairKernel, CoordKernel, estimate_mixing
 
 SCHEMA_VERSION = 1
@@ -152,44 +157,63 @@ def measure_replicability(pair_fn: PairFn, pairs: int, rng: RngStream) -> Replic
     return ReplicabilityResult(pairs, disagreements)
 
 
+# An instance drawer: the measures a tester runs on, drawn from a stream
+# (fixed instances ignore it).
+DrawInstance = Callable[[RngStream], tuple]
+
+
+def _fixed(*measures) -> DrawInstance:
+    return lambda stream: measures
+
+
+def _paired(test: Callable[..., TesterVerdict], config, draw_instance: DrawInstance) -> PairFn:
+    """Paired runs of ``test`` that share the internal randomness of the pair's stream.
+
+    Each pair draws its instance from its ``instance`` substream, then
+    runs ``test(*instance, config, stream)`` on the samples of its
+    ``sample-1`` and of its ``sample-2`` substream.
+    """
+
+    def run(stream: RngStream) -> tuple[bool, bool]:
+        instance = draw_instance(stream.substream("instance"))
+        v1 = test(*instance, config, stream, sample_rng=stream.substream("sample-1"))
+        v2 = test(*instance, config, stream, sample_rng=stream.substream("sample-2"))
+        return v1.accept, v2.accept
+
+    return run
+
+
+def _meta_closeness(n: int, m_hard: int, epsilon: float, stream: RngStream) -> tuple:
+    _, p, q = draw_meta_closeness(n, m_hard, epsilon, stream)
+    return p.normalized(), q.normalized()
+
+
+def _meta_uniformity(n: int, epsilon: float, xi: float | None, stream: RngStream) -> tuple:
+    if xi is None:
+        return (draw_meta_uniformity(n, epsilon, stream)[1],)
+    params = UniformityHardParams(n, max(epsilon, 1e-12), xi)
+    return (hard_instances.draw_uniformity_hard(params, stream),)
+
+
+# The public builders look the testers up when called, so that a
+# wrapped module attribute is the one that runs.
 def closeness_pair_fn(
     p: NonNegativeMeasure, q: NonNegativeMeasure, config: cl.ClosenessConfig
 ) -> PairFn:
     """Fixed-instance paired runs of the closeness tester."""
-
-    def run(stream: RngStream) -> tuple[bool, bool]:
-        v1 = cl.rep_closeness_test(
-            p, q, config, stream, sample_rng=stream.substream("sample-1")
-        )
-        v2 = cl.rep_closeness_test(
-            p, q, config, stream, sample_rng=stream.substream("sample-2")
-        )
-        return v1.accept, v2.accept
-
-    return run
+    return _paired(cl.rep_closeness_test, config, _fixed(p, q))
 
 
 def closeness_meta_pair_fn(
     n: int, m_hard: int, epsilon: float, config: cl.ClosenessConfig
 ) -> PairFn:
     """Distributional paired runs: a fresh hard-instance pair per pair."""
-
-    def run(stream: RngStream) -> tuple[bool, bool]:
-        _, p, q = draw_meta_closeness(n, m_hard, epsilon, stream.substream("instance"))
-        return closeness_pair_fn(p.normalized(), q.normalized(), config)(stream)
-
-    return run
+    return _paired(cl.rep_closeness_test, config, partial(_meta_closeness, n, m_hard, epsilon))
 
 
 def uniformity_pair_fn(source, config: un.UniformityConfig) -> PairFn:
-    tester = un.UniformityTester(config)
-
-    def run(stream: RngStream) -> tuple[bool, bool]:
-        v1 = tester.run(source, stream, sample_rng=stream.substream("sample-1"))
-        v2 = tester.run(source, stream, sample_rng=stream.substream("sample-2"))
-        return v1.accept, v2.accept
-
-    return run
+    """Fixed-source paired runs of the uniformity tester."""
+    return _paired(un.rep_uniformity_test, config, _fixed(source))
 
 
 def uniformity_meta_pair_fn(
@@ -201,23 +225,7 @@ def uniformity_meta_pair_fn(
     (used to stratify disagreement across the xi grid); otherwise xi is
     drawn uniformly from ``[0, epsilon]`` per pair.
     """
-    from .hard_instances import UniformityHardParams, draw_uniformity_hard
-
-    tester = un.UniformityTester(config)
-
-    def run(stream: RngStream) -> tuple[bool, bool]:
-        inst_rng = stream.substream("instance")
-        if xi is None:
-            _, p = draw_meta_uniformity(n, epsilon, inst_rng)
-        else:
-            p = draw_uniformity_hard(
-                UniformityHardParams(n, max(epsilon, 1e-12), xi), inst_rng
-            )
-        v1 = tester.run(p, stream, sample_rng=stream.substream("sample-1"))
-        v2 = tester.run(p, stream, sample_rng=stream.substream("sample-2"))
-        return v1.accept, v2.accept
-
-    return run
+    return _paired(un.rep_uniformity_test, config, partial(_meta_uniformity, n, epsilon, xi))
 
 
 @cache
@@ -248,12 +256,10 @@ def config_from_params(cls, params: dict):
 
 
 def _load_instance_measures(params: dict, expected: int) -> list[NonNegativeMeasure]:
-    from .hard_instances import instance_from_json
-
     path = params.get("instance_file")
     if not path or not Path(path).exists():
         raise ConfigError(f"instance file not found: {path!r}")
-    _, measures = instance_from_json(Path(path).read_text())
+    _, measures = hard_instances.instance_from_json(Path(path).read_text())
     if len(measures) != expected:
         raise ConfigError(
             f"instance file {path} holds {len(measures)} measures, expected {expected}"
@@ -261,112 +267,96 @@ def _load_instance_measures(params: dict, expected: int) -> list[NonNegativeMeas
     return measures
 
 
-def _closeness_instance(params: dict) -> tuple[NonNegativeMeasure, NonNegativeMeasure]:
+def _closeness_instance(params: dict, config: cl.ClosenessConfig) -> DrawInstance:
     name = params.get("instance", "uniform")
-    if name == "file":
-        p, q = _load_instance_measures(params, 2)
-        return p.normalized(), q.normalized()
-    n = int(params["n"])
+    n = config.n
     if name == "uniform":
         p = uniform_measure(n)
-        return p, p
+        return _fixed(p, p)
     if name == "zipf":
         p = zipf_measure(n)
-        return p, p
+        return _fixed(p, p)
     if name == "uniform-vs-half-flat":
-        return uniform_measure(n), half_flat_measure(n)
+        return _fixed(uniform_measure(n), half_flat_measure(n))
+    if name == "hard-meta":
+        return partial(_meta_closeness, n, int(params["hard_m"]), config.epsilon)
+    if name == "file":
+        p, q = _load_instance_measures(params, 2)
+        return _fixed(p.normalized(), q.normalized())
     raise ConfigError(f"unknown closeness instance {name!r}")
 
 
-def _closeness_trial(params: dict, seed: int, t: int) -> dict:
-    tester_config = config_from_params(cl.ClosenessConfig, params)
-    p, q = _closeness_instance(params)
-    stream = RngStream(seed, "closeness-acceptance").substream("trial", t)
-    verdict = cl.rep_closeness_test(p, q, tester_config, stream)
-    return {"trial": t, "accept": int(verdict.accept),
-            "statistic": verdict.statistic, "threshold": verdict.threshold}
-
-
-def _uniformity_trial(params: dict, seed: int, t: int) -> dict:
-    tester_config = config_from_params(un.UniformityConfig, params)
+def _uniformity_instance(params: dict, config: un.UniformityConfig) -> DrawInstance:
     name = params.get("instance", "uniform")
-    trial = RngStream(seed, "uniformity-acceptance").substream("trial", t)
+    n, epsilon = config.n, config.epsilon
     if name == "uniform":
-        p = uniform_measure(tester_config.n)
-    elif name == "file":
-        p = _load_instance_measures(params, 1)[0]
-    elif name == "meta-epsilon":
-        from .hard_instances import UniformityHardParams, draw_uniformity_hard
-
-        p = draw_uniformity_hard(
-            UniformityHardParams(
-                tester_config.n, tester_config.epsilon, tester_config.epsilon
-            ),
-            trial.substream("instance"),
-        ).normalized()
-    else:
-        raise ConfigError(f"unknown uniformity instance {name!r}")
-    verdict = un.rep_uniformity_test(p, tester_config, trial)
-    return {"trial": t, "accept": int(verdict.accept),
-            "statistic": verdict.statistic, "threshold": verdict.threshold}
+        return _fixed(uniform_measure(n))
+    if name == "meta-epsilon":
+        # The far end of the family, xi = epsilon.
+        far = UniformityHardParams(n, epsilon, epsilon)
+        return lambda stream: (hard_instances.draw_uniformity_hard(far, stream).normalized(),)
+    if name == "hard-meta":
+        xi = params.get("xi")
+        return partial(_meta_uniformity, n, epsilon, None if xi is None else float(xi))
+    if name == "file":
+        return _fixed(_load_instance_measures(params, 1)[0])
+    raise ConfigError(f"unknown uniformity instance {name!r}")
 
 
-def _independence_trial(params: dict, seed: int, t: int) -> dict:
-    tester_config = config_from_params(ind.IndependenceConfig, params)
+def _independence_instance(params: dict, config: ind.IndependenceConfig) -> DrawInstance:
     name = params.get("instance", "product-uniform")
     if name == "product-uniform":
-        p = uniform_product_measure(tester_config.n1, tester_config.n2)
-    elif name == "diagonal":
-        if tester_config.n1 != tester_config.n2:
+        return _fixed(uniform_product_measure(config.n1, config.n2))
+    if name == "diagonal":
+        if config.n1 != config.n2:
             raise ConfigError("diagonal instance needs n1 == n2")
-        p = diagonal_measure(tester_config.n1)
-    else:
-        raise ConfigError(f"unknown independence instance {name!r}")
-    stream = RngStream(seed, "independence-acceptance").substream("trial", t)
-    verdict = ind.rep_independence_test(p, tester_config, stream)
-    return {"trial": t, "accept": int(verdict.accept),
-            "statistic": verdict.statistic, "threshold": verdict.threshold,
-            "stage": verdict.detail.get("stage", 2)}
+        return _fixed(diagonal_measure(config.n1))
+    raise ConfigError(f"unknown independence instance {name!r}")
 
 
-def _replicability_pair_fn(params: dict) -> PairFn:
-    tester = params.get("tester", "closeness")
-    if tester == "closeness":
-        tester_config = config_from_params(cl.ClosenessConfig, params)
-        if params.get("instance") == "hard-meta":
-            return closeness_meta_pair_fn(
-                int(params["n"]), int(params["hard_m"]), float(params["epsilon"]),
-                tester_config,
-            )
-        p, q = _closeness_instance(params)
-        return closeness_pair_fn(p, q, tester_config)
-    if tester == "uniformity":
-        tester_config = config_from_params(un.UniformityConfig, params)
-        if params.get("instance") == "hard-meta":
-            return uniformity_meta_pair_fn(
-                int(params["n"]), float(params["epsilon"]), tester_config,
-                params.get("xi"),
-            )
-        return uniformity_pair_fn(uniform_measure(tester_config.n), tester_config)
-    raise ConfigError(f"unknown tester {tester!r}")
+# Per tester: its config class, one run ``test(*instance, config, rng,
+# sample_rng=...)``, and its instance builder ``(params, config) -> draw``.
+_TESTERS = {
+    "closeness": (cl.ClosenessConfig, cl.rep_closeness_test, _closeness_instance),
+    "uniformity": (un.UniformityConfig, un.rep_uniformity_test, _uniformity_instance),
+    "independence": (ind.IndependenceConfig, ind.rep_independence_test, _independence_instance),
+}
+
+
+def _tester(name: str, params: dict) -> tuple:
+    """``(test, config, draw_instance)`` of the tester ``name`` at ``params``."""
+    if name not in _TESTERS:
+        raise ConfigError(f"unknown tester {name!r}")
+    cls, test, instance = _TESTERS[name]
+    config = config_from_params(cls, params)
+    return test, config, instance(params, config)
+
+
+def _acceptance_trial(tester: str, params: dict, seed: int, t: int) -> dict:
+    test, config, draw_instance = _tester(tester, params)
+    trial = RngStream(seed, f"{tester}-acceptance").substream("trial", t)
+    verdict = test(*draw_instance(trial.substream("instance")), config, trial)
+    record = {"trial": t, "accept": int(verdict.accept),
+              "statistic": verdict.statistic, "threshold": verdict.threshold}
+    if "stage" in verdict.detail:
+        record["stage"] = verdict.detail["stage"]
+    return record
 
 
 def _replicability_trial(params: dict, seed: int, t: int) -> dict:
-    pair_fn = _replicability_pair_fn(params)
+    pair_fn = _paired(*_tester(params.get("tester", "closeness"), params))
     a, b = pair_fn(RngStream(seed, "replicability").substream("pair", t))
     return {"trial": t, "verdict_1": int(a), "verdict_2": int(b)}
 
 
 def _variance_trial(params: dict, seed: int, t: int) -> dict:
-    from .sampling import measure_sampler, multinomial_split
-
-    tester_config = config_from_params(cl.ClosenessConfig, params)
-    p, q = _closeness_instance(params)
-    m = tester_config.sample_size()
+    _, config, draw_instance = _tester("closeness", params)
     trial = RngStream(seed, "variance-audit").substream("trial", t)
+    p, q = draw_instance(trial.substream("instance"))
+    m = config.sample_size()
     sizes = multinomial_split(4 * m, 4, trial.substream("split"))
     z = cl.closeness_statistic(*cl.draw_closeness_counts(
-        measure_sampler(p), measure_sampler(q), sizes, tester_config.n, trial
+        measure_sampler(p), measure_sampler(q), sizes, config.n, trial
     ))
     return {"trial": t, "statistic": z, "m": m}
 
@@ -416,9 +406,71 @@ def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     }
 
 
-def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
-    from .walks import concentration_experiment
+def acceptance_probability(
+    decide: Callable[[CountVector], bool],
+    p: NonNegativeMeasure,
+    m: int,
+    trials: int,
+    rng: RngStream,
+) -> tuple[float, float]:
+    """Monte Carlo estimate of ``Pr[decide(T) = accept]`` for ``T ~ PoiS(m, p)``.
 
+    ``decide`` must have its internal randomness fixed externally so it
+    is a deterministic function of the count vector.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    hits = 0
+    for t in range(trials):
+        counts = sample_counts_poissonized(p, m, rng.substream("trial", t))
+        hits += bool(decide(counts))
+    acc = hits / trials
+    stderr = math.sqrt(max(acc * (1 - acc), 1e-12) / trials)
+    return acc, stderr
+
+
+def concentration_experiment(
+    decide: Callable[[CountVector], bool],
+    n: int,
+    epsilon: float,
+    m: int,
+    xi_grid: Sequence[float],
+    draws_per_xi: int,
+    trials: int,
+    rng: RngStream,
+) -> list[dict]:
+    """Dispersion of acceptance probabilities across instances at each xi.
+
+    For each xi, draws instances with i.i.d. per-bucket masses
+    ``(1 +/- xi)/n``, estimates the acceptance probability of the fixed
+    tester on each, and reports the mean together with the fraction of
+    instances deviating from it by more than 1/4.
+    """
+    results = []
+    for i, xi in enumerate(xi_grid):
+        accs = []
+        for j in range(draws_per_xi):
+            params = UniformityHardParams(n, max(epsilon, 1e-12), min(xi, epsilon))
+            p = hard_instances.draw_uniformity_hard(params, rng.substream("instance", i, j))
+            acc, _ = acceptance_probability(
+                decide, p, m, trials, rng.substream("acc", i, j)
+            )
+            accs.append(acc)
+        accs_arr = np.asarray(accs)
+        mean = float(accs_arr.mean())
+        results.append(
+            {
+                "xi": float(xi),
+                "mean_acceptance": mean,
+                "deviation_fraction": float((np.abs(accs_arr - mean) > 0.25).mean()),
+                "draws": draws_per_xi,
+                "trials": trials,
+            }
+        )
+    return results
+
+
+def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
     tester_config = config_from_params(un.UniformityConfig, params)
     tester = un.UniformityTester(tester_config)
@@ -456,9 +508,9 @@ def _rate_aggregate(records: list[dict]) -> dict:
 
 # kinds whose trials are independent pure functions of (params, seed, index)
 _TRIAL_FUNCS = {
-    "closeness-acceptance": (_closeness_trial, _rate_aggregate),
-    "uniformity-acceptance": (_uniformity_trial, _rate_aggregate),
-    "independence-acceptance": (_independence_trial, _rate_aggregate),
+    "closeness-acceptance": (partial(_acceptance_trial, "closeness"), _rate_aggregate),
+    "uniformity-acceptance": (partial(_acceptance_trial, "uniformity"), _rate_aggregate),
+    "independence-acceptance": (partial(_acceptance_trial, "independence"), _rate_aggregate),
     "replicability": (_replicability_trial, _replicability_aggregate),
     "variance-audit": (_variance_trial, _variance_aggregate),
 }
@@ -558,8 +610,6 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
         trials = int(params.get("calibration_trials", 20))
         root = RngStream(seed, "calibrate-independence")
         p = uniform_product_measure(config.n1, config.n2)
-        from .sampling import measure_sampler
-
         sampler = measure_sampler(p)
         n_hats, z_hats = [], []
         for t in range(trials):

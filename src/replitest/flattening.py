@@ -6,9 +6,9 @@ sample is tagged with the number of flattening samples of the same
 element that precede it. Two kept samples collide only if they share
 the element and the tag, so heavy elements are diluted into sub-bins
 while distinct elements are never merged. The 2D flattening of the
-independence tester (``independence._stat_runs``) tags the row and column
-coordinates independently with :func:`subbin_indices` and keeps a sample
-only if it was selected on neither axis.
+independence tester (``independence._finish_runs``) tags the row and
+column coordinates independently with :func:`subbin_indices` and keeps a
+sample only if it was selected on neither axis.
 """
 
 from __future__ import annotations

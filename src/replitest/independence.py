@@ -11,17 +11,19 @@ on the averaged non-singleton count keeps the variance of the averaged
 statistic in check before the main threshold comparison.
 
 The reruns execute as one array program per chunk of runs
-(``_stat_runs``). Each run draws its flattening selectors sparsely: a
+(``_averaged``). Each run draws its flattening selectors sparsely: a
 Binomial number of dividers at a uniform subset of positions, which has
 the law of iid Bernoulli flags, so a run touches only its kept samples
 and dividers, not the whole sample sets. Keys carry the run index, so
 the statistic and the count of all runs of a chunk come from one call
 each and equal the sums of the per-run values exactly.
 
-The tester itself never draws the sets of ``100 m`` pairs in full
-(``sampled_averaged_stats``). Every run's selectors are drawn first;
-they name the positions the runs read: a prefix that holds every kept
-sample, plus the scattered dividers beyond it. Pairs are then drawn for
+Fixed sample sets (``averaged_stats``) and fresh draws
+(``sampled_averaged_stats``) feed the runs the same way. Every run's
+selectors are drawn first; they name the positions the runs read: a
+prefix that holds every kept sample, plus the scattered dividers beyond
+it. Fixed sets are then indexed at those positions, and the tester,
+which never draws its sets of ``100 m`` pairs in full, draws pairs for
 those positions only, in position order. The pairs are iid and
 independent of the selectors, and a pair that no run reads never
 reaches ``Z`` or ``N``, so leaving it undrawn changes no law (the
@@ -280,15 +282,14 @@ def _plan_runs(
 def _finish_runs(
     plan: _RunPlan,
     sets: tuple[np.ndarray, np.ndarray],
-    touched: tuple[np.ndarray | None, np.ndarray | None],
+    touched: tuple[np.ndarray, np.ndarray],
 ) -> tuple[int, int]:
     """``(sum_j Z_j, sum_j N_j)`` over the live runs of ``plan``.
 
     ``sets[s]`` holds the pairs of side ``s`` at the sorted positions
-    ``touched[s]``, or at every position when that is ``None``. Kept
-    samples lie in the prefix ``[0, plan.reach(s))`` that ``touched[s]``
-    starts with, so their positions index ``sets[s]`` directly; only the
-    dividers are looked up.
+    ``touched[s]``. Kept samples lie in the prefix ``[0, plan.reach(s))``
+    that ``touched[s]`` starts with, so their positions index ``sets[s]``
+    directly; only the dividers are looked up.
 
     The kept samples are the first ``ell`` non-dividers, computed from
     the sorted divider positions alone. Each divider is x-only, both or
@@ -316,14 +317,11 @@ def _finish_runs(
 
     kept_p = int(ell[:runs].sum())
     div_p = int(dividers[:runs].sum())
-
-    def locate(side: int, pos: np.ndarray) -> np.ndarray:
-        return pos if touched[side] is None else np.searchsorted(touched[side], pos)
-
     sp, sq = sets
     pairs = np.concatenate([
         sp[kept_pos[:kept_p]], sq[kept_pos[kept_p:]],
-        sp[locate(0, div_pos[:div_p])], sq[locate(1, div_pos[div_p:])],
+        sp[np.searchsorted(touched[0], div_pos[:div_p])],
+        sq[np.searchsorted(touched[1], div_pos[div_p:])],
     ])
     run = np.concatenate([kept_seg, div_seg]) % runs
     # A divider has F_x with probability alpha / r; F_x alone makes it a
@@ -347,126 +345,68 @@ def _finish_runs(
     return z, n
 
 
-# Sample sets of the runs, given their plans: the pairs of each side and
-# their positions (``None``: every position).
-_Fetch = Callable[
-    [list[_RunPlan]],
-    tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray | None, np.ndarray | None]],
-]
+def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
+    """Sorted positions of ``side`` that some plan reads.
 
-
-def _stat_runs(
-    sizes: tuple[int, int],
-    alpha: float,
-    beta: float,
-    poisson_mean: float,
-    abort_excess: tuple[float, float],
-    chunks: list[tuple[int, RngStream]],
-    fetch: _Fetch,
-) -> tuple[int, int]:
-    """``(sum_j Z_j, sum_j N_j)`` over independent randomized runs on sets of ``sizes`` pairs.
-
-    ``chunks`` lists ``(runs, stream)``; each chunk executes as one array
-    program on its stream. Every chunk's selectors are drawn first
-    (:func:`_plan_runs`), then ``fetch`` supplies the sample sets the
-    plans read, then each chunk finishes on its own generator
-    (:func:`_finish_runs`). Run ``j`` flattens both axes, truncates to
-    Poisson sizes and contributes ``(Z_j, N_j)`` of the truncated
-    flattened sets.
+    The prefix ``[0, P)`` with ``P = max_j(ell_j + D_j)`` holds every
+    kept sample; the divider positions at or above ``P`` follow it.
     """
-    sizes = np.array(sizes)
-    plans = [
-        plan for k, rng in chunks
-        if (plan := _plan_runs(sizes, alpha, beta, poisson_mean, abort_excess, k, rng))
-    ]
-    sets, touched = fetch(plans)
-    z_sum = 0
-    n_sum = 0
-    for plan in plans:
-        z, n = _finish_runs(plan, sets, touched)
-        z_sum += z
-        n_sum += n
-    return z_sum, n_sum
-
-
-def _resolve_run_params(
-    sizes: tuple[int, int],
-    config: IndependenceConfig,
-    alpha: float | None,
-    beta: float | None,
-    poisson_mean: float | None,
-    strict_size: bool,
-) -> tuple[float, float, float]:
-    m = config.sample_size()
-    if strict_size and sizes != (100 * m, 100 * m):
-        raise ValueError(
-            f"expected |S_p| = |S_q| = 100 m = {100 * m}; got {sizes[0]} and {sizes[1]}"
-        )
-    return (
-        config.alpha(m) if alpha is None else alpha,
-        config.beta(m) if beta is None else beta,
-        float(m) if poisson_mean is None else poisson_mean,
+    reach = max((plan.reach(side) for plan in plans), default=0)
+    scattered = np.concatenate(
+        [plan.side_dividers(side) for plan in plans] + [np.zeros(0, dtype=np.int64)]
     )
+    return np.concatenate([np.arange(reach), np.unique(scattered[scattered >= reach])])
+
+
+# The pairs of both sample sets at the given sorted positions of each.
+_PairsAt = Callable[[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray]]
 
 
 def _averaged(
     sizes: tuple[int, int],
-    fetch: _Fetch,
+    pairs_at: _PairsAt,
     config: IndependenceConfig,
     rng: RngStream,
     k_avg: int | None,
     alpha: float | None = None,
     beta: float | None = None,
     poisson_mean: float | None = None,
-    strict_size: bool = True,
 ) -> tuple[float, float]:
-    """Average of ``k_avg`` runs in chunks of about 2^14 kept samples plus
-    dividers, chunk ``c`` on ``rng.substream("avg", c)``."""
+    """``(Z_a, N_a)``: the average of ``k_avg`` runs on sets of ``sizes`` pairs.
+
+    Run ``j`` flattens both axes, truncates to Poisson sizes and
+    contributes ``(Z_j, N_j)`` of the truncated flattened sets. The runs
+    execute in chunks of about 2^14 kept samples plus dividers, chunk
+    ``c`` as one array program on ``rng.substream("avg", c)``. Every
+    chunk's selectors are drawn first (:func:`_plan_runs`); then
+    ``pairs_at`` gives the pairs at the positions some run reads
+    (:func:`_touched_positions`), and each chunk finishes on its own
+    generator (:func:`_finish_runs`). ``None`` takes the configured
+    ``k_avg``, ``alpha``, ``beta`` and Poisson mean ``m``.
+    """
     k = config.k_avg if k_avg is None else k_avg
-    a, b, mean = _resolve_run_params(sizes, config, alpha, beta, poisson_mean, strict_size)
+    m = config.sample_size()
+    a = config.alpha(m) if alpha is None else alpha
+    b = config.beta(m) if beta is None else beta
+    mean = float(m) if poisson_mean is None else poisson_mean
     run_items = 2.0 * mean + (1.0 - (1.0 - a) * (1.0 - b)) * sum(sizes)
     chunk = max(1, int(_CHUNK_ITEMS // max(run_items, 1.0)))
-    chunks = [
-        (min(chunk, k - start), rng.substream("avg", c))
-        for c, start in enumerate(range(0, k, chunk))
+    abort_excess = (10.0 * config.n1, 10.0 * config.n2)
+    set_sizes = np.array(sizes)
+    plans = [
+        plan for c, start in enumerate(range(0, k, chunk))
+        if (plan := _plan_runs(set_sizes, a, b, mean, abort_excess,
+                               min(chunk, k - start), rng.substream("avg", c)))
     ]
-    z_sum, n_sum = _stat_runs(
-        sizes, a, b, mean, (10.0 * config.n1, 10.0 * config.n2), chunks, fetch
-    )
+    touched = (_touched_positions(plans, 0), _touched_positions(plans, 1))
+    sets = pairs_at(touched)
+    z_sum = 0
+    n_sum = 0
+    for plan in plans:
+        z, n = _finish_runs(plan, sets, touched)
+        z_sum += z
+        n_sum += n
     return z_sum / k, n_sum / k
-
-
-def _explicit_sets(
-    sp_pairs: np.ndarray, sq_pairs: np.ndarray
-) -> tuple[tuple[int, int], _Fetch]:
-    sets = (np.asarray(sp_pairs, dtype=np.int64), np.asarray(sq_pairs, dtype=np.int64))
-    return (sets[0].shape[0], sets[1].shape[0]), lambda plans: (sets, (None, None))
-
-
-def independence_stats(
-    sp_pairs: np.ndarray,
-    sq_pairs: np.ndarray,
-    config: IndependenceConfig,
-    rng: RngStream,
-    *,
-    alpha: float | None = None,
-    beta: float | None = None,
-    poisson_mean: float | None = None,
-    strict_size: bool = True,
-) -> tuple[int, int]:
-    """One randomized evaluation ``(Z, N)`` on fixed sample sets, drawn from ``rng``.
-
-    ``Z`` is the marked statistic and ``N`` the non-singleton count of
-    the truncated flattened sets. The keyword overrides exist for
-    enumeration-scale tests; defaults follow the configuration
-    (``alpha = min(n1/(100m), 1/100)``, ``beta = n2/(100m)``,
-    truncation sizes ``~ Poi(m)``).
-    """
-    sizes, fetch = _explicit_sets(sp_pairs, sq_pairs)
-    a, b, mean = _resolve_run_params(sizes, config, alpha, beta, poisson_mean, strict_size)
-    return _stat_runs(
-        sizes, a, b, mean, (10.0 * config.n1, 10.0 * config.n2), [(1, rng)], fetch
-    )
 
 
 def averaged_stats(
@@ -483,14 +423,28 @@ def averaged_stats(
 ) -> tuple[float, float]:
     """Monte Carlo estimates ``(Z_a, N_a)`` of the averaged statistic and count.
 
-    Averages ``k_avg`` (default ``config.k_avg``) independent evaluations
-    on fixed sample sets. The runs execute in chunks of about 2^14 kept
-    samples and dividers; chunk ``c`` draws from
-    ``rng.substream("avg", c)``. The other keywords are those of
-    :func:`independence_stats`.
+    Averages ``k_avg`` (default ``config.k_avg``) independent randomized
+    evaluations on fixed sample sets; ``Z`` is the marked statistic and
+    ``N`` the non-singleton count of the truncated flattened sets. The
+    runs execute in chunks of about 2^14 kept samples and dividers;
+    chunk ``c`` draws from ``rng.substream("avg", c)``. The sets must
+    hold ``100 m`` pairs each unless ``strict_size`` is false. The
+    overrides of ``alpha``, ``beta`` and the Poisson mean of the
+    truncation sizes exist for enumeration-scale tests; defaults follow
+    the configuration (``alpha = min(n1/(100m), 1/100)``,
+    ``beta = n2/(100m)``, mean ``m``).
     """
-    sizes, fetch = _explicit_sets(sp_pairs, sq_pairs)
-    return _averaged(sizes, fetch, config, rng, k_avg, alpha, beta, poisson_mean, strict_size)
+    sets = (np.asarray(sp_pairs, dtype=np.int64), np.asarray(sq_pairs, dtype=np.int64))
+    sizes = (sets[0].shape[0], sets[1].shape[0])
+    m = config.sample_size()
+    if strict_size and sizes != (100 * m, 100 * m):
+        raise ValueError(
+            f"expected |S_p| = |S_q| = 100 m = {100 * m}; got {sizes[0]} and {sizes[1]}"
+        )
+    return _averaged(
+        sizes, lambda touched: (sets[0][touched[0]], sets[1][touched[1]]),
+        config, rng, k_avg, alpha, beta, poisson_mean,
+    )
 
 
 def _draw_pair_sets(
@@ -513,19 +467,6 @@ def _draw_pair_sets(
     sp = np.stack([flat_p // n2, flat_p % n2], axis=1)
     sq = np.stack([flat_q // n2, flat_q % n2], axis=1)
     return sp, sq
-
-
-def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
-    """Sorted positions of ``side`` that some plan reads.
-
-    The prefix ``[0, P)`` with ``P = max_j(ell_j + D_j)`` holds every
-    kept sample; the divider positions at or above ``P`` follow it.
-    """
-    reach = max((plan.reach(side) for plan in plans), default=0)
-    scattered = np.concatenate(
-        [plan.side_dividers(side) for plan in plans] + [np.zeros(0, dtype=np.int64)]
-    )
-    return np.concatenate([np.arange(reach), np.unique(scattered[scattered >= reach])])
 
 
 def sampled_averaged_stats(
@@ -552,15 +493,14 @@ def sampled_averaged_stats(
     ``1.02 m + K_avg (n1 + n2)`` of the ``100 m``.
     """
     m = config.sample_size()
-    sizes = (100 * m, 100 * m)
     shape = (config.n1, config.n2)
-
-    def fetch(plans: list[_RunPlan]):
-        touched = (_touched_positions(plans, 0), _touched_positions(plans, 1))
-        sets = _draw_pair_sets(sampler_p, shape, (touched[0].size, touched[1].size), sample_rng)
-        return sets, touched
-
-    return _averaged(sizes, fetch, config, rng, k_avg)
+    return _averaged(
+        (100 * m, 100 * m),
+        lambda touched: _draw_pair_sets(
+            sampler_p, shape, (touched[0].size, touched[1].size), sample_rng
+        ),
+        config, rng, k_avg,
+    )
 
 
 def rep_independence_test(

@@ -101,12 +101,6 @@ def uniform_measure(n: int) -> NonNegativeMeasure:
     return measure_1d(np.full(n, 1.0 / n))
 
 
-def point_mass(n: int, index: int) -> NonNegativeMeasure:
-    masses = np.zeros(n)
-    masses[index] = 1.0
-    return measure_1d(masses)
-
-
 def zipf_measure(n: int, exponent: float = 1.0) -> NonNegativeMeasure:
     """Power-law distribution with mass proportional to ``rank**-exponent``."""
     masses = 1.0 / np.arange(1, n + 1, dtype=float) ** exponent
@@ -145,17 +139,3 @@ def _check_same_domain(p: NonNegativeMeasure, q: NonNegativeMeasure) -> None:
 def l1_distance(p: NonNegativeMeasure, q: NonNegativeMeasure) -> float:
     _check_same_domain(p, q)
     return float(np.abs(p.masses - q.masses).sum())
-
-
-def tv_distance(p: NonNegativeMeasure, q: NonNegativeMeasure) -> float:
-    """Total variation distance, ``0.5 * sum |p_i - q_i|`` for distributions."""
-    _check_same_domain(p, q)
-    return 0.5 * l1_distance(p, q)
-
-
-def product_of_marginals(p: NonNegativeMeasure) -> NonNegativeMeasure:
-    """The product distribution sharing ``p``'s marginals (2D, normalized ``p``)."""
-    if p.ndim != 2:
-        raise ValueError("product of marginals is defined for 2D measures")
-    rows, cols = p.normalized().marginals()
-    return measure_2d(np.outer(rows, cols))

@@ -1,4 +1,4 @@
-"""Sampling primitives: Poissonized and fixed-size counts, index samplers.
+"""Sampling primitives: Poissonized counts, multinomial splits, index samplers.
 
 Count vectors are plain ``numpy`` integer arrays indexed by bucket;
 for a pair of distributions on ``[n]`` the concatenated vector over
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import NORMALIZATION_TOL, NonNegativeMeasure
+from .measures import NonNegativeMeasure
 from .rng import RngStream
 
 # Counts per bucket; non-negative integers, length = domain size.
@@ -34,18 +34,6 @@ def sample_counts_poissonized(p: NonNegativeMeasure, m: int, rng: RngStream) -> 
     return gen.poisson(m * p.masses).astype(np.int64)
 
 
-def sample_counts_fixed(p: NonNegativeMeasure, m: int, rng: RngStream) -> CountVector:
-    """Draw exactly ``m`` i.i.d. samples from the distribution ``p`` and count."""
-    total = p.total_mass()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"input must be normalized (||p||_1 = {total!r})")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    gen = rng.generator()
-    # Exact renormalization guards against the tolerated 1e-12 drift.
-    return gen.multinomial(m, p.masses / total).astype(np.int64)
-
-
 def multinomial_split(total: int, k: int, rng: RngStream) -> np.ndarray:
     """Split ``total`` into ``k`` parts with equal cell probabilities."""
     if total < 0:
@@ -59,8 +47,7 @@ def multinomial_split(total: int, k: int, rng: RngStream) -> np.ndarray:
 def measure_sampler(p: NonNegativeMeasure) -> IndexSampler:
     """I.i.d. index sampler for the normalized version of ``p``.
 
-    2D measures yield flat row-major cell indices; use
-    :func:`unravel_pairs` to recover (row, col) pairs.
+    2D measures yield flat row-major cell indices.
     """
     probs = p.normalized().masses
     size = probs.size
@@ -69,12 +56,6 @@ def measure_sampler(p: NonNegativeMeasure) -> IndexSampler:
         return gen.choice(size, size=k, p=probs)
 
     return draw
-
-
-def unravel_pairs(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Flat row-major cell codes -> (k, 2) array of (row, col)."""
-    rows, cols = np.unravel_index(flat, shape)
-    return np.stack([rows, cols], axis=1)
 
 
 def counts_from_indices(indices: np.ndarray, domain_size: int) -> CountVector:

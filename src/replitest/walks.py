@@ -27,14 +27,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .measures import NonNegativeMeasure
 from .rng import RngStream
-from .sampling import CountVector, sample_counts_poissonized
 
 ROW_SUM_TOL = 1e-9
 
@@ -168,19 +166,6 @@ class CoordKernel:
             "poisson-heavy": np.exp(log_poisson_pmf(states, hi)),
             "poisson-light": np.exp(log_poisson_pmf(states, lo)),
         }
-
-
-def sample_rw_step(counts: CountVector, kernel: CoordKernel, rng: RngStream) -> CountVector:
-    """One step of the full product walk: the coordinate step applied per bucket."""
-    return np.asarray(kernel.step(np.asarray(counts, dtype=np.int64), rng), dtype=np.int64)
-
-
-def stationary_counts(kernel: CoordKernel, n_coords: int, rng: RngStream) -> CountVector:
-    """Exact draw from the product stationary distribution."""
-    gen = rng.generator()
-    hi, lo = kernel.branch_rates()
-    heavy = gen.random(n_coords) < 0.5
-    return gen.poisson(np.where(heavy, hi, lo)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -459,69 +444,3 @@ def product_walk_tau(
             break
         powers = [p @ m for p, m in zip(powers, matrices)]
     return _curve_tau(curve, delta)
-
-
-def acceptance_probability(
-    decide: Callable[[CountVector], bool],
-    p: NonNegativeMeasure,
-    m: int,
-    trials: int,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ``Pr[decide(T) = accept]`` for ``T ~ PoiS(m, p)``.
-
-    ``decide`` must have its internal randomness fixed externally so it
-    is a deterministic function of the count vector.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    hits = 0
-    for t in range(trials):
-        counts = sample_counts_poissonized(p, m, rng.substream("trial", t))
-        hits += bool(decide(counts))
-    acc = hits / trials
-    stderr = math.sqrt(max(acc * (1 - acc), 1e-12) / trials)
-    return acc, stderr
-
-
-def concentration_experiment(
-    decide: Callable[[CountVector], bool],
-    n: int,
-    epsilon: float,
-    m: int,
-    xi_grid: Sequence[float],
-    draws_per_xi: int,
-    trials: int,
-    rng: RngStream,
-) -> list[dict]:
-    """Dispersion of acceptance probabilities across instances at each xi.
-
-    For each xi, draws instances with i.i.d. per-bucket masses
-    ``(1 +/- xi)/n``, estimates the acceptance probability of the fixed
-    tester on each, and reports the mean together with the fraction of
-    instances deviating from it by more than 1/4.
-    """
-    from .hard_instances import UniformityHardParams, draw_uniformity_hard
-
-    results = []
-    for i, xi in enumerate(xi_grid):
-        accs = []
-        for j in range(draws_per_xi):
-            params = UniformityHardParams(n, max(epsilon, 1e-12), min(xi, epsilon))
-            p = draw_uniformity_hard(params, rng.substream("instance", i, j))
-            acc, _ = acceptance_probability(
-                decide, p, m, trials, rng.substream("acc", i, j)
-            )
-            accs.append(acc)
-        accs_arr = np.asarray(accs)
-        mean = float(accs_arr.mean())
-        results.append(
-            {
-                "xi": float(xi),
-                "mean_acceptance": mean,
-                "deviation_fraction": float((np.abs(accs_arr - mean) > 0.25).mean()),
-                "draws": draws_per_xi,
-                "trials": trials,
-            }
-        )
-    return results

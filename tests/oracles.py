@@ -16,6 +16,21 @@ from itertools import permutations, product
 
 import numpy as np
 
+from replitest.measures import NonNegativeMeasure, l1_distance, measure_2d
+
+
+def tv_distance(p: NonNegativeMeasure, q: NonNegativeMeasure) -> float:
+    """Total variation distance, ``0.5 * sum |p_i - q_i|`` for distributions."""
+    return 0.5 * l1_distance(p, q)
+
+
+def product_of_marginals(p: NonNegativeMeasure) -> NonNegativeMeasure:
+    """The product distribution sharing ``p``'s marginals (2D, normalized ``p``)."""
+    if p.ndim != 2:
+        raise ValueError("product of marginals is defined for 2D measures")
+    rows, cols = p.normalized().marginals()
+    return measure_2d(np.outer(rows, cols))
+
 
 def zc_value(sp, sq, marks) -> int:
     """Marked closeness statistic for one concrete marking.

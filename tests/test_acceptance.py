@@ -34,7 +34,6 @@ from replitest.hard_instances import draw_meta_closeness
 from replitest.independence import (
     IndependenceConfig,
     averaged_stats,
-    independence_stats,
     rep_independence_test,
     sampled_averaged_stats,
     stage1_scale,
@@ -269,8 +268,8 @@ def test_criterion_07_estimators_match_enumeration():
         est_z, est_n = averaged_stats(sp_arr, sq_arr, config, stream.substream("avg"),
                                       k_avg=k_avg, **run_kw)
         pilot = np.array([
-            independence_stats(sp_arr, sq_arr, config, stream.substream("pilot", j),
-                               **run_kw)[0]
+            averaged_stats(sp_arr, sq_arr, config, stream.substream("pilot", j),
+                           k_avg=1, **run_kw)[0]
             for j in range(2000)
         ], dtype=float)
         se_z = pilot.std(ddof=1) / math.sqrt(k_avg)

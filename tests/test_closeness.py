@@ -12,7 +12,7 @@ from replitest.closeness import (
     rep_closeness_test,
     soundness_floor,
 )
-from replitest.measures import point_mass, uniform_measure
+from replitest.measures import half_flat_measure, measure_1d, uniform_measure
 from replitest.rng import RngStream
 from replitest.verdict import CalibrationError
 
@@ -116,12 +116,24 @@ def test_verdict_monotone_in_statistic():
 
 def test_point_mass_pair_accepts():
     config = ClosenessConfig(n=500, epsilon=0.3, rho=0.1)
-    p = point_mass(500, 3)
+    p = measure_1d(np.eye(500)[3])
     hits = sum(
         rep_closeness_test(p, p, config, ROOT.substream("pm", t)).accept
         for t in range(60)
     )
     assert hits / 60 >= 0.9
+
+
+def test_measure_off_the_configured_domain_is_rejected():
+    # counts of a measure on [50] would be zero-padded to n = 100 while
+    # the thresholds assume the larger domain
+    config = ClosenessConfig(n=100, epsilon=0.3, rho=0.1)
+    with pytest.raises(ValueError, match=r"\(50,\) != configured \(100,\)"):
+        rep_closeness_test(uniform_measure(50), half_flat_measure(50), config,
+                           ROOT.substream("domain"))
+    with pytest.raises(ValueError, match=r"\(50,\)"):
+        rep_closeness_test(uniform_measure(100), uniform_measure(50), config,
+                           ROOT.substream("domain"))
 
 
 def test_shared_internal_stream_shares_split_and_threshold():

@@ -91,9 +91,12 @@ def test_experiment_determinism_bit_for_bit(tmp_path):
     assert first.aggregate == second.aggregate
 
 
-def test_parallel_trials_match_sequential():
+# The acceptance kinds run one trial function bound to a tester name,
+# which the process pool must pickle.
+@pytest.mark.parametrize("kind", ["variance-audit", "closeness-acceptance"])
+def test_parallel_trials_match_sequential(kind):
     config = ExperimentConfig(
-        "variance-audit", seed=21, trials=16,
+        kind, seed=21, trials=16,
         params={"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"},
     )
     sequential = run_experiment(config, processes=1)
@@ -196,6 +199,32 @@ def test_replicability_kind_runs_uniformity_meta():
     )
     result = run_experiment(config)
     assert 0.0 <= result.aggregate["disagreement_rate"] <= 1.0
+
+
+def test_replicability_kind_runs_independence():
+    # criterion 2's rule on the paper's new tester: product (40, 20) sits
+    # far below the threshold, so paired runs should almost never disagree
+    rho = 0.2
+    config = ExperimentConfig(
+        "replicability", seed=6, trials=20,
+        params={"tester": "independence", "n1": 40, "n2": 20, "epsilon": 0.35,
+                "rho": rho, **INDEPENDENCE_DESK, "instance": "product-uniform"},
+    )
+    aggregate = run_experiment(config).aggregate
+    assert aggregate["pairs"] == 20
+    assert aggregate["disagreement_rate"] <= rho + 3 * aggregate["stderr"]
+
+
+def test_replicability_unknown_tester_or_instance_is_config_error():
+    params = {"n": 200, "epsilon": 0.3, "rho": 0.1}
+    for extra in ({"tester": "uniformity", "instance": "zipf"},
+                  {"tester": "closeness", "instance": "nope"},
+                  {"tester": "independence", "n1": 20, "n2": 10, "instance": "diagonal"},
+                  {"tester": "nope"}):
+        config = ExperimentConfig("replicability", seed=1, trials=2,
+                                  params={**params, **extra})
+        with pytest.raises(ConfigError):
+            run_experiment(config)
 
 
 def test_mixing_kind_produces_curve():

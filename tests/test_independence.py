@@ -13,7 +13,6 @@ from replitest.independence import (
     closeness_stat_marked,
     independence_gap,
     independence_sample_size,
-    independence_stats,
     product_of_marginals_sampler,
     rep_independence_test,
     sampled_averaged_stats,
@@ -27,7 +26,7 @@ from replitest.measures import (
     uniform_product_measure,
 )
 from replitest.rng import RngStream
-from replitest.sampling import measure_sampler, unravel_pairs
+from replitest.sampling import measure_sampler
 
 from oracles import enumerate_independence_means, zc_mean, zc_value
 
@@ -81,8 +80,7 @@ def test_product_of_marginals_point_mass():
     p = measure_2d(np.array([[0.0, 0.0], [0.0, 1.0]]))
     draw = product_of_marginals_sampler(measure_sampler(p), (2, 2))
     codes = draw(10, ROOT.substream("pm").generator())
-    for row, col in unravel_pairs(codes, (2, 2)):
-        assert (row, col) == (1, 1)
+    assert codes.tolist() == [3] * 10  # the cell (1, 1), row-major
 
 
 def test_product_of_marginals_diagonal_becomes_uniform():
@@ -165,7 +163,7 @@ def test_independence_stats_size_precondition():
     config = IndependenceConfig(n1=4, n2=4, **DESK)
     sp = np.zeros((10, 2), dtype=np.int64)
     with pytest.raises(ValueError):
-        independence_stats(sp, sp, config, ROOT.substream("size"))
+        averaged_stats(sp, sp, config, ROOT.substream("size"), k_avg=1)
 
 
 def test_independence_stats_forced_abort_returns_zero():
@@ -173,24 +171,11 @@ def test_independence_stats_forced_abort_returns_zero():
     sp = np.zeros((6, 2), dtype=np.int64)
     sq = np.zeros((6, 2), dtype=np.int64)
     # poisson mean far above the set sizes forces the truncation abort
-    value = independence_stats(
-        sp, sq, config, ROOT.substream("abort"),
+    value = averaged_stats(
+        sp, sq, config, ROOT.substream("abort"), k_avg=1,
         poisson_mean=1000.0, strict_size=False,
     )
     assert value == (0, 0)
-
-
-def test_estimate_with_k_avg_one_equals_single_run():
-    config = IndependenceConfig(n1=4, n2=4, **DESK)
-    gen = ROOT.substream("tiny-sets").generator()
-    sp = gen.integers(0, 4, size=(8, 2))
-    sq = gen.integers(0, 4, size=(8, 2))
-    kwargs = dict(alpha=0.2, beta=0.1, poisson_mean=3.0, strict_size=False)
-    est = averaged_stats(sp, sq, config, ROOT.substream("one"), k_avg=1, **kwargs)
-    single = independence_stats(
-        sp, sq, config, ROOT.substream("one").substream("avg", 0), **kwargs
-    )
-    assert est == single
 
 
 def test_estimate_degenerate_instance_is_exactly_zero():
@@ -226,7 +211,7 @@ def test_estimators_match_enumeration_on_flattening_free_instance():
     est_z, est_n = averaged_stats(sp_a, sq_a, config, ROOT.substream("ezn"), k_avg=k_avg,
                                   **kwargs)
     singles = np.array([
-        independence_stats(sp_a, sq_a, config, ROOT.substream("sd", j), **kwargs)[0]
+        averaged_stats(sp_a, sq_a, config, ROOT.substream("sd", j), k_avg=1, **kwargs)[0]
         for j in range(2000)
     ])
     se_z = max(singles.std(ddof=1), 0.05) / math.sqrt(k_avg)
@@ -246,8 +231,8 @@ def test_stat_run_matches_enumeration_with_unequal_axis_rates():
     )
     runs = 30000
     values = np.array([
-        independence_stats(np.array(sp), np.array(sq), config,
-                           ROOT.substream("unequal", j), strict_size=False, **kwargs)
+        averaged_stats(np.array(sp), np.array(sq), config, ROOT.substream("unequal", j),
+                       k_avg=1, strict_size=False, **kwargs)
         for j in range(runs)
     ], dtype=float)
     se = values.std(axis=0, ddof=1) / math.sqrt(runs)
@@ -278,7 +263,8 @@ def test_runs_in_one_chunk_are_independent():
     sq = np.array([(0, 0), (1, 1), (0, 1), (0, 1), (2, 2)])
     kwargs = dict(alpha=0.3, beta=0.3, poisson_mean=2.0, strict_size=False)
     single = np.array([
-        independence_stats(sp, sq, config, ROOT.substream("chunk-single", j), **kwargs)[0]
+        averaged_stats(sp, sq, config, ROOT.substream("chunk-single", j), k_avg=1,
+                       **kwargs)[0]
         for j in range(10000)
     ], dtype=float)
     z_a = np.array([

@@ -1,21 +1,23 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from replitest.measures import measure_1d, point_mass, uniform_measure
+from replitest.measures import measure_1d, uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import (
     counts_from_indices,
     measure_sampler,
     multinomial_split,
-    sample_counts_fixed,
     sample_counts_poissonized,
-    unravel_pairs,
 )
 
 ROOT = RngStream(20240811, "sampling-tests")
+
+
+def _fixed_counts(p, m, rng):
+    """Counts of exactly ``m`` iid samples from ``p``, as the closeness tester draws them."""
+    return counts_from_indices(measure_sampler(p)(m, rng.generator()), p.size)
 
 
 def test_poissonized_zero_budget_gives_zero_counts():
@@ -48,19 +50,14 @@ def test_poissonized_mean_and_coordinate_independence():
 
 
 def test_fixed_point_mass_is_degenerate():
-    counts = sample_counts_fixed(point_mass(6, 2), 5, ROOT.substream("pm"))
+    counts = _fixed_counts(measure_1d(np.eye(6)[2]), 5, ROOT.substream("pm"))
     assert counts.tolist() == [0, 0, 5, 0, 0, 0]
-
-
-def test_fixed_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        sample_counts_fixed(measure_1d([0.5, 0.6]), 10, ROOT.substream("bad"))
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=20))
 @settings(max_examples=40, deadline=None)
 def test_fixed_conserves_total(m, n):
-    counts = sample_counts_fixed(uniform_measure(n), m, RngStream(5, f"fix/{m}/{n}"))
+    counts = _fixed_counts(uniform_measure(n), m, RngStream(5, f"fix/{m}/{n}"))
     assert counts.sum() == m
     assert np.all(counts >= 0)
 
@@ -69,12 +66,9 @@ def test_fixed_two_coin_probability():
     # P(counts = (1,1)) for two fair-coin samples is exactly 1/2
     p = measure_1d([0.5, 0.5])
     draws = 10**5
-    stream = ROOT.substream("coin")
-    hits = 0
-    for t in range(draws):
-        counts = sample_counts_fixed(p, 2, stream.substream(t))
-        hits += counts[0] == 1
-    rate = hits / draws
+    # one generator for all draws: counts[0] == 1 iff a pair holds one 0
+    pairs = measure_sampler(p)(2 * draws, ROOT.substream("coin").generator())
+    rate = (pairs.reshape(draws, 2).sum(axis=1) == 1).mean()
     sigma = math.sqrt(0.25 / draws)
     assert abs(rate - 0.5) <= 3 * sigma
 
@@ -106,8 +100,8 @@ def test_determinism_bit_for_bit():
     a = sample_counts_poissonized(p, 123, s)
     b = sample_counts_poissonized(p, 123, s)
     np.testing.assert_array_equal(a, b)
-    c = sample_counts_fixed(p, 77, s)
-    d = sample_counts_fixed(p, 77, s)
+    c = _fixed_counts(p, 77, s)
+    d = _fixed_counts(p, 77, s)
     np.testing.assert_array_equal(c, d)
 
 
@@ -117,7 +111,3 @@ def test_measure_sampler_counts_match_probabilities():
     counts = counts_from_indices(measure_sampler(p)(30000, gen), 3)
     np.testing.assert_allclose(counts / 30000, p.masses, atol=0.02)
 
-
-def test_unravel_pairs_row_major():
-    pairs = unravel_pairs(np.array([0, 5, 7]), (4, 3))
-    np.testing.assert_array_equal(pairs, [[0, 0], [1, 2], [2, 1]])

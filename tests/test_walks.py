@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from replitest.experiments import acceptance_probability, concentration_experiment
 from replitest.measures import uniform_measure
 from replitest.rng import RngStream
 from replitest.uniformity import UniformityConfig, UniformityTester
@@ -15,13 +16,9 @@ from replitest.walks import (
     ClosenessPairKernel,
     CoordKernel,
     TruncationError,
-    acceptance_probability,
-    concentration_experiment,
     estimate_mixing,
     log_poisson_pmf,
     product_walk_tau,
-    sample_rw_step,
-    stationary_counts,
 )
 
 from oracles import dense_mixing_report
@@ -98,12 +95,19 @@ def test_posterior_heavy_at_zero():
     assert abs(steps.mean() - mean) <= 4 * sd
 
 
+def _stationary_counts(k, draws, rng):
+    # The stationary law is the even mixture of the two branch Poissons.
+    gen = rng.generator()
+    hi, lo = k.branch_rates()
+    return gen.poisson(np.where(gen.random(draws) < 0.5, hi, lo)).astype(np.int64)
+
+
 def test_step_from_stationary_stays_stationary():
     k = CoordKernel(m=10, n=10, xi=0.2)
     draws = 10**5
-    start = stationary_counts(k, draws, ROOT.substream("pi"))
+    start = _stationary_counts(k, draws, ROOT.substream("pi"))
     stepped = k.step(start, ROOT.substream("step"))
-    fresh = stationary_counts(k, draws, ROOT.substream("pi2"))
+    fresh = _stationary_counts(k, draws, ROOT.substream("pi2"))
     top = 8
     obs = np.bincount(np.minimum(stepped, top), minlength=top + 1)
     ref = np.bincount(np.minimum(fresh, top), minlength=top + 1)
@@ -112,9 +116,10 @@ def test_step_from_stationary_stays_stationary():
 
 
 def test_sample_rw_step_applies_per_bucket():
+    # one step of the product walk is the coordinate step on every bucket
     k = CoordKernel(m=100, n=10, xi=0.1)
     counts = np.array([3, 0, 14, 9, 1, 2, 8, 10, 11, 4])
-    out = sample_rw_step(counts, k, ROOT.substream("vecstep"))
+    out = k.step(counts, ROOT.substream("vecstep"))
     assert out.shape == counts.shape
     assert np.all(out >= 0)
 
