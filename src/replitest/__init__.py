@@ -5,7 +5,6 @@ from .closeness import (
     closeness_sample_size,
     closeness_statistic,
     draw_closeness_counts,
-    draw_threshold,
     rep_closeness_test,
     soundness_floor,
 )
@@ -38,7 +37,6 @@ from .measures import (
     NonNegativeMeasure,
     diagonal_measure,
     half_flat_measure,
-    l1_distance,
     measure_1d,
     measure_2d,
     uniform_measure,

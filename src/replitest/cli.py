@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import closeness as cl
-from . import independence as ind
-from . import uniformity as un
 from .experiments import (
+    TESTERS,
     ConfigError,
     ExperimentConfig,
     calibrate,
@@ -51,35 +50,26 @@ def _load_constants(path: str | None) -> dict:
     return data
 
 
-def _read_1d_samples(path: str, n: int) -> np.ndarray:
+def _read_samples(path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The samples in ``path`` as flat indices on a domain of ``shape``.
+
+    A 1D file holds whitespace-separated values, a 2D file one ``row col``
+    pair per line; a pair becomes ``row * n2 + col`` after the domain check.
+    """
+    width = len(shape)
     values, lines = [], []
     try:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            for token in line.split():
-                values.append(int(token))
-                lines.append(lineno)
+            tokens = [int(token) for token in line.split()]
+            if width > 1 and len(tokens) not in (0, width):
+                raise ValueError(f"line {lineno} holds {len(tokens)} values, not {width}")
+            values += tokens
+            lines += [lineno] * (len(tokens) // width)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot parse 1D sample file {path}: {exc}") from exc
-    samples = np.asarray(values, dtype=np.int64)
-    _check_domain(path, samples, lines, (n,))
-    return samples
-
-
-def _read_2d_samples(path: str, n1: int, n2: int) -> np.ndarray:
-    rows, lines = [], []
-    try:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split()
-            rows.append((int(a), int(b)))
-            lines.append(lineno)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot parse 2D sample file {path}: {exc}") from exc
-    samples = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    _check_domain(path, samples, lines, (n1, n2))
-    return samples
+        raise ConfigError(f"cannot parse sample file {path}: {exc}") from exc
+    samples = np.asarray(values, dtype=np.int64).reshape(-1, width)
+    _check_domain(path, samples, lines, shape)
+    return np.ravel_multi_index(tuple(samples.T), shape)
 
 
 def _check_domain(path: str, samples: np.ndarray, lines: list[int], shape: tuple) -> None:
@@ -89,15 +79,13 @@ def _check_domain(path: str, samples: np.ndarray, lines: list[int], shape: tuple
     and an independence column ``>= n2`` would fold into the next row
     through ``row * n2 + col``.
     """
-    bad = (samples < 0) | (samples >= np.asarray(shape))
-    if bad.ndim > 1:
-        bad = bad.any(axis=1)
+    bad = ((samples < 0) | (samples >= np.asarray(shape))).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
+        sample = samples[i].tolist() if len(shape) > 1 else int(samples[i, 0])
         domain = " x ".join(f"[0, {n})" for n in shape)
         raise ConfigError(
-            f"{path} line {lines[i]}: sample {samples[i].tolist()} "
-            f"lies outside the domain {domain}"
+            f"{path} line {lines[i]}: sample {sample} lies outside the domain {domain}"
         )
 
 
@@ -118,6 +106,15 @@ def _pool_sampler(pool: np.ndarray):
     return draw
 
 
+# Per problem: its sample-file flags, in the order its test takes the
+# sources, and the domain of one sample.
+_SAMPLE_FILES = {
+    "closeness": (("samples_p", "samples_q"), lambda config: (config.n,)),
+    "uniformity": (("samples",), lambda config: (config.n,)),
+    "independence": (("samples",), lambda config: (config.n1, config.n2)),
+}
+
+
 def _cmd_test(args: argparse.Namespace) -> int:
     # --constants overrides --m-scale; the domain and accuracy flags win.
     params = {
@@ -125,34 +122,16 @@ def _cmd_test(args: argparse.Namespace) -> int:
         "n": args.n, "n1": args.n1, "n2": args.n2,
         "epsilon": args.epsilon, "rho": args.rho,
     }
-    rng = RngStream(args.seed, "cli-test")
-    if args.problem == "closeness":
-        config = config_from_params(cl.ClosenessConfig, params)
-        pool_p = _read_1d_samples(args.samples_p, config.n)
-        pool_q = _read_1d_samples(args.samples_q, config.n)
-        verdict = cl.rep_closeness_test(
-            _pool_sampler(pool_p), _pool_sampler(pool_q), config, rng
-        )
-    elif args.problem == "uniformity":
-        config = config_from_params(un.UniformityConfig, params)
-        pool = _read_1d_samples(args.samples, config.n)
-        verdict = un.UniformityTester(config).run(_pool_sampler(pool), rng)
-    elif args.problem == "independence":
-        config = config_from_params(ind.IndependenceConfig, params)
-        pool = _read_2d_samples(args.samples, config.n1, config.n2)
-        # At most 100 m pairs from p and 200 m for the product of
-        # marginals per estimate, median_reps estimates per stage, two
-        # stages; the runs read only their touched positions, far fewer
-        need = 2 * 300 * config.sample_size() * config.median_reps
-        if pool.shape[0] < need:
-            raise ConfigError(
-                f"{args.samples} holds {pool.shape[0]} pairs; "
-                f"this file needs at least {need} pairs"
-            )
-        flat = pool[:, 0] * config.n2 + pool[:, 1]
-        verdict = ind.rep_independence_test(_pool_sampler(flat), config, rng)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown problem {args.problem!r}")
+    cls, test, _ = TESTERS[args.problem]
+    config = config_from_params(cls, params)
+    flags, shape = _SAMPLE_FILES[args.problem]
+    sources = []
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is None:
+            raise ConfigError(f"test {args.problem} needs --{flag.replace('_', '-')}")
+        sources.append(_pool_sampler(_read_samples(path, shape(config))))
+    verdict = test(*sources, config, RngStream(args.seed, "cli-test"))
     print(
         json.dumps(
             {"verdict": verdict.label, "statistic": verdict.statistic,
@@ -164,25 +143,11 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        config = ExperimentConfig(
-            kind=config.kind,
-            seed=overrides.get("seed", config.seed),
-            trials=overrides.get("trials", config.trials),
-            params=config.params,
-            out=overrides.get("out", config.out),
-        )
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "out")
+                 if getattr(args, key) is not None}
     if args.constants:
-        merged = dict(config.params)
-        merged.update(_load_constants(args.constants))
-        config = ExperimentConfig(config.kind, config.seed, config.trials, merged, config.out)
+        overrides["params"] = {**config.params, **_load_constants(args.constants)}
+    config = dataclasses.replace(config, **overrides)
     result = run_experiment(config, processes=max(1, args.processes))
     print(json.dumps({"kind": config.kind, "aggregate": result.aggregate}, indent=2))
     if args.check:
@@ -204,17 +169,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    params = _load_constants(args.params) if args.params else {}
-    for key in ("n", "n1", "n2"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
-    if args.rho is not None:
-        params["rho"] = args.rho
-    if args.m_scale is not None:
-        params["m_scale"] = args.m_scale
+    params = _load_constants(args.params)
+    for key in ("n", "n1", "n2", "epsilon", "rho", "m_scale"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     constants = calibrate(args.kind, params, seed=args.seed)
     text = json.dumps(constants, indent=2)
     if args.out:
@@ -224,14 +182,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_mixing(args: argparse.Namespace) -> int:
-    params = {
-        "kernel": args.kernel, "n": args.n, "m": args.m, "xi": args.xi,
-        "delta": args.delta, "initial": args.initial,
-    }
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
-    if args.a_max is not None:
-        params["a_max"] = args.a_max
+    keys = ("kernel", "n", "m", "xi", "epsilon", "delta", "a_max", "initial")
+    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     config = ExperimentConfig("mixing", args.seed, 1, params, args.out)
     result = run_experiment(config)
     print(json.dumps(result.aggregate, indent=2))

@@ -23,7 +23,7 @@ from .calibrated import CLOSENESS_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, counts_from_indices, measure_sampler, multinomial_split
-from .verdict import CalibrationError, TesterVerdict
+from .verdict import CalibrationError, TesterVerdict, draw_gap_threshold
 
 
 def closeness_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -73,18 +73,6 @@ def closeness_statistic(x, x_prime, y, y_prime) -> int:
     return int(z.sum())
 
 
-def draw_threshold(m: int, floor: float, c1: float, rng: RngStream) -> float:
-    """Threshold ``r = C1 sqrt(m) + r0 (R - C1 sqrt(m))`` with ``r0 ~ U(1/4, 3/4)``."""
-    ceiling = c1 * math.sqrt(m)
-    if floor <= ceiling:
-        raise CalibrationError(
-            f"soundness floor {floor:.3g} does not clear the completeness "
-            f"ceiling {ceiling:.3g}; increase C2 or the sample budget"
-        )
-    r0 = rng.generator().uniform(0.25, 0.75)
-    return ceiling + r0 * (floor - ceiling)
-
-
 @dataclass(frozen=True)
 class ClosenessConfig:
     """Parameters of the closeness tester.
@@ -117,9 +105,18 @@ class ClosenessConfig:
         return closeness_sample_size(self.n, self.epsilon, self.rho, self.m_scale)
 
 
+def _sampler(source: IndexSampler | NonNegativeMeasure, n: int) -> IndexSampler:
+    """``source`` itself, or the sampler of a measure that lives on ``[n]``."""
+    if not isinstance(source, NonNegativeMeasure):
+        return source
+    if source.shape != (n,):
+        raise ValueError(f"measure shape {source.shape} != configured {(n,)}")
+    return measure_sampler(source)
+
+
 def draw_closeness_counts(
-    sampler_p: IndexSampler,
-    sampler_q: IndexSampler,
+    source_p: IndexSampler | NonNegativeMeasure,
+    source_q: IndexSampler | NonNegativeMeasure,
     sizes: np.ndarray,
     n: int,
     sample_rng: RngStream,
@@ -128,7 +125,9 @@ def draw_closeness_counts(
 
     The two batches from ``p`` come in order from the ``sample-1``
     substream of ``sample_rng``, the two from ``q`` from ``sample-2``.
+    A measure must live on ``[n]``.
     """
+    sampler_p, sampler_q = _sampler(source_p, n), _sampler(source_q, n)
     gen_p = sample_rng.substream("sample-1").generator()
     gen_q = sample_rng.substream("sample-2").generator()
     return (
@@ -156,15 +155,6 @@ def rep_closeness_test(
     internal randomness, which is the pairing used to measure
     replicability. A measure must live on the configured ``[n]``.
     """
-
-    def sampler(source: IndexSampler | NonNegativeMeasure) -> IndexSampler:
-        if not isinstance(source, NonNegativeMeasure):
-            return source
-        if source.shape != (config.n,):
-            raise ValueError(f"measure shape {source.shape} != configured {(config.n,)}")
-        return measure_sampler(source)
-
-    sampler_p, sampler_q = sampler(sampler_p), sampler(sampler_q)
     if sample_rng is None:
         sample_rng = rng.substream("samples")
 
@@ -175,10 +165,13 @@ def rep_closeness_test(
         *draw_closeness_counts(sampler_p, sampler_q, sizes, config.n, sample_rng)
     )
     floor = soundness_floor(m, config.n, config.epsilon, config.c2)
-    r = draw_threshold(m, floor, config.c1, internal.substream("threshold"))
+    r, calibrated = draw_gap_threshold(
+        config.c1 * math.sqrt(m), floor, internal.substream("threshold")
+    )
     return TesterVerdict(
         accept=z <= r,
         statistic=float(z),
         threshold=float(r),
+        calibrated=calibrated,
         detail={"m": m, "split": sizes.tolist(), "floor": floor},
     )

@@ -4,7 +4,7 @@ experiments, and desk-scale calibration.
 Every experiment is a pure function of ``(config, seed)``: per-trial
 randomness comes from substreams derived from the experiment seed, so
 records reproduce bit-for-bit and aggregate in any order. The trial
-kinds look their tester up in one table (``_TESTERS``) that names its
+kinds look their tester up in one table (``TESTERS``) that names its
 config class, its test function and its instances.
 """
 
@@ -279,6 +279,8 @@ def _closeness_instance(params: dict, config: cl.ClosenessConfig) -> DrawInstanc
     if name == "uniform-vs-half-flat":
         return _fixed(uniform_measure(n), half_flat_measure(n))
     if name == "hard-meta":
+        if params.get("hard_m") is None:
+            raise ConfigError("the closeness hard-meta instance needs parameter 'hard_m'")
         return partial(_meta_closeness, n, int(params["hard_m"]), config.epsilon)
     if name == "file":
         p, q = _load_instance_measures(params, 2)
@@ -316,7 +318,7 @@ def _independence_instance(params: dict, config: ind.IndependenceConfig) -> Draw
 
 # Per tester: its config class, one run ``test(*instance, config, rng,
 # sample_rng=...)``, and its instance builder ``(params, config) -> draw``.
-_TESTERS = {
+TESTERS = {
     "closeness": (cl.ClosenessConfig, cl.rep_closeness_test, _closeness_instance),
     "uniformity": (un.UniformityConfig, un.rep_uniformity_test, _uniformity_instance),
     "independence": (ind.IndependenceConfig, ind.rep_independence_test, _independence_instance),
@@ -325,9 +327,9 @@ _TESTERS = {
 
 def _tester(name: str, params: dict) -> tuple:
     """``(test, config, draw_instance)`` of the tester ``name`` at ``params``."""
-    if name not in _TESTERS:
+    if name not in TESTERS:
         raise ConfigError(f"unknown tester {name!r}")
-    cls, test, instance = _TESTERS[name]
+    cls, test, instance = TESTERS[name]
     config = config_from_params(cls, params)
     return test, config, instance(params, config)
 
@@ -355,9 +357,7 @@ def _variance_trial(params: dict, seed: int, t: int) -> dict:
     p, q = draw_instance(trial.substream("instance"))
     m = config.sample_size()
     sizes = multinomial_split(4 * m, 4, trial.substream("split"))
-    z = cl.closeness_statistic(*cl.draw_closeness_counts(
-        measure_sampler(p), measure_sampler(q), sizes, config.n, trial
-    ))
+    z = cl.closeness_statistic(*cl.draw_closeness_counts(p, q, sizes, config.n, trial))
     return {"trial": t, "statistic": z, "m": m}
 
 
@@ -379,23 +379,16 @@ def _variance_aggregate(records: list[dict]) -> dict:
     }
 
 
+_KERNELS = {"coordinate": CoordKernel, "closeness-pair": ClosenessPairKernel}
+
+
 def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
     kind = params.get("kernel", "coordinate")
-    delta = float(params.get("delta", 0.04))
-    if kind == "coordinate":
-        kernel = CoordKernel(
-            m=int(params["m"]), n=int(params["n"]), xi=float(params["xi"]),
-            a_max=int(params.get("a_max", -1)),
-        )
-    elif kind == "closeness-pair":
-        kernel = ClosenessPairKernel(
-            n=int(params["n"]), m=int(params["m"]),
-            epsilon=float(params["epsilon"]), xi=float(params["xi"]),
-            a_max=int(params.get("a_max", -1)),
-        )
-    else:
+    if kind not in _KERNELS:
         raise ConfigError(f"unknown kernel {kind!r}")
+    kernel = config_from_params(_KERNELS[kind], params)
+    delta = float(params.get("delta", 0.04))
     report = estimate_mixing(kernel, delta, initial=params.get("initial", "all"))
     records = [{"t": t, "l1_to_stationary": tv} for t, tv in report.tv_curve]
     return records, {

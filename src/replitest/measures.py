@@ -1,4 +1,4 @@
-"""Non-negative measures over finite domains and distances between them.
+"""Non-negative measures over finite domains.
 
 Measures are the native objects of the Poissonized sampling model: a
 masses vector that need not sum to one. 1D domains are ``[n]``; 2D
@@ -7,16 +7,9 @@ domains are ``[n1] x [n2]`` stored row-major.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-NORMALIZATION_TOL = 1e-12
-
-
-class DomainMismatchError(ValueError):
-    """Raised when two measures do not live on the same domain."""
 
 
 @dataclass(frozen=True)
@@ -50,9 +43,6 @@ class NonNegativeMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def is_distribution(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
-
     def normalized(self) -> "NonNegativeMeasure":
         total = self.total_mass()
         if total <= 0:
@@ -76,13 +66,6 @@ class NonNegativeMeasure:
     @classmethod
     def from_dict(cls, data: dict) -> "NonNegativeMeasure":
         return cls(np.asarray(data["masses"], dtype=float), tuple(data["shape"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "NonNegativeMeasure":
-        return cls.from_dict(json.loads(text))
 
 
 def measure_1d(masses) -> NonNegativeMeasure:
@@ -130,12 +113,3 @@ def diagonal_measure(n: int) -> NonNegativeMeasure:
     np.fill_diagonal(grid, 1.0 / n)
     return measure_2d(grid)
 
-
-def _check_same_domain(p: NonNegativeMeasure, q: NonNegativeMeasure) -> None:
-    if p.shape != q.shape:
-        raise DomainMismatchError(f"domain mismatch: {p.shape} vs {q.shape}")
-
-
-def l1_distance(p: NonNegativeMeasure, q: NonNegativeMeasure) -> float:
-    _check_same_domain(p, q)
-    return float(np.abs(p.masses - q.masses).sum())

@@ -22,7 +22,7 @@ from .calibrated import UNIFORMITY_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import CountVector, IndexSampler, counts_from_indices, sample_counts_poissonized
-from .verdict import TesterVerdict
+from .verdict import TesterVerdict, draw_gap_threshold
 
 
 def uniformity_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -31,6 +31,8 @@ def uniformity_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 
         raise ValueError("n must be positive")
     if not (0 < epsilon < 1 and 0 < rho < 1):
         raise ValueError("epsilon and rho must lie in (0, 1)")
+    if m_scale <= 0:
+        raise ValueError("m_scale must be positive")
     m = m_scale * (math.sqrt(n) * epsilon**-2 * rho**-1 + epsilon**-2 * rho**-2)
     if not math.isfinite(m) or m > 2**62:
         raise OverflowError("sample size overflows for these parameters")
@@ -54,10 +56,7 @@ class UniformityConfig:
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not (0 < self.epsilon < 1 and 0 < self.rho < 1):
-            raise ValueError("epsilon and rho must lie in (0, 1)")
+        self.sample_size()  # checks n, epsilon, rho and m_scale
         if self.c1_u < 0 or self.c2_u <= 0:
             raise ValueError("invalid calibration constants")
 
@@ -75,25 +74,6 @@ class UniformityConfig:
         return self.soundness_floor(m) > self.completeness_ceiling(m)
 
 
-def draw_uniformity_threshold(config: UniformityConfig, m: int, rng: RngStream) -> tuple[float, bool]:
-    """Threshold in the middle half of the (ceiling, floor) gap.
-
-    Under-sampled configurations can invert the gap; the threshold then
-    degenerates to the ceiling and the run is flagged uncalibrated.
-    Such runs are exactly the ones the non-replicability experiments
-    exercise.
-    """
-    ceiling = config.completeness_ceiling(m)
-    floor = config.soundness_floor(m)
-    if floor <= ceiling:
-        return ceiling, False
-    r0 = rng.generator().uniform(0.25, 0.75)
-    r = ceiling + r0 * (floor - ceiling)
-    if not ceiling < r < floor:
-        raise AssertionError("threshold escaped the calibrated gap")
-    return r, True
-
-
 class UniformityTester:
     """Poissonized uniformity tester with an inspectable decision path."""
 
@@ -106,8 +86,10 @@ class UniformityTester:
         if np.asarray(counts).size != self.config.n:
             raise ValueError("count vector length must equal n")
         z = uniformity_statistic(counts, self.m)
-        r, calibrated = draw_uniformity_threshold(
-            self.config, self.m, internal.substream("threshold")
+        r, calibrated = draw_gap_threshold(
+            self.config.completeness_ceiling(self.m),
+            self.config.soundness_floor(self.m),
+            internal.substream("threshold"),
         )
         return TesterVerdict(
             accept=z <= r, statistic=z, threshold=r, calibrated=calibrated,

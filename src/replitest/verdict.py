@@ -1,8 +1,10 @@
-"""Shared verdict type returned by all testers."""
+"""Verdict type of all testers and the gap threshold of the 1D testers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .rng import RngStream
 
 
 class CalibrationError(ValueError):
@@ -23,3 +25,19 @@ class TesterVerdict:
     @property
     def label(self) -> str:
         return "accept" if self.accept else "reject"
+
+
+def draw_gap_threshold(ceiling: float, floor: float, rng: RngStream) -> tuple[float, bool]:
+    """Threshold ``r = ceiling + r0 (floor - ceiling)`` with ``r0 ~ U(1/4, 3/4)``.
+
+    This is the randomized threshold of Impagliazzo, Lei, Pitassi &
+    Sorrell (STOC 2022) in the middle half of the gap between the
+    completeness ceiling and the soundness floor. An empty gap (an
+    under-sampled run) draws nothing and returns ``(ceiling, False)``.
+    """
+    if floor <= ceiling:
+        return ceiling, False
+    r = ceiling + rng.generator().uniform(0.25, 0.75) * (floor - ceiling)
+    if not ceiling < r < floor:
+        raise AssertionError("threshold escaped the calibrated gap")
+    return r, True

@@ -24,9 +24,8 @@ distance).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -299,23 +298,6 @@ class MixingReport:
     gap_estimate: float
     tv_curve: list[tuple[int, float]]
     initial: str
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "tau_delta": self.tau_delta,
-            "gap_estimate": self.gap_estimate,
-            "initial": self.initial,
-            "params": self.params,
-            "tv_curve": [[t, tv] for t, tv in self.tv_curve],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def csv_rows(self) -> list[tuple[int, float]]:
-        return list(self.tv_curve)
 
 
 def _curve_tau(curve: Sequence[float], delta: float) -> int:
@@ -415,7 +397,6 @@ def estimate_mixing(
         gap_estimate=1.0 - lambda_star,
         tv_curve=list(enumerate(curve)),
         initial=initial,
-        params=dict(getattr(kernel, "__dict__", {})),
     )
 
 

@@ -16,7 +16,14 @@ from itertools import permutations, product
 
 import numpy as np
 
-from replitest.measures import NonNegativeMeasure, l1_distance, measure_2d
+from replitest.measures import NonNegativeMeasure, measure_2d
+
+
+def l1_distance(p: NonNegativeMeasure, q: NonNegativeMeasure) -> float:
+    """``sum |p_i - q_i|`` over a shared domain."""
+    if p.shape != q.shape:
+        raise ValueError(f"domain mismatch: {p.shape} vs {q.shape}")
+    return float(np.abs(p.masses - q.masses).sum())
 
 
 def tv_distance(p: NonNegativeMeasure, q: NonNegativeMeasure) -> float:

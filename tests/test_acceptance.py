@@ -73,9 +73,7 @@ def _desk_closeness(n: int) -> ClosenessConfig:
 
 def _closeness_statistic_trial(p, q, config, stream) -> int:
     sizes = multinomial_split(4 * config.sample_size(), 4, stream.substream("split"))
-    return closeness_statistic(*draw_closeness_counts(
-        measure_sampler(p), measure_sampler(q), sizes, config.n, stream
-    ))
+    return closeness_statistic(*draw_closeness_counts(p, q, sizes, config.n, stream))
 
 
 _AUDITS: dict = {}

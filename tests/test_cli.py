@@ -3,9 +3,7 @@ import json
 import pytest
 
 from replitest.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_VALIDATION, main
-from replitest import independence as ind
 from replitest.closeness import ClosenessConfig
-from replitest.independence import IndependenceConfig
 from replitest.measures import half_flat_measure, uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import measure_sampler
@@ -139,21 +137,42 @@ def test_independence_file_verdict(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "accept"
 
 
-def test_independence_file_length_checked_before_the_run(tmp_path, capsys, monkeypatch):
-    config = IndependenceConfig(n1=8, n2=8, epsilon=0.35, rho=0.2, **_IND_CONSTANTS)
-    need = 2 * 300 * config.sample_size() * config.median_reps
+def test_independence_file_needs_only_the_pairs_the_runs_read(tmp_path, capsys):
+    # At these constants a run reads under 2,000 pairs, far fewer than the
+    # 2 * 300 * m * median_reps = 78,600 that bound every draw.
     path = tmp_path / "pairs.txt"
-    _write_pairs(path, _uniform_pairs(need))
-    assert main(_independence_args(tmp_path, path)) == EXIT_OK
-    capsys.readouterr()
+    _write_pairs(path, _uniform_pairs(5000))
+    for seed in range(5):
+        assert main(_independence_args(tmp_path, path) + ["--seed", str(seed)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdict"] == "accept"
 
-    def no_run(*args, **kwargs):
-        raise AssertionError("the tester ran on a short file")
 
-    monkeypatch.setattr(ind, "rep_independence_test", no_run)
-    _write_pairs(path, _uniform_pairs(need - 1))
+def test_independence_short_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "pairs.txt"
+    _write_pairs(path, _uniform_pairs(500))
     assert main(_independence_args(tmp_path, path)) == EXIT_VALIDATION
-    assert f"this file needs at least {need} pairs" in capsys.readouterr().err
+    assert "exhausted" in capsys.readouterr().err
+
+
+def test_missing_sample_file_flag_is_named(tmp_path, capsys):
+    p_file = tmp_path / "p.txt"
+    _write_samples(p_file, [0, 1, 2])
+    code = main(["test", "closeness", "--samples-p", str(p_file),
+                 "--n", "50", "--epsilon", "0.3", "--rho", "0.15"])
+    assert code == EXIT_VALIDATION
+    assert "test closeness needs --samples-q" in capsys.readouterr().err
+    assert main(_UNIFORMITY_ARGS) == EXIT_VALIDATION
+    assert "test uniformity needs --samples" in capsys.readouterr().err
+
+
+def test_uniformity_zero_m_scale_is_validation_error(tmp_path, capsys):
+    # m_scale = 0 would give m = 0 and accept any file
+    path = tmp_path / "s.txt"
+    _uniform_file(path, 2)
+    assert main(_UNIFORMITY_ARGS + ["--samples", str(path), "--m-scale", "0"]) == (
+        EXIT_VALIDATION
+    )
+    assert "m_scale must be positive" in capsys.readouterr().err
 
 
 def test_sample_values_outside_the_domain_are_validation_errors(tmp_path, capsys):
@@ -173,6 +192,10 @@ def test_sample_values_outside_the_domain_are_validation_errors(tmp_path, capsys
         assert main(_independence_args(tmp_path, path)) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"line 3: sample {list(bad)} lies outside the domain [0, 8) x [0, 8)" in err
+
+    path.write_text("0 0\n1 2 3\n")
+    assert main(_independence_args(tmp_path, path)) == EXIT_VALIDATION
+    assert "line 2 holds 3 values, not 2" in capsys.readouterr().err
 
 
 def test_experiment_command_with_check(tmp_path, capsys):
@@ -202,6 +225,19 @@ def test_experiment_command_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "nope", "seed": 1, "trials": 5}))
     assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("kind, params, missing", [
+    ("replicability", {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "hard-meta"},
+     "hard_m"),
+    ("mixing", {"kernel": "coordinate", "n": 1000, "m": 100}, "xi"),
+])
+def test_experiment_missing_parameter_is_named(tmp_path, capsys, kind, params, missing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "kind": kind, "seed": 1, "trials": 2,
+                               "params": params}))
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert repr(missing) in capsys.readouterr().err
 
 
 def test_report_command_recomputes(tmp_path, capsys):

@@ -8,13 +8,12 @@ from replitest.closeness import (
     ClosenessConfig,
     closeness_sample_size,
     closeness_statistic,
-    draw_threshold,
     rep_closeness_test,
     soundness_floor,
 )
 from replitest.measures import half_flat_measure, measure_1d, uniform_measure
 from replitest.rng import RngStream
-from replitest.verdict import CalibrationError
+from replitest.verdict import CalibrationError, draw_gap_threshold
 
 ROOT = RngStream(424242, "closeness-tests")
 
@@ -75,26 +74,29 @@ def test_soundness_floor_nondecreasing_in_m():
 
 
 def test_threshold_interval_endpoints():
-    # C1=1, m=1e4, R=1000 -> r in (325, 775)
+    # ceiling C1 sqrt(m) = 100, R = 1000 -> r in (325, 775)
     for t in range(200):
-        r = draw_threshold(10**4, 1000.0, 1.0, ROOT.substream("thr", t))
+        r, calibrated = draw_gap_threshold(100.0, 1000.0, ROOT.substream("thr", t))
+        assert calibrated
         assert 325.0 < r < 775.0
 
 
 def test_threshold_degenerate_interval():
-    r = draw_threshold(10**4, 100.0 + 1e-9, 1.0, ROOT.substream("deg"))
+    r, calibrated = draw_gap_threshold(100.0, 100.0 + 1e-9, ROOT.substream("deg"))
+    assert calibrated
     assert r == pytest.approx(100.0, abs=1e-8)
 
 
 def test_threshold_miscalibration_signals():
-    with pytest.raises(CalibrationError):
-        draw_threshold(10**4, 99.0, 1.0, ROOT.substream("bad"))
+    # an empty gap draws nothing and flags the run uncalibrated
+    for floor in (99.0, 100.0):
+        assert draw_gap_threshold(100.0, floor, ROOT.substream("bad")) == (100.0, False)
 
 
 def test_threshold_mean():
     draws = 10**5
     stream = ROOT.substream("thr-mean")
-    values = np.array([draw_threshold(10**4, 1000.0, 1.0, stream.substream(t))
+    values = np.array([draw_gap_threshold(100.0, 1000.0, stream.substream(t))[0]
                        for t in range(draws)])
     # mean is C1 sqrt(m) + (R - C1 sqrt(m)) / 2; r0 has sd 1/(4 sqrt(3))
     expected = 100.0 + 450.0

@@ -273,6 +273,25 @@ def test_file_instance_experiment(tmp_path):
     assert result.aggregate["accept_rate"] >= 0.9  # xi = 0: identical pair
 
 
+@pytest.mark.parametrize("kind", ["closeness-acceptance", "variance-audit"])
+def test_file_instance_off_the_domain_is_refused(tmp_path, kind):
+    # two measures on [120] with n = 100: every closeness kind refuses them
+    # rather than count them on the larger domain
+    from replitest.hard_instances import ClosenessHardParams, instance_to_json
+    from replitest.measures import zipf_measure
+
+    path = tmp_path / "instance.json"
+    path.write_text(instance_to_json(ClosenessHardParams(120, 10, 0.2, 0.0),
+                                     [uniform_measure(120), zipf_measure(120)]))
+    config = ExperimentConfig(
+        kind, seed=8, trials=5,
+        params={"n": 100, "epsilon": 0.3, "rho": 0.1,
+                "instance": "file", "instance_file": str(path)},
+    )
+    with pytest.raises(ValueError, match=r"measure shape \(120,\) != configured \(100,\)"):
+        run_experiment(config)
+
+
 def test_file_instance_missing_is_config_error():
     config = ExperimentConfig(
         "closeness-acceptance", seed=8, trials=5,

@@ -14,10 +14,12 @@ from replitest.hard_instances import (
     instance_from_json,
     instance_to_json,
 )
-from replitest.measures import l1_distance, uniform_measure
+from replitest.measures import uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import sample_counts_poissonized
 from replitest.walks import log_poisson_pmf
+
+from oracles import l1_distance
 
 ROOT = RngStream(777, "hard-instance-tests")
 

@@ -11,11 +11,11 @@ from replitest.sampling import sample_counts_poissonized
 from replitest.uniformity import (
     UniformityConfig,
     UniformityTester,
-    draw_uniformity_threshold,
     rep_uniformity_test,
     uniformity_sample_size,
     uniformity_statistic,
 )
+from replitest.verdict import draw_gap_threshold
 
 ROOT = RngStream(2718, "uniformity-tests")
 
@@ -24,6 +24,15 @@ def test_sample_size_formula():
     # sqrt(500) * (1/0.09) * 10 + (1/0.09) * 100, rounded up
     expected = math.ceil(math.sqrt(500) / 0.09 * 10 + 100 / 0.09)
     assert uniformity_sample_size(500, 0.3, 0.1) == expected
+
+
+@pytest.mark.parametrize("m_scale", [0, -1])
+def test_non_positive_m_scale_is_rejected(m_scale):
+    # m_scale = 0 would give m = 0 and a zero threshold that accepts any source
+    with pytest.raises(ValueError, match="m_scale must be positive"):
+        uniformity_sample_size(100, 0.3, 0.1, m_scale=m_scale)
+    with pytest.raises(ValueError, match="m_scale must be positive"):
+        UniformityConfig(n=100, epsilon=0.3, rho=0.1, m_scale=m_scale)
 
 
 def test_statistic_flat_counts():
@@ -68,7 +77,7 @@ def test_threshold_always_inside_calibrated_gap():
     lo, hi = config.completeness_ceiling(m), config.soundness_floor(m)
     assert lo < hi
     for t in range(200):
-        r, calibrated = draw_uniformity_threshold(config, m, ROOT.substream("thr", t))
+        r, calibrated = draw_gap_threshold(lo, hi, ROOT.substream("thr", t))
         assert calibrated
         assert lo < r < hi
 
@@ -77,7 +86,9 @@ def test_threshold_degenerates_when_undersampled():
     config = UniformityConfig(n=2000, epsilon=0.25, rho=0.1, m_scale=0.05)
     m = config.sample_size()
     assert not config.is_calibrated(m)
-    r, calibrated = draw_uniformity_threshold(config, m, ROOT.substream("flat"))
+    r, calibrated = draw_gap_threshold(
+        config.completeness_ceiling(m), config.soundness_floor(m), ROOT.substream("flat")
+    )
     assert not calibrated
     assert r == config.completeness_ceiling(m)
 

@@ -234,15 +234,6 @@ def test_product_walk_mixing_bound():
     assert tau_full <= max(per_coord)
 
 
-def test_mixing_report_serialization():
-    report = estimate_mixing(TwoStateKernel(), 0.05, initial="point")
-    payload = report.to_dict()
-    assert payload["delta"] == 0.05
-    assert payload["tv_curve"][0][0] == 0
-    assert isinstance(report.to_json(), str)
-    assert report.csv_rows() == report.tv_curve
-
-
 def test_acceptance_probability_constant_testers():
     p = uniform_measure(20)
     acc, err = acceptance_probability(lambda T: True, p, 50, 200, ROOT.substream("ca"))
