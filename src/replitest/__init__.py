@@ -8,12 +8,7 @@ from .closeness import (
     rep_closeness_test,
     soundness_floor,
 )
-from .flattening import (
-    FlattenAssignment,
-    flatten_1d,
-    max_subbin_count,
-    non_singleton_count,
-)
+from .flattening import non_singleton_count
 from .hard_instances import (
     ClosenessHardParams,
     UniformityHardParams,

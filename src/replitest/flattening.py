@@ -13,44 +13,7 @@ sample only if it was selected on neither axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .rng import RngStream
-
-
-@dataclass(frozen=True)
-class FlattenAssignment:
-    """Flattening selector ``F`` and sample order ``sigma``.
-
-    ``sigma[l]`` is the position of sample ``l`` in the random order;
-    it must be a permutation of ``range(len(F))``.
-    """
-
-    flags: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        flags = np.asarray(self.flags, dtype=np.int8)
-        sigma = np.asarray(self.sigma, dtype=np.int64)
-        if flags.shape != sigma.shape or flags.ndim != 1:
-            raise ValueError("flags and sigma must be 1D of equal length")
-        if not np.all((flags == 0) | (flags == 1)):
-            raise ValueError("flags must be binary")
-        check = np.zeros(sigma.size, dtype=bool)
-        check[sigma] = True
-        if not check.all():
-            raise ValueError("sigma must be a permutation")
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "sigma", sigma)
-
-    @classmethod
-    def random(cls, size: int, alpha: float, rng: RngStream) -> "FlattenAssignment":
-        gen = rng.generator()
-        flags = (gen.random(size) < alpha).astype(np.int8)
-        sigma = gen.permutation(size)
-        return cls(flags, sigma)
 
 
 def subbin_indices(values: np.ndarray, flags: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -82,16 +45,6 @@ def subbin_indices(values: np.ndarray, flags: np.ndarray, sigma: np.ndarray) -> 
     return out
 
 
-def flatten_1d(samples, assignment: FlattenAssignment) -> list[tuple[int, int]]:
-    """Flatten a 1D multiset; returns kept ``(element, sub_bin)`` pairs in input order."""
-    values = np.asarray(samples, dtype=np.int64)
-    if values.size != assignment.flags.size:
-        raise ValueError("assignment length must match the number of samples")
-    subs = subbin_indices(values, assignment.flags, assignment.sigma)
-    keep = assignment.flags == 0
-    return [(int(v), int(s)) for v, s in zip(values[keep], subs[keep])]
-
-
 def pack_keys(*columns: np.ndarray) -> np.ndarray:
     """Pack parallel non-negative integer columns into single int64 keys."""
     if not columns:
@@ -111,24 +64,15 @@ def pack_keys(*columns: np.ndarray) -> np.ndarray:
     return key
 
 
-def _multiplicities(samples) -> np.ndarray:
-    """Multiplicity of each distinct element; rows of 2D input are elements."""
-    values = np.asarray(samples)
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    axis = 0 if values.ndim > 1 else None
-    return np.unique(values, axis=axis, return_counts=True)[1]
-
-
 def non_singleton_count(samples) -> int:
     """Number of samples whose element appears at least twice.
 
-    ``N = sum over elements with multiplicity c >= 2 of c``.
+    ``N = sum over elements with multiplicity c >= 2 of c``; rows of 2D
+    input are elements.
     """
-    counts = _multiplicities(samples)
+    values = np.asarray(samples)
+    if values.size == 0:
+        return 0
+    axis = 0 if values.ndim > 1 else None
+    counts = np.unique(values, axis=axis, return_counts=True)[1]
     return int(counts[counts >= 2].sum())
-
-
-def max_subbin_count(samples) -> int:
-    """Largest multiplicity of any flattened element (0 for empty input)."""
-    return int(_multiplicities(samples).max(initial=0))

@@ -4,6 +4,11 @@ Count vectors are plain ``numpy`` integer arrays indexed by bucket;
 for a pair of distributions on ``[n]`` the concatenated vector over
 ``[2n]`` carries the first distribution's counts in the first ``n``
 entries.
+
+Index samplers of measures invert the cdf. The search for each uniform
+starts from a guide table of power-of-two size (the indexed search of
+Chen & Asau, 1974) instead of bisecting the whole cdf, and returns
+exactly the indices and generator state of ``Generator.choice``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ CountVector = np.ndarray
 
 # A sampler draws k i.i.d. bucket indices (flat, row-major for 2D domains).
 IndexSampler = Callable[[int, np.random.Generator], np.ndarray]
+
+# Forward steps from a guide entry before a draw falls back to bisection.
+_GUIDE_STEPS = 4
 
 
 def sample_counts_poissonized(p: NonNegativeMeasure, m: int, rng: RngStream) -> CountVector:
@@ -47,13 +55,36 @@ def multinomial_split(total: int, k: int, rng: RngStream) -> np.ndarray:
 def measure_sampler(p: NonNegativeMeasure) -> IndexSampler:
     """I.i.d. index sampler for the normalized version of ``p``.
 
-    2D measures yield flat row-major cell indices.
+    2D measures yield flat row-major cell indices. A draw returns, bit
+    for bit, the indices of ``Generator.choice(p.size, size=k, p=probs)``
+    and leaves the generator in the same state: both invert the same
+    ``cdf`` at ``u = gen.random(k)``. The search starts from a guide table (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, section III.2.4),
+    takes a few vectorized forward steps over the draws not yet placed,
+    and bisects for any left after ``_GUIDE_STEPS``.
     """
     probs = p.normalized().masses
-    size = probs.size
+    # The cdf exactly as ``Generator.choice`` builds it.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    # ``guide[g]`` is the answer at ``u = g/B``, a lower bound for every u
+    # in ``[g/B, (g+1)/B)``. B is a power of two, so ``u*B`` and ``g/B``
+    # are exact and ``floor(u*B)`` never lands in a later bucket.
+    buckets = 1 << (probs.size - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
 
     def draw(k: int, gen: np.random.Generator) -> np.ndarray:
-        return gen.choice(size, size=k, p=probs)
+        u = gen.random(k)
+        j = guide[(u * buckets).astype(np.intp)]
+        late = np.flatnonzero(cdf[j] <= u)
+        for _ in range(_GUIDE_STEPS):
+            if not late.size:
+                return j
+            j[late] += 1
+            late = late[cdf[j[late]] <= u[late]]
+        # Many tiny cells in one bucket: finish those draws by bisection.
+        j[late] = cdf.searchsorted(u[late], side="right")
+        return j
 
     return draw
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .rng import RngStream
 
@@ -44,7 +43,23 @@ def log_poisson_pmf(k, rate: float) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
     if rate == 0.0:
         return np.where(k == 0, 0.0, -np.inf)
-    return -rate + xlogy(k, rate) - gammaln(k + 1.0)
+    # log(k!) once per distinct state; kernels repeat few counts many times.
+    states, inverse = np.unique(k, return_inverse=True)
+    log_factorial = np.array([math.lgamma(s + 1.0) for s in states])[inverse]
+    return -rate + k * math.log(rate) - log_factorial.reshape(k.shape)
+
+
+def logsumexp(a, keepdims: bool = False) -> np.ndarray:
+    """``log(sum(exp(a)))`` over the last axis, shifted by the maximum.
+
+    A row of all ``-inf`` gives ``-inf`` without a warning.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = np.max(a, axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - top).sum(axis=-1, keepdims=True)) + top
+    return out if keepdims else out[..., 0]
 
 
 def _default_a_max(rate: float) -> int:
@@ -95,10 +110,9 @@ class CoordKernel:
                 [-2 * self.xi * lam + s * np.log1p(self.xi),
                  2 * self.xi * lam + s * np.log1p(-self.xi)],
                 axis=-1,
-            ),
-            axis=-1,
+            )
         )
-        denom = logsumexp(self._log_branch_weights(a), axis=-1)
+        denom = logsumexp(self._log_branch_weights(a))
         return log_poisson_pmf(b, lam) + numer - denom
 
     def transition(self, a, b) -> np.ndarray:
@@ -107,7 +121,7 @@ class CoordKernel:
     def log_stationary(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
         return math.log(0.5) + log_poisson_pmf(a, self.rate) + logsumexp(
-            self._log_branch_weights(a), axis=-1
+            self._log_branch_weights(a)
         )
 
     def stationary(self, a) -> np.ndarray:
@@ -116,7 +130,7 @@ class CoordKernel:
     def posterior(self, a) -> np.ndarray:
         """``Pr(branch | count = a)`` over (heavy, light), stacked last."""
         w = self._log_branch_weights(a)
-        return np.exp(w - logsumexp(w, axis=-1, keepdims=True))
+        return np.exp(w - logsumexp(w, keepdims=True))
 
     def posterior_heavy(self, a) -> np.ndarray:
         """``Pr(branch = heavy | count = a)``."""
@@ -211,14 +225,14 @@ class ClosenessPairKernel:
         return np.stack(parts, axis=-1)
 
     def log_stationary(self, a, c) -> np.ndarray:
-        return logsumexp(self._log_branch_joint(a, c), axis=-1)
+        return logsumexp(self._log_branch_joint(a, c))
 
     def stationary(self, a, c) -> np.ndarray:
         return np.exp(self.log_stationary(a, c))
 
     def posterior(self, a, c) -> np.ndarray:
         terms = self._log_branch_joint(a, c)
-        return np.exp(terms - logsumexp(terms, axis=-1, keepdims=True))
+        return np.exp(terms - logsumexp(terms, keepdims=True))
 
     def transition(self, state: tuple[int, int], next_state: tuple[int, int]) -> float:
         a, c = state

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
+from replitest.flattening import subbin_indices
 from replitest.measures import NonNegativeMeasure, measure_2d
+from replitest.rng import RngStream
 
 
 def l1_distance(p: NonNegativeMeasure, q: NonNegativeMeasure) -> float:
@@ -101,6 +104,69 @@ def flatten_by_definition(values, flags, order):
         )
         out.append((v, tag))
     return out
+
+
+def inverse_cdf_indices(probs, k: int, gen: np.random.Generator) -> np.ndarray:
+    """``k`` i.i.d. indices by definition: the first cell whose cdf exceeds ``u``.
+
+    The cdf is built as ``Generator.choice`` builds it, and each of the
+    ``k`` uniforms ``u`` comes from one ``gen.random(k)`` call.
+    """
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(gen.random(k), side="right")
+
+
+@dataclass(frozen=True)
+class FlattenAssignment:
+    """Flattening selector ``F`` and sample order ``sigma``.
+
+    ``sigma[l]`` is the position of sample ``l`` in the random order;
+    it must be a permutation of ``range(len(F))``.
+    """
+
+    flags: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self) -> None:
+        flags = np.asarray(self.flags, dtype=np.int8)
+        sigma = np.asarray(self.sigma, dtype=np.int64)
+        if flags.shape != sigma.shape or flags.ndim != 1:
+            raise ValueError("flags and sigma must be 1D of equal length")
+        if not np.all((flags == 0) | (flags == 1)):
+            raise ValueError("flags must be binary")
+        check = np.zeros(sigma.size, dtype=bool)
+        check[sigma] = True
+        if not check.all():
+            raise ValueError("sigma must be a permutation")
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "sigma", sigma)
+
+    @classmethod
+    def random(cls, size: int, alpha: float, rng: RngStream) -> "FlattenAssignment":
+        gen = rng.generator()
+        flags = (gen.random(size) < alpha).astype(np.int8)
+        sigma = gen.permutation(size)
+        return cls(flags, sigma)
+
+
+def flatten_1d(samples, assignment: FlattenAssignment) -> list[tuple[int, int]]:
+    """Flatten a 1D multiset; returns kept ``(element, sub_bin)`` pairs in input order."""
+    values = np.asarray(samples, dtype=np.int64)
+    if values.size != assignment.flags.size:
+        raise ValueError("assignment length must match the number of samples")
+    subs = subbin_indices(values, assignment.flags, assignment.sigma)
+    keep = assignment.flags == 0
+    return [(int(v), int(s)) for v, s in zip(values[keep], subs[keep])]
+
+
+def max_subbin_count(samples) -> int:
+    """Largest multiplicity of any flattened element (0 for empty input)."""
+    values = np.asarray(samples)
+    if values.size == 0:
+        return 0
+    axis = 0 if values.ndim > 1 else None
+    return int(np.unique(values, axis=axis, return_counts=True)[1].max())
 
 
 def _poisson_pmf(k: int, lam: float) -> float:

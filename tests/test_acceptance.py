@@ -29,7 +29,6 @@ from replitest.experiments import (
     measure_replicability,
     uniformity_meta_pair_fn,
 )
-from replitest.flattening import FlattenAssignment, flatten_1d, max_subbin_count
 from replitest.hard_instances import draw_meta_closeness
 from replitest.independence import (
     IndependenceConfig,
@@ -55,7 +54,13 @@ from replitest.walks import (
     product_walk_tau,
 )
 
-from oracles import enumerate_independence_means, zc_marking_sum
+from oracles import (
+    FlattenAssignment,
+    enumerate_independence_means,
+    flatten_1d,
+    max_subbin_count,
+    zc_marking_sum,
+)
 
 ROOT = RngStream(20250809, "acceptance")
 

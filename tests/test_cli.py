@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import replitest
 from replitest.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_VALIDATION, main
 from replitest.closeness import ClosenessConfig
 from replitest.measures import half_flat_measure, uniform_measure
@@ -299,3 +304,16 @@ def test_mixing_command_closeness_pair_default_truncation(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["tau_delta"] == 7
     assert abs(out["gap_estimate"] - 0.4634972953683334) <= 1e-8
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the library and the CLI run on numpy.
+    src = str(Path(replitest.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, replitest, replitest.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

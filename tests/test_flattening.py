@@ -5,17 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replitest.flattening import (
-    FlattenAssignment,
-    flatten_1d,
-    max_subbin_count,
-    non_singleton_count,
-    pack_keys,
-    subbin_indices,
-)
+from replitest.flattening import non_singleton_count, pack_keys, subbin_indices
 from replitest.rng import RngStream
 
-from oracles import flatten_by_definition
+from oracles import FlattenAssignment, flatten_1d, flatten_by_definition, max_subbin_count
 
 ROOT = RngStream(99, "flatten-tests")
 

@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from replitest.measures import measure_1d, uniform_measure
+from replitest.measures import NonNegativeMeasure, measure_1d, uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import (
     counts_from_indices,
@@ -11,6 +12,8 @@ from replitest.sampling import (
     multinomial_split,
     sample_counts_poissonized,
 )
+
+from oracles import inverse_cdf_indices
 
 ROOT = RngStream(20240811, "sampling-tests")
 
@@ -111,3 +114,107 @@ def test_measure_sampler_counts_match_probabilities():
     counts = counts_from_indices(measure_sampler(p)(30000, gen), 3)
     np.testing.assert_allclose(counts / 30000, p.masses, atol=0.02)
 
+
+@st.composite
+def _measures(draw):
+    """1D and 2D measures with zero cells, a dominant cell or near-zero cells."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 2000)),
+        st.tuples(st.integers(1, 45), st.integers(1, 45)),
+    ))
+    size = math.prod(shape)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masses = gen.random(size)
+    masses[gen.random(size) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+    masses[gen.random(size) < draw(st.sampled_from([0.0, 0.5]))] *= 1e-12
+    if draw(st.booleans()):
+        masses[gen.integers(size)] = 1e6 * size
+    if masses.sum() == 0:
+        masses[gen.integers(size)] = 1.0
+    return NonNegativeMeasure(masses, shape)
+
+
+def _assert_same_draws(p, k, seed):
+    """The sampler, the inverse-cdf oracle and ``Generator.choice`` agree,
+    and each leaves its generator in the same state."""
+    probs = p.normalized().masses
+    gens = [np.random.default_rng(seed) for _ in range(3)]
+    ours = measure_sampler(p)(k, gens[0])
+    np.testing.assert_array_equal(ours, inverse_cdf_indices(probs, k, gens[1]))
+    np.testing.assert_array_equal(ours, gens[2].choice(p.size, size=k, p=probs))
+    assert ours.dtype == np.int64
+    assert len({g.random() for g in gens}) == 1
+    return ours
+
+
+@given(_measures(), st.integers(0, 20000), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_measure_sampler_equals_inverse_cdf_and_choice(p, k, seed):
+    _assert_same_draws(p, k, seed)
+
+
+def test_measure_sampler_many_tiny_cells_in_one_guide_bucket():
+    # 64 cells, 64 guide buckets: bucket 10 holds 40 near-zero cells and
+    # then cell 41 with 1/64 of the mass, so a draw that lands there
+    # needs 40 forward steps and ends in the bisection fallback.
+    masses = np.zeros(64)
+    masses[0] = 10 / 64
+    masses[1:41] = 1e-12
+    masses[41] = 1 / 64
+    masses[42:] = (53 / 64) / 22
+    p = measure_1d(masses)
+    for seed in range(3):
+        draws = _assert_same_draws(p, 20000, seed)
+        assert np.count_nonzero(draws == 41) > 200
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose ``random`` returns chosen values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, k):
+        assert k == self.values.size
+        return self.values.copy()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 100, 500, 511, 512, 513])
+def test_measure_sampler_at_cdf_and_bucket_edges(size):
+    # Uniforms on and next to every cdf value and every g/size and g/B
+    # boundary, where a guide built on an inexact grid would start past
+    # the answer.
+    masses = np.random.default_rng(size).random(size)
+    masses[::3] = 0.0
+    masses[-1] = 1.0
+    p = measure_1d(masses)
+    probs = p.normalized().masses
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    buckets = 1 << (size - 1).bit_length()
+    edges = np.concatenate([cdf, np.arange(size) / size, np.arange(buckets) / buckets,
+                            np.arange(3 * size) / (3 * size)])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+    np.testing.assert_array_equal(
+        measure_sampler(p)(u.size, _FixedUniforms(u)),
+        inverse_cdf_indices(probs, u.size, _FixedUniforms(u)),
+    )
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 10, 11, 12, 100, 500])
+def test_measure_sampler_below_non_dyadic_cell_boundaries(size):
+    # A first cell of mass g/M (M not a power of two) puts a cdf value on
+    # fl(g/M). Uniforms one to three ulps below it belong to that cell;
+    # a guide on the grid g/M would map them to the bucket that starts
+    # just after them.
+    for grid in (size, 3 * size):
+        for g in range((grid + 1) // 2, grid):
+            first = g / grid
+            masses = np.zeros(size)
+            masses[0], masses[-1] = first, 1.0 - first
+            u = [first, np.nextafter(first, 0.0)]
+            for _ in range(2):
+                u.append(np.nextafter(u[-1], 0.0))
+            draws = measure_sampler(measure_1d(masses))(len(u), _FixedUniforms(u))
+            assert draws.tolist() == [size - 1, 0, 0, 0], (grid, g)

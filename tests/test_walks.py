@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from replitest.experiments import acceptance_probability, concentration_experiment
 from replitest.measures import uniform_measure
@@ -18,6 +18,7 @@ from replitest.walks import (
     TruncationError,
     estimate_mixing,
     log_poisson_pmf,
+    logsumexp,
     product_walk_tau,
 )
 
@@ -37,6 +38,26 @@ class TwoStateKernel:
 
     def initial_distributions(self, a_max=None):
         return {}
+
+
+def test_log_poisson_pmf_and_logsumexp_match_scipy():
+    grid = np.arange(400, dtype=np.float64).reshape(20, 20)
+    for rate in (1e-3, 0.1, 1.0, 37.5, 300.0):
+        np.testing.assert_allclose(
+            log_poisson_pmf(grid, rate), stats.poisson.logpmf(grid, rate), rtol=1e-12
+        )
+    assert log_poisson_pmf(grid, 0.0)[0, 0] == 0.0
+    assert np.all(log_poisson_pmf(grid, 0.0).ravel()[1:] == -np.inf)
+    terms = ROOT.substream("lse").generator().normal(scale=50.0, size=(6, 4, 3))
+    terms[0, 0] = -np.inf
+    terms[1, 2, 1] = -np.inf
+    with np.errstate(all="raise"):
+        ours = logsumexp(terms, keepdims=True)
+    ref = special.logsumexp(terms, axis=-1, keepdims=True)
+    assert ours.shape == ref.shape and ours[0, 0, 0] == -np.inf
+    np.testing.assert_allclose(ours, ref, rtol=1e-14)
+    np.testing.assert_allclose(logsumexp(terms[1]), special.logsumexp(terms[1], axis=-1),
+                               rtol=1e-14)
 
 
 def test_xi_zero_transition_is_poisson_independent_of_state():
