@@ -14,8 +14,13 @@ Mixing reports never form ``P``. Since ``P^t = Post (B Post)^{t-1} B``,
 the l1 curves advance through r x S factors and the nonzero spectrum of
 ``P`` is the spectrum of the r x r branch chain ``B Post`` (the
 data-augmentation duality of Liu, Wong & Kong, Biometrika 1994). The
-dense ``transition_matrix`` remains for exactness checks and for
-``product_walk_tau``.
+worst point-mass start is searched only over the rows of ``Post`` that
+are vertices of their convex hull: row i of ``P^t`` is ``Post[i] M_t``,
+the l1 distance ``w -> ||w M_t - pi||_1`` is convex in ``w``, and a
+convex function attains its maximum over a polytope at a vertex
+(Rockafellar, *Convex Analysis*, Cor. 32.3.2), so the curve stays
+exact. The dense ``transition_matrix`` remains for exactness checks
+and for ``product_walk_tau``.
 
 The mixing-time convention follows the unhalved l1 metric
 ``sum_j |P^t(i, j) - pi(j)| < delta`` (twice the total variation
@@ -215,7 +220,11 @@ class ClosenessPairKernel:
         return np.log(np.array([self.m / self.n, light, light]))
 
     def _log_branch_joint(self, a, c) -> np.ndarray:
-        """``log(w_br * Poi(a; r1) * Poi(c; r2))`` stacked over branches."""
+        """``log(w_br * Poi(a; r1) * Poi(c; r2))`` stacked over branches.
+
+        ``a`` and ``c`` broadcast, so a grid passes as ``grid[:, None]``
+        and ``grid[None, :]`` and each pmf is evaluated once per axis.
+        """
         a = np.asarray(a, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
         parts = [
@@ -245,17 +254,25 @@ class ClosenessPairKernel:
             )
         return float(total)
 
-    def step(self, state: tuple[int, int], rng: RngStream) -> tuple[int, int]:
-        gen = rng.generator()
-        post = self.posterior(*state)
-        branch = gen.choice(3, p=post / post.sum())
-        r1, r2 = self.branch_rates()[branch]
-        return int(gen.poisson(r1)), int(gen.poisson(r2))
+    def step(self, state, rng: RngStream):
+        """One walk step from pair state(s) ``(a, c)``: posterior branch, fresh Poissons.
 
-    def _flat_states(self, a_max: int) -> tuple[np.ndarray, np.ndarray]:
-        grid = np.arange(a_max + 1)
-        aa, cc = np.meshgrid(grid, grid, indexing="ij")
-        return aa.reshape(-1), cc.reshape(-1)
+        ``a`` and ``c`` may be broadcastable arrays of counts; a scalar
+        pair in gives a pair of ints out.
+        """
+        gen = rng.generator()
+        a, c = np.broadcast_arrays(*(np.asarray(s) for s in state))
+        cdf = np.cumsum(self.posterior(a, c), axis=-1)
+        u = gen.random(a.shape)[..., None] * cdf[..., -1:]
+        branch = (cdf <= u).sum(axis=-1)
+        rates = np.array(self.branch_rates())[branch]
+        b, d = gen.poisson(rates[..., 0]), gen.poisson(rates[..., 1])
+        return (int(b), int(d)) if a.ndim == 0 else (b, d)
+
+    def _grid_axes(self, a_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pair grid as broadcastable ``(a, c)``; results flatten row-major."""
+        grid = np.arange(a_max + 1, dtype=np.float64)
+        return grid[:, None], grid[None, :]
 
     def factors(self, a_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``(post, branch)`` with ``post @ branch`` the truncated kernel.
@@ -265,7 +282,7 @@ class ClosenessPairKernel:
         Poisson pmfs.
         """
         a_max = self.a_max if a_max is None else a_max
-        post = self.posterior(*self._flat_states(a_max))
+        post = self.posterior(*self._grid_axes(a_max)).reshape(-1, 3)
         return post, np.stack(list(self.initial_distributions(a_max).values()))
 
     def transition_matrix(self, a_max: int | None = None) -> np.ndarray:
@@ -275,8 +292,7 @@ class ClosenessPairKernel:
 
     def stationary_vector(self, a_max: int | None = None) -> np.ndarray:
         a_max = self.a_max if a_max is None else a_max
-        aa, cc = self._flat_states(a_max)
-        pi = self.stationary(aa, cc)
+        pi = self.stationary(*self._grid_axes(a_max)).reshape(-1)
         if pi.sum() < 1.0 - ROW_SUM_TOL:
             raise TruncationError(f"stationary mass {pi.sum()} below tolerance")
         return pi
@@ -329,6 +345,40 @@ def _curve_tau(curve: Sequence[float], delta: float) -> int:
 _ROW_BLOCK = 256
 
 
+def _extreme_rows(post: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows of ``post`` that are vertices of their convex hull.
+
+    The rows are probability vectors, so with r = 2 columns they lie on
+    a segment whose ends are the rows with the smallest and largest
+    column 1. With r = 3 they lie on the simplex, which columns 1-2
+    project one-to-one onto the plane, and Andrew's monotone chain
+    (Inf. Proc. Letters 1979) runs over the projected rows. It pops on
+    ``cross <= 0``, so a repeated row or one on a hull edge, a convex
+    combination of other rows, is dropped. With more columns every row
+    is kept.
+    """
+    rows, r = post.shape
+    if r == 2:
+        return np.unique([post[:, 1].argmin(), post[:, 1].argmax()])
+    if r != 3 or rows < 3:
+        return np.arange(rows)
+    order = np.lexsort((post[:, 2], post[:, 1]))
+    xs, ys = post[order, 1].tolist(), post[order, 2].tolist()
+    hull = []
+    for sweep in (range(rows), range(rows - 1, -1, -1)):  # lower, then upper half
+        half = []
+        for i in sweep:
+            x, y = xs[i], ys[i]
+            while len(half) >= 2:
+                o, a = half[-2], half[-1]
+                if (xs[a] - xs[o]) * (y - ys[o]) - (ys[a] - ys[o]) * (x - xs[o]) > 0:
+                    break
+                half.pop()
+            half.append(i)
+        hull.extend(half[:-1])  # each half ends where the other starts
+    return np.sort(order[hull])
+
+
 def _max_row_l1(post: np.ndarray, points: np.ndarray, pi: np.ndarray) -> float:
     """``max_i sum_j |(post @ points)[i, j] - pi[j]|``, one row block at a time."""
     worst = 0.0
@@ -360,10 +410,16 @@ def estimate_mixing(
     taken as ``(I, P)``), and ``P`` itself is never formed. A Poisson
     start advances as ``(dist @ post) @ branch``, O(S r) per step. The
     point-mass rows of ``P^t`` are ``post @ M_t`` with the r x S
-    iterates ``M_1 = branch``, ``M_{t+1} = (M_t @ post) @ branch``,
-    reduced to their l1 distances one row block at a time. The gap
-    comes from the eigenvalues of the r x r branch chain
-    ``branch @ post``, which are the nonzero eigenvalues of ``P``.
+    iterates ``M_1 = branch``, ``M_{t+1} = (M_t @ post) @ branch``.
+    Their largest l1 distance is taken over the rows of ``post`` that
+    are vertices of the rows' convex hull, found once per report: the
+    distance is convex in the row, so a convex combination of rows is
+    never farther than the farthest of them (Rockafellar, *Convex
+    Analysis*, Cor. 32.3.2). Where ``post`` has more than 3 columns
+    (the identity a ``transition_matrix``-only kernel gets) every row
+    is a vertex and every row is kept. The gap comes from the
+    eigenvalues of the r x r branch chain ``branch @ post``, which are
+    the nonzero eigenvalues of ``P``.
     """
     if initial not in ("all", "poisson", "point"):
         raise ValueError("initial must be 'all', 'poisson' or 'point'")
@@ -380,6 +436,7 @@ def estimate_mixing(
         rows.extend(kernel.initial_distributions(a_max).values())
     dists = np.stack(rows) if rows else np.zeros((0, pi.size))
     use_points = initial in ("all", "point")
+    vertices = post[_extreme_rows(post)] if use_points else None
 
     points = None  # M_t; None stands for P^0 = I
     curve: list[float] = []
@@ -391,7 +448,7 @@ def estimate_mixing(
             # sum_j |e_i(j) - pi(j)| = 1 - 2 pi(i) + sum(pi)
             worst = max(worst, float(1.0 - 2.0 * pi.min() + pi.sum()))
         elif use_points:
-            worst = max(worst, _max_row_l1(post, points, pi))
+            worst = max(worst, _max_row_l1(vertices, points, pi))
         curve.append(worst)
         if worst < delta / 10.0 and len(curve) > 1:
             break

@@ -5,7 +5,8 @@ Python: flattening by scanning a random order, the marked closeness
 statistic by dictionary counting, expectations by enumerating every
 assignment of the internal randomness (selector vectors, orders,
 truncation sizes with exact Poisson weights, markings). The mixing
-oracle powers the dense truncated kernel and diagonalises it whole.
+oracle powers the dense truncated kernel and diagonalises it whole, and
+the point-mass oracle forms every row of ``post @ M``.
 """
 
 from __future__ import annotations
@@ -311,3 +312,8 @@ def dense_mixing_report(kernel, delta: float, a_max=None, *, initial="all", max_
     lambda_star = float(eigenvalues[1]) if eigenvalues.size > 1 else 0.0
     tau = next(t for t in range(len(curve) + 1) if all(v < delta for v in curve[t:]))
     return {"tau_delta": tau, "gap_estimate": 1.0 - lambda_star, "curve": curve}
+
+
+def all_rows_l1(post: np.ndarray, points: np.ndarray, pi: np.ndarray) -> float:
+    """``max_i sum_j |(post @ points)[i, j] - pi[j]|`` over every row of ``post``."""
+    return float(np.abs(post @ points - pi).sum(axis=1).max())

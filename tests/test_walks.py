@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
+from replitest import walks
 from replitest.experiments import acceptance_probability, concentration_experiment
 from replitest.measures import uniform_measure
 from replitest.rng import RngStream
@@ -22,7 +23,7 @@ from replitest.walks import (
     product_walk_tau,
 )
 
-from oracles import dense_mixing_report
+from oracles import all_rows_l1, dense_mixing_report
 
 ROOT = RngStream(161803, "walk-tests")
 
@@ -193,12 +194,13 @@ def test_pair_kernel_rows_stationarity_detailed_balance():
 def test_pair_kernel_step_and_transition_agree():
     k = ClosenessPairKernel(n=100, m=10, epsilon=0.2, xi=0.1, a_max=15)
     state = (1, 0)
+    b, d = k.step(state, ROOT.substream("pstep-scalar"))
+    assert type(b) is int and type(d) is int
     draws = 3 * 10**4
-    hits = np.zeros((16, 16))
-    for t in range(draws):
-        b, d = k.step(state, ROOT.substream("pstep", t))
-        if b <= 15 and d <= 15:
-            hits[b, d] += 1
+    b, d = k.step((np.full(draws, 1), np.zeros(draws, dtype=np.int64)), ROOT.substream("pstep"))
+    assert b.shape == d.shape == (draws,)
+    inside = (b <= 15) & (d <= 15)
+    hits = np.bincount(16 * b[inside] + d[inside], minlength=256).reshape(16, 16)
     probs = np.array(
         [[k.transition(state, (b, d)) for d in range(16)] for b in range(16)]
     )
@@ -390,3 +392,71 @@ def test_pair_mixing_never_forms_the_dense_kernel(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < states * states * 8 / 4
+
+
+@st.composite
+def posterior_rows(draw):
+    """Row-stochastic (S, r) with r in {2, 3}: random, repeated, collinear
+    and saturated rows, or the posteriors of a small pair kernel (at xi = 0
+    its light columns coincide and every row lies on one line)."""
+    if draw(st.booleans()):
+        kernel = ClosenessPairKernel(n=100, m=draw(st.integers(1, 49)),
+                                     epsilon=draw(st.floats(0.15, 0.9)),
+                                     xi=draw(st.sampled_from([0.0, 0.1, 0.29])),
+                                     a_max=draw(st.integers(0, 12)))
+        return kernel.factors()[0]
+    r = draw(st.sampled_from([2, 3]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [gen.dirichlet(np.ones(r))]
+    for kind in draw(st.lists(st.sampled_from(["random", "repeat", "between", "saturated"]),
+                              max_size=40)):
+        if kind == "random":
+            rows.append(gen.dirichlet(np.full(r, 0.3)))
+        elif kind == "repeat":
+            rows.append(rows[gen.integers(len(rows))].copy())
+        elif kind == "between":
+            i, j = gen.integers(len(rows), size=2)
+            t = gen.integers(1, 8) / 8
+            rows.append(t * rows[i] + (1 - t) * rows[j])
+        else:
+            row = np.zeros(r)
+            row[gen.choice(r, size=gen.integers(1, r + 1), replace=False)] = 1.0
+            rows.append(row / row.sum())
+    return np.stack(rows)
+
+
+@given(posterior_rows(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_extreme_rows_attain_the_all_rows_maximum(post, states, seed):
+    gen = np.random.default_rng(seed)
+    points = gen.dirichlet(np.full(states, 0.5), size=post.shape[1])
+    pi = gen.dirichlet(np.full(states, 0.5))
+    keep = walks._extreme_rows(post)
+    assert keep.size and np.all(np.diff(keep) > 0)
+    assert 0 <= keep[0] and keep[-1] < post.shape[0]
+    assert abs(all_rows_l1(post[keep], points, pi) - all_rows_l1(post, points, pi)) <= 1e-12
+
+
+@pytest.mark.parametrize("xi, most_rows", [(0.0, 2), (0.1, 199), (0.2, 199)])
+def test_point_curve_reads_few_rows_and_matches_all_rows(monkeypatch, xi, most_rows):
+    # The three kernels of the mixing-walks benchmark workload.
+    kernel = ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=xi)
+    evaluate = walks._max_row_l1
+    rows_read = []
+
+    def spy(post, points, pi):
+        rows_read.append(post.shape[0])
+        return evaluate(post, points, pi)
+
+    monkeypatch.setattr(walks, "_max_row_l1", spy)
+    report = estimate_mixing(kernel, 0.04, initial="point")
+    assert rows_read and max(rows_read) <= most_rows
+
+    curve = [tv for _, tv in report.tv_curve]
+    post, branch = kernel.factors()
+    pi = kernel.stationary_vector()
+    expected, points = [], branch  # steps 1, 2, ...: every row of post @ M_t
+    for _ in curve[1:]:
+        expected.append(all_rows_l1(post, points, pi))
+        points = (points @ post) @ branch
+    np.testing.assert_allclose(curve[1:], expected, rtol=0, atol=1e-12)
