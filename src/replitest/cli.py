@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
+    _KERNELS,
     TESTERS,
     ConfigError,
     ExperimentConfig,
@@ -141,6 +142,17 @@ def _cmd_test(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_checks(checks: dict) -> list[tuple[str, str, float]]:
+    """``(direction, metric, bound)`` per ``"min:METRIC"`` or ``"max:METRIC"`` key."""
+    parsed = []
+    for key, bound in checks.items():
+        direction, _, metric = key.partition(":")
+        if direction not in ("min", "max") or not metric:
+            raise ConfigError(f"check key {key!r} is not 'min:METRIC' or 'max:METRIC'")
+        parsed.append((direction, metric, bound))
+    return parsed
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     overrides = {key: getattr(args, key) for key in ("seed", "trials", "out")
@@ -148,23 +160,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.constants:
         overrides["params"] = {**config.params, **_load_constants(args.constants)}
     config = dataclasses.replace(config, **overrides)
+    checks = _parse_checks(config.params.get("check", {})) if args.check else []
     result = run_experiment(config, processes=max(1, args.processes))
     print(json.dumps({"kind": config.kind, "aggregate": result.aggregate}, indent=2))
-    if args.check:
-        checks = config.params.get("check", {})
-        for key, bound in checks.items():
-            direction, _, metric = key.partition(":")
-            value = result.aggregate.get(metric)
-            if value is None:
-                print(f"check failed: metric {metric!r} missing", file=sys.stderr)
-                return EXIT_CHECK_FAILED
-            ok = value >= bound if direction == "min" else value <= bound
-            if not ok:
-                print(
-                    f"check failed: {metric} = {value} violates {direction} {bound}",
-                    file=sys.stderr,
-                )
-                return EXIT_CHECK_FAILED
+    for direction, metric, bound in checks:
+        value = result.aggregate.get(metric)
+        if value is None:
+            print(f"check failed: metric {metric!r} missing", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        ok = value >= bound if direction == "min" else value <= bound
+        if not ok:
+            print(
+                f"check failed: {metric} = {value} violates {direction} {bound}",
+                file=sys.stderr,
+            )
+            return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -258,15 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_mix = sub.add_parser("mixing", help="mixing-time report")
-    p_mix.add_argument("--kernel", choices=["coordinate", "closeness-pair"],
-                       default="coordinate")
+    # Defaults stay None so that the mixing experiment holds the only ones.
+    p_mix.add_argument("--kernel", choices=list(_KERNELS))
     p_mix.add_argument("--n", type=int, required=True)
     p_mix.add_argument("--m", type=int, required=True)
     p_mix.add_argument("--xi", type=float, required=True)
     p_mix.add_argument("--epsilon", type=float)
-    p_mix.add_argument("--delta", type=float, default=0.04)
+    p_mix.add_argument("--delta", type=float)
     p_mix.add_argument("--a-max", type=int)
-    p_mix.add_argument("--initial", choices=["all", "poisson", "point"], default="all")
+    p_mix.add_argument("--initial", choices=["all", "poisson", "point"])
     p_mix.add_argument("--seed", type=int, default=0)
     p_mix.add_argument("--out")
     p_mix.set_defaults(func=_cmd_mixing)

@@ -8,19 +8,21 @@ count from that branch. The transition kernel therefore factors as
 the S truncated states and ``B`` (r x S) the truncated Poisson pmf of
 each of the r branches (r = 2 for the coordinate walk, r = 3 for the
 pair walk). Kernels, stationary distributions and posteriors are
-computed here in log-space.
+computed here in log-space, truncated at the kernel's ``a_max`` field.
 
-Mixing reports never form ``P``. Since ``P^t = Post (B Post)^{t-1} B``,
-the l1 curves advance through r x S factors and the nonzero spectrum of
-``P`` is the spectrum of the r x r branch chain ``B Post`` (the
-data-augmentation duality of Liu, Wong & Kong, Biometrika 1994). The
-worst point-mass start is searched only over the rows of ``Post`` that
-are vertices of their convex hull: row i of ``P^t`` is ``Post[i] M_t``,
-the l1 distance ``w -> ||w M_t - pi||_1`` is convex in ``w``, and a
-convex function attains its maximum over a polytope at a vertex
-(Rockafellar, *Convex Analysis*, Cor. 32.3.2), so the curve stays
-exact. The dense ``transition_matrix`` remains for exactness checks
-and for ``product_walk_tau``.
+Mixing reports read a kernel only through ``factors() -> (Post, B)``,
+whose rows of ``B`` are also the Poisson starts, and
+``stationary_vector()``, and never form ``P``. Since
+``P^t = Post (B Post)^{t-1} B``, the l1 curves advance through r x S
+factors and the nonzero spectrum of ``P`` is the spectrum of the r x r
+branch chain ``B Post`` (the data-augmentation duality of Liu, Wong &
+Kong, Biometrika 1994). The worst point-mass start is searched only
+over the rows of ``Post`` that are vertices of their convex hull: row
+i of ``P^t`` is ``Post[i] M_t``, its l1 distance to ``pi`` is convex
+in the row ``Post[i]``, and a convex function attains its maximum over
+a polytope at a vertex (Rockafellar, *Convex Analysis*, Cor. 32.3.2),
+so the curve stays exact. The dense ``transition_matrix`` remains for
+exactness checks and for ``product_walk_tau``.
 
 The mixing-time convention follows the unhalved l1 metric
 ``sum_j |P^t(i, j) - pi(j)| < delta`` (twice the total variation
@@ -104,33 +106,21 @@ class CoordKernel:
         light = self.xi * lam + a * np.log1p(-self.xi)
         return np.stack([heavy, light], axis=-1)
 
-    def log_transition(self, a, b) -> np.ndarray:
-        """``log P(a, b)`` for scalar or broadcastable integer states."""
+    def transition(self, a, b) -> np.ndarray:
+        """``P(a, b)`` for scalar or broadcastable integer states."""
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         lam = self.rate
         s = a + b
-        numer = logsumexp(
-            np.stack(
-                [-2 * self.xi * lam + s * np.log1p(self.xi),
-                 2 * self.xi * lam + s * np.log1p(-self.xi)],
-                axis=-1,
-            )
-        )
+        numer = logsumexp(np.stack([-2 * self.xi * lam + s * np.log1p(self.xi),
+                                    2 * self.xi * lam + s * np.log1p(-self.xi)], axis=-1))
         denom = logsumexp(self._log_branch_weights(a))
-        return log_poisson_pmf(b, lam) + numer - denom
-
-    def transition(self, a, b) -> np.ndarray:
-        return np.exp(self.log_transition(a, b))
-
-    def log_stationary(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        return math.log(0.5) + log_poisson_pmf(a, self.rate) + logsumexp(
-            self._log_branch_weights(a)
-        )
+        return np.exp(log_poisson_pmf(b, lam) + numer - denom)
 
     def stationary(self, a) -> np.ndarray:
-        return np.exp(self.log_stationary(a))
+        a = np.asarray(a, dtype=np.float64)
+        mixture = logsumexp(self._log_branch_weights(a))
+        return np.exp(math.log(0.5) + log_poisson_pmf(a, self.rate) + mixture)
 
     def posterior(self, a) -> np.ndarray:
         """``Pr(branch | count = a)`` over (heavy, light), stacked last."""
@@ -144,41 +134,38 @@ class CoordKernel:
     def branch_rates(self) -> tuple[float, float]:
         return self.rate * (1 + self.xi), self.rate * (1 - self.xi)
 
-    def step(self, a, rng: RngStream) -> np.ndarray:
-        """One walk step from state(s) ``a``: posterior branch, fresh Poisson."""
+    def step(self, a, rng: RngStream):
+        """One walk step from state(s) ``a``: posterior branch, fresh Poisson.
+
+        The result has the shape of ``a``; a scalar state gives an int.
+        """
         gen = rng.generator()
-        a = np.atleast_1d(np.asarray(a))
+        a = np.asarray(a)
         heavy = gen.random(a.shape) < self.posterior_heavy(a)
         hi, lo = self.branch_rates()
         out = gen.poisson(np.where(heavy, hi, lo))
-        return out if out.size > 1 else out[0]
+        return int(out) if a.ndim == 0 else out
 
-    def factors(self, a_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """``(post, branch)`` with ``post @ branch`` the truncated kernel.
 
         ``post[a]`` is the branch posterior at count ``a``; ``branch``
         holds the heavy and light Poisson pmfs.
         """
-        a_max = self.a_max if a_max is None else a_max
-        post = self.posterior(np.arange(a_max + 1))
-        return post, np.stack(list(self.initial_distributions(a_max).values()))
+        post = self.posterior(np.arange(self.a_max + 1))
+        return post, np.stack(list(self.initial_distributions().values()))
 
-    def transition_matrix(self, a_max: int | None = None) -> np.ndarray:
-        post, branch = self.factors(a_max)
+    def transition_matrix(self) -> np.ndarray:
+        post, branch = self.factors()
         _check_rows(post, branch)
         return post @ branch
 
-    def stationary_vector(self, a_max: int | None = None) -> np.ndarray:
-        a_max = self.a_max if a_max is None else a_max
-        pi = self.stationary(np.arange(a_max + 1))
-        if pi.sum() < 1.0 - ROW_SUM_TOL:
-            raise TruncationError(f"stationary mass {pi.sum()} below tolerance")
-        return pi
+    def stationary_vector(self) -> np.ndarray:
+        return _check_mass(self.stationary(np.arange(self.a_max + 1)))
 
-    def initial_distributions(self, a_max: int | None = None) -> dict[str, np.ndarray]:
+    def initial_distributions(self) -> dict[str, np.ndarray]:
         """The two admissible Poisson initial distributions, truncated."""
-        a_max = self.a_max if a_max is None else a_max
-        states = np.arange(a_max + 1)
+        states = np.arange(self.a_max + 1)
         hi, lo = self.branch_rates()
         return {
             "poisson-heavy": np.exp(log_poisson_pmf(states, hi)),
@@ -215,10 +202,6 @@ class ClosenessPairKernel:
         lo = self.m * (2 * self.epsilon - self.xi) / (2.0 * (self.n - self.m))
         return [(heavy, heavy), (hi, lo), (lo, hi)]
 
-    def log_branch_weights(self) -> np.ndarray:
-        light = (self.n - self.m) / (2.0 * self.n)
-        return np.log(np.array([self.m / self.n, light, light]))
-
     def _log_branch_joint(self, a, c) -> np.ndarray:
         """``log(w_br * Poi(a; r1) * Poi(c; r2))`` stacked over branches.
 
@@ -227,17 +210,16 @@ class ClosenessPairKernel:
         """
         a = np.asarray(a, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
+        light = (self.n - self.m) / (2.0 * self.n)
+        weights = np.log(np.array([self.m / self.n, light, light]))
         parts = [
             w + log_poisson_pmf(a, r1) + log_poisson_pmf(c, r2)
-            for w, (r1, r2) in zip(self.log_branch_weights(), self.branch_rates())
+            for w, (r1, r2) in zip(weights, self.branch_rates())
         ]
         return np.stack(parts, axis=-1)
 
-    def log_stationary(self, a, c) -> np.ndarray:
-        return logsumexp(self._log_branch_joint(a, c))
-
     def stationary(self, a, c) -> np.ndarray:
-        return np.exp(self.log_stationary(a, c))
+        return np.exp(logsumexp(self._log_branch_joint(a, c)))
 
     def posterior(self, a, c) -> np.ndarray:
         terms = self._log_branch_joint(a, c)
@@ -269,37 +251,31 @@ class ClosenessPairKernel:
         b, d = gen.poisson(rates[..., 0]), gen.poisson(rates[..., 1])
         return (int(b), int(d)) if a.ndim == 0 else (b, d)
 
-    def _grid_axes(self, a_max: int) -> tuple[np.ndarray, np.ndarray]:
+    def _grid_axes(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair grid as broadcastable ``(a, c)``; results flatten row-major."""
-        grid = np.arange(a_max + 1, dtype=np.float64)
+        grid = np.arange(self.a_max + 1, dtype=np.float64)
         return grid[:, None], grid[None, :]
 
-    def factors(self, a_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """``(post, branch)`` with ``post @ branch`` the truncated kernel.
 
         ``post`` is the (#states, 3) branch posterior over the flattened
         pair grid; ``branch`` row k is the ``kron`` of branch k's two
         Poisson pmfs.
         """
-        a_max = self.a_max if a_max is None else a_max
-        post = self.posterior(*self._grid_axes(a_max)).reshape(-1, 3)
-        return post, np.stack(list(self.initial_distributions(a_max).values()))
+        post = self.posterior(*self._grid_axes()).reshape(-1, 3)
+        return post, np.stack(list(self.initial_distributions().values()))
 
-    def transition_matrix(self, a_max: int | None = None) -> np.ndarray:
-        post, branch = self.factors(a_max)
+    def transition_matrix(self) -> np.ndarray:
+        post, branch = self.factors()
         _check_rows(post, branch)
         return post @ branch
 
-    def stationary_vector(self, a_max: int | None = None) -> np.ndarray:
-        a_max = self.a_max if a_max is None else a_max
-        pi = self.stationary(*self._grid_axes(a_max)).reshape(-1)
-        if pi.sum() < 1.0 - ROW_SUM_TOL:
-            raise TruncationError(f"stationary mass {pi.sum()} below tolerance")
-        return pi
+    def stationary_vector(self) -> np.ndarray:
+        return _check_mass(self.stationary(*self._grid_axes()).reshape(-1))
 
-    def initial_distributions(self, a_max: int | None = None) -> dict[str, np.ndarray]:
-        a_max = self.a_max if a_max is None else a_max
-        grid = np.arange(a_max + 1, dtype=np.float64)
+    def initial_distributions(self) -> dict[str, np.ndarray]:
+        grid = np.arange(self.a_max + 1, dtype=np.float64)
         out = {}
         for name, (r1, r2) in zip(("heavy", "light-plus", "light-minus"), self.branch_rates()):
             out[name] = np.kron(
@@ -317,6 +293,13 @@ def _check_rows(post: np.ndarray, branch: np.ndarray) -> None:
         )
     if np.any(sums > 1.0 + ROW_SUM_TOL):
         raise TruncationError("kernel row sums exceed 1")
+
+
+def _check_mass(pi: np.ndarray) -> np.ndarray:
+    """``pi`` itself, once its mass is within ``ROW_SUM_TOL`` of 1."""
+    if pi.sum() < 1.0 - ROW_SUM_TOL:
+        raise TruncationError(f"stationary mass {pi.sum()} below tolerance")
+    return pi
 
 
 @dataclass
@@ -394,7 +377,6 @@ def _max_row_l1(post: np.ndarray, points: np.ndarray, pi: np.ndarray) -> float:
 def estimate_mixing(
     kernel,
     delta: float,
-    a_max: int | None = None,
     *,
     initial: str = "all",
     max_steps: int = 64,
@@ -405,36 +387,29 @@ def estimate_mixing(
     kernel's admissible mixture components, ``"point"`` for the worst
     point mass within the truncation, ``"all"`` for both.
 
-    The kernel enters through its factors ``P = post @ branch``
-    (``kernel.factors``; a kernel with only ``transition_matrix`` is
-    taken as ``(I, P)``), and ``P`` itself is never formed. A Poisson
-    start advances as ``(dist @ post) @ branch``, O(S r) per step. The
-    point-mass rows of ``P^t`` are ``post @ M_t`` with the r x S
-    iterates ``M_1 = branch``, ``M_{t+1} = (M_t @ post) @ branch``.
+    The kernel enters through ``kernel.factors()``, which gives
+    ``P = post @ branch``, and ``kernel.stationary_vector()``; both
+    truncate at ``kernel.a_max``. ``P`` itself is never formed. The
+    rows of ``branch`` are the Poisson starts, and a start advances as
+    ``(dist @ post) @ branch``, O(S r) per step. The point-mass rows
+    of ``P^t`` are ``post @ M_t`` with the r x S iterates
+    ``M_1 = branch``, ``M_{t+1} = (M_t @ post) @ branch``.
     Their largest l1 distance is taken over the rows of ``post`` that
     are vertices of the rows' convex hull, found once per report: the
     distance is convex in the row, so a convex combination of rows is
     never farther than the farthest of them (Rockafellar, *Convex
     Analysis*, Cor. 32.3.2). Where ``post`` has more than 3 columns
-    (the identity a ``transition_matrix``-only kernel gets) every row
-    is a vertex and every row is kept. The gap comes from the
-    eigenvalues of the r x r branch chain ``branch @ post``, which are
-    the nonzero eigenvalues of ``P``.
+    every row is kept. The gap comes from the eigenvalues of the r x r
+    branch chain ``branch @ post``, which are the nonzero eigenvalues
+    of ``P``.
     """
     if initial not in ("all", "poisson", "point"):
         raise ValueError("initial must be 'all', 'poisson' or 'point'")
-    if hasattr(kernel, "factors"):
-        post, branch = kernel.factors(a_max)
-    else:
-        branch = kernel.transition_matrix(a_max)
-        post = np.eye(branch.shape[0])
+    post, branch = kernel.factors()
     _check_rows(post, branch)
-    pi = kernel.stationary_vector(a_max)
+    pi = kernel.stationary_vector()
 
-    rows = []
-    if initial in ("all", "poisson"):
-        rows.extend(kernel.initial_distributions(a_max).values())
-    dists = np.stack(rows) if rows else np.zeros((0, pi.size))
+    dists = branch if initial in ("all", "poisson") else branch[:0]
     use_points = initial in ("all", "point")
     vertices = post[_extreme_rows(post)] if use_points else None
 

@@ -273,19 +273,19 @@ def enumerate_independence_means(
     return z_mean, n_mean
 
 
-def dense_mixing_report(kernel, delta: float, a_max=None, *, initial="all", max_steps=64):
+def dense_mixing_report(kernel, delta: float, *, initial="all", max_steps=64):
     """Mixing curve, ``tau_delta`` and gap from dense powers of ``transition_matrix``.
 
     The matrix-power loop and the full ``eigvals`` call of the original
     ``estimate_mixing``; ``tau_delta`` is the first step after which
     the curve stays below ``delta``.
     """
-    matrix = kernel.transition_matrix(a_max)
-    pi = kernel.stationary_vector(a_max)
+    matrix = kernel.transition_matrix()
+    pi = kernel.stationary_vector()
 
     rows = []
     if initial in ("all", "poisson"):
-        rows.extend(kernel.initial_distributions(a_max).values())
+        rows.extend(kernel.initial_distributions().values())
     dists = np.stack(rows) if rows else np.zeros((0, pi.size))
     use_points = initial in ("all", "point")
 

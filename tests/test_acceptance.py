@@ -382,10 +382,10 @@ def test_criterion_11_kernel_exactness():
             worst_db = max(worst_db, float(rel.max()))
     pair_states = 30
     for xi in (0.0, 0.1, 0.2):
-        kernel = ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=xi)
-        matrix = kernel.transition_matrix(pair_states)
+        kernel = ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=xi, a_max=pair_states)
+        matrix = kernel.transition_matrix()
         worst_row = max(worst_row, float(np.abs(matrix.sum(axis=1) - 1).max()))
-        pi = kernel.stationary_vector(pair_states)
+        pi = kernel.stationary_vector()
         worst_pi = max(worst_pi, abs(float(pi.sum()) - 1.0))
         flow = pi[:, None] * matrix
         rel = np.abs(flow - flow.T) / np.maximum(np.abs(flow), 1e-300)

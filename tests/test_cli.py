@@ -226,6 +226,20 @@ def test_experiment_command_with_check(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
 
 
+@pytest.mark.parametrize("key", ["mni:accept_rate", "accept_rate", "min:", "Min:accept_rate"])
+def test_experiment_check_keys_other_than_min_and_max_are_named(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "kind": "closeness-acceptance", "seed": 7, "trials": 2,
+        "params": {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform",
+                   "check": {"max:accept_rate": 1.0, key: 0.9}},
+    }))
+    assert main(["experiment", "--config", str(cfg), "--check"]) == EXIT_VALIDATION
+    assert repr(key) in capsys.readouterr().err
+    # without --check the keys are not read
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+
+
 def test_experiment_command_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "nope", "seed": 1, "trials": 5}))
@@ -294,6 +308,16 @@ def test_mixing_command(capsys):
                  "--xi", "0.2", "--delta", "0.04", "--initial", "poisson"])
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["tau_delta"] <= 2
+
+
+def test_mixing_command_defaults_live_in_the_mixing_experiment(capsys):
+    base = ["mixing", "--n", "1000", "--m", "100", "--xi", "0.2"]
+    assert main(base) == EXIT_OK
+    implicit = json.loads(capsys.readouterr().out)
+    assert main(base + ["--delta", "0.04", "--kernel", "coordinate",
+                        "--initial", "all"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == implicit
+    assert implicit["delta"] == 0.04 and implicit["initial"] == "all"
 
 
 def test_mixing_command_closeness_pair_default_truncation(capsys):

@@ -29,16 +29,22 @@ ROOT = RngStream(161803, "walk-tests")
 
 
 class TwoStateKernel:
-    """Toy kernel [[0.9, 0.1], [0.2, 0.8]] with stationary (2/3, 1/3)."""
+    """Toy kernel [[0.9, 0.1], [0.2, 0.8]] with stationary (2/3, 1/3).
 
-    def transition_matrix(self, a_max=None):
+    Its factors are ``(I, P)``, so its Poisson starts are the rows of ``P``.
+    """
+
+    def transition_matrix(self):
         return np.array([[0.9, 0.1], [0.2, 0.8]])
 
-    def stationary_vector(self, a_max=None):
+    def factors(self):
+        return np.eye(2), self.transition_matrix()
+
+    def stationary_vector(self):
         return np.array([2.0, 1.0]) / 3.0
 
-    def initial_distributions(self, a_max=None):
-        return {}
+    def initial_distributions(self):
+        return dict(enumerate(self.transition_matrix()))
 
 
 def test_log_poisson_pmf_and_logsumexp_match_scipy():
@@ -146,6 +152,20 @@ def test_sample_rw_step_applies_per_bucket():
     assert np.all(out >= 0)
 
 
+def test_coord_step_keeps_the_shape_of_its_input():
+    k = CoordKernel(m=100, n=10, xi=0.1)
+    pair = k.step(np.array([3, 4]), ROOT.substream("shape"))
+    assert isinstance(pair, np.ndarray) and pair.shape == (2,)
+    one = k.step(np.array([3]), ROOT.substream("shape"))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    scalar = k.step(3, ROOT.substream("shape"))
+    assert type(scalar) is int
+    # a scalar and a one-element array take the same draws
+    assert scalar == one[0]
+    grid = k.step(np.full((2, 3), 5), ROOT.substream("grid"))
+    assert grid.shape == (2, 3)
+
+
 def test_step_frequencies_match_transition_row():
     k = CoordKernel(m=100, n=1000, xi=0.2, a_max=40)
     a = 2
@@ -179,10 +199,10 @@ def test_pair_kernel_xi_zero_collapses_light_branches():
 
 
 def test_pair_kernel_rows_stationarity_detailed_balance():
-    k = ClosenessPairKernel(n=100, m=10, epsilon=0.2, xi=0.1)
-    matrix = k.transition_matrix(25)
+    k = ClosenessPairKernel(n=100, m=10, epsilon=0.2, xi=0.1, a_max=25)
+    matrix = k.transition_matrix()
     assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-9
-    pi = k.stationary_vector(25)
+    pi = k.stationary_vector()
     assert abs(pi.sum() - 1.0) < 1e-9
     flow = pi[:, None] * matrix
     rel = np.abs(flow - flow.T) / np.maximum(np.abs(flow), 1e-300)
@@ -376,7 +396,7 @@ def test_pair_mixing_never_forms_the_dense_kernel(monkeypatch):
     small = ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=0.1, a_max=20)
     expected = dense_mixing_report(small, 0.04)
 
-    def dense(self, a_max=None):
+    def dense(self):
         raise AssertionError("estimate_mixing formed the dense kernel")
 
     monkeypatch.setattr(ClosenessPairKernel, "transition_matrix", dense)
@@ -392,6 +412,24 @@ def test_pair_mixing_never_forms_the_dense_kernel(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < states * states * 8 / 4
+
+
+@pytest.mark.parametrize("kernel", [CoordKernel(m=100, n=1000, xi=0.2),
+                                    ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=0.1)])
+@pytest.mark.parametrize("initial", ["all", "poisson", "point"])
+def test_one_report_builds_the_poisson_starts_once(monkeypatch, kernel, initial):
+    # The starts are the rows of the branch factor; a report reads them there.
+    cls = type(kernel)
+    build = cls.initial_distributions
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(cls, "initial_distributions", counted)
+    estimate_mixing(kernel, 0.04, initial=initial)
+    assert len(calls) == 1
 
 
 @st.composite
