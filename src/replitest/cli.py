@@ -142,13 +142,17 @@ def _cmd_test(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_checks(checks: dict) -> list[tuple[str, str, float]]:
+def _parse_checks(checks: object) -> list[tuple[str, str, float]]:
     """``(direction, metric, bound)`` per ``"min:METRIC"`` or ``"max:METRIC"`` key."""
+    if not isinstance(checks, dict):
+        raise ConfigError(f"params 'check' must be a JSON object, not {checks!r}")
     parsed = []
     for key, bound in checks.items():
         direction, _, metric = key.partition(":")
         if direction not in ("min", "max") or not metric:
             raise ConfigError(f"check key {key!r} is not 'min:METRIC' or 'max:METRIC'")
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+            raise ConfigError(f"check {key!r} bound {bound!r} is not a number")
         parsed.append((direction, metric, bound))
     return parsed
 
@@ -227,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", help="one-shot verdict on sample files")
-    p_test.add_argument("problem", choices=["closeness", "uniformity", "independence"])
+    p_test.add_argument("problem", choices=list(TESTERS))
     p_test.add_argument("--samples", help="1D samples (uniformity) or pairs (independence)")
     p_test.add_argument("--samples-p", help="closeness: samples from p")
     p_test.add_argument("--samples-q", help="closeness: samples from q")
@@ -254,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_cal = sub.add_parser("calibrate", help="calibrate tester constants")
-    p_cal.add_argument("--kind", required=True,
-                       choices=["closeness", "uniformity", "independence"])
+    p_cal.add_argument("--kind", required=True, choices=list(TESTERS))
     p_cal.add_argument("--params", help="JSON file with base parameters")
     p_cal.add_argument("--n", type=int)
     p_cal.add_argument("--n1", type=int)

@@ -23,7 +23,7 @@ from .calibrated import CLOSENESS_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, counts_from_indices, measure_sampler, multinomial_split
-from .verdict import CalibrationError, TesterVerdict, draw_gap_threshold
+from .verdict import CalibrationError, TesterVerdict, gap_verdict
 
 
 def closeness_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -165,13 +165,5 @@ def rep_closeness_test(
         *draw_closeness_counts(sampler_p, sampler_q, sizes, config.n, sample_rng)
     )
     floor = soundness_floor(m, config.n, config.epsilon, config.c2)
-    r, calibrated = draw_gap_threshold(
-        config.c1 * math.sqrt(m), floor, internal.substream("threshold")
-    )
-    return TesterVerdict(
-        accept=z <= r,
-        statistic=float(z),
-        threshold=float(r),
-        calibrated=calibrated,
-        detail={"m": m, "split": sizes.tolist(), "floor": floor},
-    )
+    detail = {"m": m, "split": sizes.tolist(), "floor": floor}
+    return gap_verdict(z, config.c1 * math.sqrt(m), floor, internal, detail)

@@ -55,21 +55,13 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     out: str | None = None
 
-    KINDS = (
-        "closeness-acceptance",
-        "independence-acceptance",
-        "uniformity-acceptance",
-        "replicability",
-        "variance-audit",
-        "mixing",
-        "concentration",
-    )
-
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
+        if self.kind not in _TRIAL_FUNCS and self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be a JSON object, not {self.params!r}")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -77,6 +69,8 @@ class ExperimentConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {data.get('schema')}")
         missing = {"kind", "seed", "trials"} - data.keys()
@@ -122,6 +116,11 @@ class ExperimentResult:
         return csv_path, json_path
 
 
+def _rate_stderr(rate: float, n: int) -> float:
+    """Standard error of a rate over ``n`` Bernoulli outcomes, floored above 0."""
+    return math.sqrt(max(rate * (1 - rate), 1e-12) / n)
+
+
 @dataclass(frozen=True)
 class ReplicabilityResult:
     pairs: int
@@ -133,8 +132,7 @@ class ReplicabilityResult:
 
     @property
     def stderr(self) -> float:
-        p = self.rate
-        return math.sqrt(max(p * (1 - p), 1e-12) / self.pairs)
+        return _rate_stderr(self.rate, self.pairs)
 
 
 PairFn = Callable[[RngStream], tuple[bool, bool]]
@@ -418,8 +416,7 @@ def acceptance_probability(
         counts = sample_counts_poissonized(p, m, rng.substream("trial", t))
         hits += bool(decide(counts))
     acc = hits / trials
-    stderr = math.sqrt(max(acc * (1 - acc), 1e-12) / trials)
-    return acc, stderr
+    return acc, _rate_stderr(acc, trials)
 
 
 def concentration_experiment(
@@ -495,15 +492,14 @@ def _rate_aggregate(records: list[dict]) -> dict:
         "trials": len(records),
         "accept_rate": rate,
         "reject_rate": 1.0 - rate,
-        "stderr": float(math.sqrt(max(rate * (1 - rate), 1e-12) / len(records))),
+        "stderr": _rate_stderr(rate, len(records)),
     }
 
 
 # kinds whose trials are independent pure functions of (params, seed, index)
 _TRIAL_FUNCS = {
-    "closeness-acceptance": (partial(_acceptance_trial, "closeness"), _rate_aggregate),
-    "uniformity-acceptance": (partial(_acceptance_trial, "uniformity"), _rate_aggregate),
-    "independence-acceptance": (partial(_acceptance_trial, "independence"), _rate_aggregate),
+    **{f"{name}-acceptance": (partial(_acceptance_trial, name), _rate_aggregate)
+       for name in TESTERS},
     "replicability": (_replicability_trial, _replicability_aggregate),
     "variance-audit": (_variance_trial, _variance_aggregate),
 }

@@ -1,14 +1,16 @@
 """Replicable independence tester for distributions on ``[n1] x [n2]``.
 
 The core statistic flattens the samples on both axes, truncates to
-Poisson-sized subsets, and evaluates a marked closeness statistic
-between samples from the unknown distribution ``p`` and samples from
-the product of its marginals (simulated by splicing coordinates of two
-independent ``p`` samples). Because the statistic is randomized, the
-tester works with its average over the internal randomness, estimated
-by rerunning the statistic many times on fixed sample sets. A pre-test
-on the averaged non-singleton count keeps the variance of the averaged
-statistic in check before the main threshold comparison.
+Poisson-sized subsets, and evaluates ``closeness_statistic`` on counts
+split by source and a fair mark, between samples from the unknown
+distribution ``p`` and samples from the product of its marginals
+(simulated by splicing coordinates of two independent ``p`` samples).
+Because the statistic is randomized, the tester works with its average
+over the internal randomness, estimated by rerunning the statistic many
+times on fixed sample sets. A pre-test on the averaged non-singleton
+count keeps the variance of the averaged statistic in check before the
+main threshold comparison, whose scale is the closeness soundness floor
+on ``n1 n2`` elements with ``C2 = 1``.
 
 The reruns execute as one array program per chunk of runs
 (``_averaged``). Each run draws its flattening selectors sparsely: a
@@ -41,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .calibrated import INDEPENDENCE_DESK
+from .closeness import closeness_statistic, soundness_floor
 from .flattening import non_singleton_count, pack_keys, subbin_indices
 from .measures import NonNegativeMeasure
 from .rng import RngStream
@@ -76,12 +79,8 @@ def independence_sample_size(
 
 
 def independence_gap(m: int, n1: int, n2: int, epsilon: float) -> float:
-    """Expectation-gap scale ``min(eps m, m^2 eps^2 / (n1 n2), m^{3/2} eps^2 / sqrt(n1 n2))``."""
-    return min(
-        epsilon * m,
-        m**2 * epsilon**2 / (n1 * n2),
-        m**1.5 * epsilon**2 / math.sqrt(n1 * n2),
-    )
+    """Expectation-gap scale: the closeness soundness floor on ``n1 n2`` elements, ``C2 = 1``."""
+    return soundness_floor(m, n1 * n2, epsilon, 1.0)
 
 
 def stage1_scale(m: int, n1: int, n2: int) -> float:
@@ -151,37 +150,29 @@ def product_of_marginals_sampler(sampler_p: IndexSampler, shape: tuple[int, int]
 def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStream) -> int:
     """Marked closeness statistic between two bags of hashable keys.
 
-    Every sample is marked independently with probability 1/2; per
-    element the statistic adds
-    ``|Tp0-Tq0| + |Tp1-Tq1| - |Tp0-Tp1| - |Tq0-Tq1|``
-    where 0/1 split counts by mark. Singleton elements contribute 0.
+    Every sample is marked independently with probability 1/2; the
+    statistic is :func:`closeness_statistic` of the per-key counts
+    ``(Tp0, Tp1, Tq0, Tq1)`` split by source and 0/1 mark. Singleton
+    keys contribute 0.
     """
     sp_keys = np.asarray(sp_keys, dtype=np.int64)
     sq_keys = np.asarray(sq_keys, dtype=np.int64)
     total = sp_keys.size + sq_keys.size
-    if total == 0:
-        return 0
     keys = np.concatenate([sp_keys, sq_keys])
     marked = rng.generator().random(total) < 0.5
     uniq, inverse = np.unique(keys, return_inverse=True)
-    k = uniq.size
     from_p = np.zeros(total, dtype=bool)
     from_p[: sp_keys.size] = True
 
     def bucket(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(inverse[mask], minlength=k)
+        return np.bincount(inverse[mask], minlength=uniq.size)
 
-    tp0 = bucket(from_p & marked)
-    tp1 = bucket(from_p & ~marked)
-    tq0 = bucket(~from_p & marked)
-    tq1 = bucket(~from_p & ~marked)
-    z = (
-        np.abs(tp0 - tq0)
-        + np.abs(tp1 - tq1)
-        - np.abs(tp0 - tp1)
-        - np.abs(tq0 - tq1)
+    return closeness_statistic(
+        bucket(from_p & marked),
+        bucket(from_p & ~marked),
+        bucket(~from_p & marked),
+        bucket(~from_p & ~marked),
     )
-    return int(z.sum())
 
 
 # Expected kept samples plus dividers in one chunk of averaged runs: it

@@ -22,7 +22,7 @@ from .calibrated import UNIFORMITY_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import CountVector, IndexSampler, counts_from_indices, sample_counts_poissonized
-from .verdict import TesterVerdict, draw_gap_threshold
+from .verdict import TesterVerdict, gap_verdict
 
 
 def uniformity_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -85,15 +85,10 @@ class UniformityTester:
         """Verdict on an externally supplied Poissonized count vector."""
         if np.asarray(counts).size != self.config.n:
             raise ValueError("count vector length must equal n")
-        z = uniformity_statistic(counts, self.m)
-        r, calibrated = draw_gap_threshold(
-            self.config.completeness_ceiling(self.m),
-            self.config.soundness_floor(self.m),
-            internal.substream("threshold"),
-        )
-        return TesterVerdict(
-            accept=z <= r, statistic=z, threshold=r, calibrated=calibrated,
-            detail={"m": self.m},
+        config, m = self.config, self.m
+        return gap_verdict(
+            uniformity_statistic(counts, m), config.completeness_ceiling(m),
+            config.soundness_floor(m), internal, {"m": m},
         )
 
     def run(
@@ -112,6 +107,8 @@ class UniformityTester:
         self, source: NonNegativeMeasure | IndexSampler, sample_rng: RngStream
     ) -> CountVector:
         if isinstance(source, NonNegativeMeasure):
+            if source.shape != (self.config.n,):
+                raise ValueError(f"measure shape {source.shape} != configured {(self.config.n,)}")
             return sample_counts_poissonized(source, self.m, sample_rng.substream("sample-1"))
         gen = sample_rng.substream("sample-1").generator()
         total = int(gen.poisson(self.m))
@@ -125,5 +122,5 @@ def rep_uniformity_test(
     *,
     sample_rng: RngStream | None = None,
 ) -> TesterVerdict:
-    """One full run of the uniformity tester (Poissonized sampling)."""
+    """One full run (Poissonized sampling); a measure must live on the configured ``[n]``."""
     return UniformityTester(config).run(source, rng, sample_rng=sample_rng)

@@ -1,4 +1,4 @@
-"""Verdict type of all testers and the gap threshold of the 1D testers."""
+"""Verdict type of all testers, and the gap threshold and gap verdict of the 1D testers."""
 
 from __future__ import annotations
 
@@ -41,3 +41,11 @@ def draw_gap_threshold(ceiling: float, floor: float, rng: RngStream) -> tuple[fl
     if not ceiling < r < floor:
         raise AssertionError("threshold escaped the calibrated gap")
     return r, True
+
+
+def gap_verdict(
+    z: float, ceiling: float, floor: float, internal: RngStream, detail: dict
+) -> TesterVerdict:
+    """Accept iff ``z <= r``, with ``r`` drawn from ``internal.substream("threshold")``."""
+    r, calibrated = draw_gap_threshold(ceiling, floor, internal.substream("threshold"))
+    return TesterVerdict(z <= r, float(z), float(r), calibrated, detail)

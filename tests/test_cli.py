@@ -240,6 +240,32 @@ def test_experiment_check_keys_other_than_min_and_max_are_named(tmp_path, capsys
     assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
 
 
+_ACCEPTANCE = {"schema": 1, "kind": "closeness-acceptance", "seed": 7, "trials": 2}
+_ACCEPTANCE_PARAMS = {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"}
+
+
+@pytest.mark.parametrize("config, named", [
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": {"max:accept_rate": "5"}}},
+     "'max:accept_rate'"),
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": {"min:accept_rate": True}}},
+     "'min:accept_rate'"),
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": [1]}}, "'check'"),
+    ([1, 2], "must hold a JSON object"),
+    ({**_ACCEPTANCE, "params": [1]}, "params"),
+], ids=["string-bound", "bool-bound", "check-list", "config-list", "params-list"])
+def test_experiment_config_of_the_wrong_shape_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, config, named
+):
+    monkeypatch.setattr("replitest.cli.run_experiment",
+                        lambda *args, **kwargs: pytest.fail("the experiment ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg), "--check"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""  # no aggregate
+    assert named in err
+
+
 def test_experiment_command_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "nope", "seed": 1, "trials": 5}))

@@ -13,7 +13,7 @@ from replitest.closeness import (
 )
 from replitest.measures import half_flat_measure, measure_1d, uniform_measure
 from replitest.rng import RngStream
-from replitest.verdict import CalibrationError, draw_gap_threshold
+from replitest.verdict import CalibrationError, draw_gap_threshold, gap_verdict
 
 ROOT = RngStream(424242, "closeness-tests")
 
@@ -102,6 +102,29 @@ def test_threshold_mean():
     expected = 100.0 + 450.0
     sigma = 900.0 / (4 * math.sqrt(3)) / math.sqrt(draws)
     assert abs(values.mean() - expected) <= 3 * sigma
+
+
+def test_gap_verdict_accepts_on_a_tie_and_rejects_just_above():
+    internal = ROOT.substream("gap-verdict")
+    r, calibrated = draw_gap_threshold(100.0, 1000.0, internal.substream("threshold"))
+    assert calibrated
+    tie = gap_verdict(r, 100.0, 1000.0, internal, {"m": 1})
+    above = gap_verdict(math.nextafter(r, math.inf), 100.0, 1000.0, internal, {"m": 1})
+    assert (tie.accept, tie.threshold, tie.calibrated, tie.detail) == (True, r, True, {"m": 1})
+    assert (above.accept, above.threshold) == (False, r)
+
+
+def test_gap_verdict_on_an_empty_gap_thresholds_at_the_ceiling():
+    verdict = gap_verdict(100.0, 100.0, 100.0 - 1e-9, ROOT.substream("empty-gap"), {})
+    assert (verdict.accept, verdict.threshold, verdict.calibrated) == (True, 100.0, False)
+
+
+def test_gap_verdict_threshold_is_a_function_of_the_internal_stream():
+    internal = ROOT.substream("gap-verdict-repeat")
+    first = gap_verdict(0.0, 100.0, 1000.0, internal, {})
+    second = gap_verdict(2000.0, 100.0, 1000.0, internal, {})
+    assert first.threshold == second.threshold
+    assert (first.accept, second.accept) == (True, False)
 
 
 def test_config_enforces_gap_condition():

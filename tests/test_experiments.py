@@ -273,16 +273,27 @@ def test_file_instance_experiment(tmp_path):
     assert result.aggregate["accept_rate"] >= 0.9  # xi = 0: identical pair
 
 
-@pytest.mark.parametrize("kind", ["closeness-acceptance", "variance-audit"])
+@pytest.mark.parametrize(
+    "kind", ["closeness-acceptance", "variance-audit", "uniformity-acceptance"]
+)
 def test_file_instance_off_the_domain_is_refused(tmp_path, kind):
-    # two measures on [120] with n = 100: every closeness kind refuses them
-    # rather than count them on the larger domain
-    from replitest.hard_instances import ClosenessHardParams, instance_to_json
+    # measures on [120] with n = 100 (two for a closeness kind, one for
+    # uniformity): every tester refuses them rather than count them on
+    # the larger domain
+    from replitest.hard_instances import (
+        ClosenessHardParams,
+        UniformityHardParams,
+        instance_to_json,
+    )
     from replitest.measures import zipf_measure
 
     path = tmp_path / "instance.json"
-    path.write_text(instance_to_json(ClosenessHardParams(120, 10, 0.2, 0.0),
-                                     [uniform_measure(120), zipf_measure(120)]))
+    if kind == "uniformity-acceptance":
+        path.write_text(instance_to_json(UniformityHardParams(120, 0.2, 0.0),
+                                         [uniform_measure(120)]))
+    else:
+        path.write_text(instance_to_json(ClosenessHardParams(120, 10, 0.2, 0.0),
+                                         [uniform_measure(120), zipf_measure(120)]))
     config = ExperimentConfig(
         kind, seed=8, trials=5,
         params={"n": 100, "epsilon": 0.3, "rho": 0.1,

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import replitest.independence as ind
 from replitest.calibrated import INDEPENDENCE_DESK
+from replitest.closeness import closeness_statistic
 from replitest.independence import (
     IndependenceConfig,
     averaged_stats,
@@ -146,6 +148,23 @@ def test_marked_statistic_library_matches_oracle_distribution():
         for t in range(draws)
     ]
     assert abs(np.mean(values) - exact) <= 3 * np.std(values) / math.sqrt(draws) + 1e-9
+
+
+key_bags = st.lists(st.integers(min_value=-3, max_value=12), max_size=40)
+
+
+@given(key_bags, key_bags, st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_marked_statistic_is_the_closeness_statistic_of_the_mark_split_counts(sp, sq, seed):
+    rng = RngStream(seed, "marked-split")
+    marked = rng.generator().random(len(sp) + len(sq)) < 0.5
+    keys = sorted(set(sp) | set(sq))
+    split = {key: [0, 0, 0, 0] for key in keys}  # Tp0, Tp1, Tq0, Tq1
+    for i, key in enumerate(sp + sq):
+        split[key][(0 if i < len(sp) else 2) + (0 if marked[i] else 1)] += 1
+    counts = [[split[key][j] for key in keys] for j in range(4)]
+    got = closeness_stat_marked(np.array(sp, dtype=np.int64), np.array(sq, dtype=np.int64), rng)
+    assert got == closeness_statistic(*counts)
 
 
 def test_bounded_influence_of_non_singleton_removal():

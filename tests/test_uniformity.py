@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import replitest.uniformity as un
 from replitest.hard_instances import UniformityHardParams, draw_uniformity_hard
-from replitest.measures import uniform_measure
+from replitest.measures import uniform_measure, uniform_product_measure
 from replitest.rng import RngStream
 from replitest.sampling import sample_counts_poissonized
 from replitest.uniformity import (
@@ -120,6 +121,19 @@ def test_decide_counts_matches_run_pipeline():
     assert verdict.statistic == direct.statistic
     assert verdict.threshold == direct.threshold
     assert verdict.accept == direct.accept
+
+
+@pytest.mark.parametrize("measure, shape", [
+    (uniform_product_measure(25, 20), "(25, 20)"),
+    (uniform_measure(400), "(400,)"),
+], ids=["2d", "wrong-length"])
+def test_measure_off_the_domain_is_refused_before_any_draw(monkeypatch, measure, shape):
+    monkeypatch.setattr(un, "sample_counts_poissonized",
+                        lambda *args: pytest.fail("counts were drawn"))
+    config = UniformityConfig(n=500, epsilon=0.3, rho=0.1)
+    with pytest.raises(ValueError) as info:
+        rep_uniformity_test(measure, config, RngStream(1))
+    assert str(info.value) == f"measure shape {shape} != configured (500,)"
 
 
 def test_index_sampler_source_supported():
