@@ -78,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError(f"config missing fields: {sorted(missing)}")
         return cls(
             kind=data["kind"],
-            seed=int(data["seed"]),
-            trials=int(data["trials"]),
+            seed=_cast("seed", int, data["seed"]),
+            trials=_cast("trials", int, data["trials"]),
             params=data.get("params", {}),
             out=data.get("out"),
         )
@@ -234,18 +234,27 @@ def _field_casts(cls) -> tuple:
     return tuple((f.name, hints[f.name], f.default is MISSING) for f in fields(cls))
 
 
+def _cast(name: str, cast, value):
+    """``cast(value)``, refusing a bool and a number that the cast would change."""
+    out = cast(value)
+    if isinstance(value, bool) or (isinstance(value, (int, float)) and out != value):
+        raise ConfigError(f"{name} must be {cast.__name__}, not {value!r}")
+    return out
+
+
 def config_from_params(cls, params: dict):
     """Build the tester config dataclass ``cls`` from a parameter dict.
 
     Field names, defaults and casts come from ``cls``; keys that are not
-    fields are ignored and ``None`` counts as absent.
+    fields are ignored and ``None`` counts as absent. A bool, or a number
+    the cast would change (``2.7`` for an int), raises ``ConfigError``.
     """
     missing = []
     kwargs = {}
     for name, cast, required in _field_casts(cls):
         value = params.get(name)
         if value is not None:
-            kwargs[name] = cast(value)
+            kwargs[name] = _cast(name, cast, value)
         elif required:
             missing.append(name)
     if missing:

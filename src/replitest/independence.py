@@ -108,8 +108,7 @@ class IndependenceConfig:
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n1 < self.n2 or self.n2 < 1:
-            raise ValueError("need n1 >= n2 >= 1")
+        self.sample_size()  # checks n1, n2, epsilon, rho and m_scale
         if not self.c_i1 < self.c_i2:
             raise ValueError("need C_I1 < C_I2")
         if self.c_n <= 0:

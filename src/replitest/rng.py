@@ -9,8 +9,9 @@ randomness (thresholds, markings, splits) while redrawing the sample
 randomness, which is the operation every replicability measurement
 is built on.
 
-Roles are free-form strings; ``substream`` appends path components so
-that derived streams ("trial-17", "sample-2", ...) never collide.
+Roles are free-form strings; ``substream`` appends path components,
+each non-empty and free of ``/``, so that derived streams ("trial-17",
+"sample-2", ...) never collide.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ class RngStream:
 
     def substream(self, *labels: object) -> "RngStream":
         """Derive an independent child stream, e.g. ``s.substream("trial", 3)``."""
-        suffix = "/".join(str(x) for x in labels)
-        return RngStream(self.seed, f"{self.role}/{suffix}")
+        parts = [str(x) for x in labels]
+        if not parts or any(not part or "/" in part for part in parts):
+            raise ValueError(f"substream labels must be non-empty and free of '/': {labels!r}")
+        return RngStream(self.seed, f"{self.role}/{'/'.join(parts)}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream.

@@ -176,6 +176,23 @@ def _poisson_pmf(k: int, lam: float) -> float:
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
+def branch_mixture(weights, rates, counts) -> tuple[list[float], float]:
+    """Branch posterior and mixture pmf at one state, term by term.
+
+    Branch k has mixing weight ``weights[k]`` and Poisson rate
+    ``rates[k][i]`` for coordinate i; ``counts[i]`` is that coordinate's
+    count.
+    """
+    joint = []
+    for weight, branch_rates in zip(weights, rates):
+        term = weight
+        for count, rate in zip(counts, branch_rates):
+            term *= _poisson_pmf(count, rate)
+        joint.append(term)
+    total = sum(joint)
+    return [term / total for term in joint], total
+
+
 def _bernoulli_weight(flags, rate: float) -> float:
     ones = sum(flags)
     return rate**ones * (1.0 - rate) ** (len(flags) - ones)

@@ -266,6 +266,23 @@ def test_experiment_config_of_the_wrong_shape_fails_before_the_run(
     assert named in err
 
 
+@pytest.mark.parametrize("config, named", [
+    ({**_ACCEPTANCE, "seed": True, "params": _ACCEPTANCE_PARAMS}, "seed"),
+    ({**_ACCEPTANCE, "trials": 2.7, "params": _ACCEPTANCE_PARAMS}, "trials"),
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "n": 100.9}}, "n"),
+    ({**_ACCEPTANCE, "kind": "independence-acceptance",
+      "params": {"n1": 40, "n2": 20, "epsilon": 0.35, "rho": 0.2, "instance": "product",
+                 "k_avg": True}}, "k_avg"),
+], ids=["bool-seed", "fractional-trials", "fractional-n", "bool-k_avg"])
+def test_experiment_casts_that_lose_data_are_named(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{named} must be int" in err
+
+
 def test_experiment_command_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "nope", "seed": 1, "trials": 5}))

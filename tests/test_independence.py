@@ -60,6 +60,17 @@ def test_config_validation():
         IndependenceConfig(n1=20, n2=10, epsilon=0.2, rho=0.1, median_reps=2)
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    ({"epsilon": 2.0}, ValueError),
+    ({"rho": 0.0}, ValueError),
+    ({"m_scale": -1.0}, ValueError),
+    ({"m_scale": 1e30}, OverflowError),
+])
+def test_config_checks_the_sample_size_inputs_at_construction(kwargs, error):
+    with pytest.raises(error):
+        IndependenceConfig(**{"n1": 40, "n2": 20, "epsilon": 0.35, "rho": 0.2, **kwargs})
+
+
 def test_alpha_beta_formulas():
     config = IndependenceConfig(n1=40, n2=20, epsilon=0.2, rho=0.1)
     assert config.beta(1000) == pytest.approx(2e-4)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from replitest.rng import RngStream
@@ -37,6 +38,13 @@ def test_substream_paths_do_not_collide_on_concatenation():
     a = RngStream(3, "r").substream("a", "bc").generator().random(8)
     b = RngStream(3, "r").substream("ab", "c").generator().random(8)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("labels", [(), ("",), ("a", ""), ("a/b",), ("a", "/")])
+def test_substream_refuses_labels_that_could_collide(labels):
+    # ("a/b",) would equal ("a", "b"), and () would equal ("",)
+    with pytest.raises(ValueError, match="non-empty and free of '/'"):
+        RngStream(3, "r").substream(*labels)
 
 
 def test_generator_restarts_at_stream_origin():

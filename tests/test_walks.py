@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -23,7 +24,7 @@ from replitest.walks import (
     product_walk_tau,
 )
 
-from oracles import all_rows_l1, dense_mixing_report
+from oracles import all_rows_l1, branch_mixture, dense_mixing_report
 
 ROOT = RngStream(161803, "walk-tests")
 
@@ -185,6 +186,14 @@ def test_step_frequencies_match_transition_row():
 def test_truncation_inadequacy_raises():
     with pytest.raises(TruncationError):
         CoordKernel(m=200, n=10, xi=0.1, a_max=5).transition_matrix()
+
+
+@pytest.mark.parametrize("m, n", [(0, 10), (10, 0), (-1, 10)])
+def test_coord_kernel_needs_a_positive_rate(m, n):
+    # At rate 0 a positive count has probability 0 under every branch,
+    # so its branch posterior would be 0/0.
+    with pytest.raises(ValueError, match="m and n must be positive"):
+        CoordKernel(m=m, n=n, xi=0.1)
 
 
 def test_unmixed_within_budget_raises():
@@ -379,6 +388,51 @@ def test_pair_factors_and_mixing_match_dense(kernel, delta, initial, data):
     with contextlib.suppress(TruncationError):
         np.testing.assert_allclose(post @ branch, kernel.transition_matrix(), rtol=0, atol=1e-14)
     _assert_matches_dense(kernel, delta, initial)
+
+
+def _mixture_oracle(kernel):
+    """Per flattened state: the oracle posterior, mixture pmf and branch pmfs."""
+    if isinstance(kernel, CoordKernel):
+        weights, rates = [0.5, 0.5], [(r,) for r in kernel.branch_rates()]
+    else:
+        light = (kernel.n - kernel.m) / (2.0 * kernel.n)
+        weights, rates = [kernel.m / kernel.n, light, light], kernel.branch_rates()
+    states = list(itertools.product(range(kernel.a_max + 1), repeat=len(rates[0])))
+    posts, pmfs = zip(*(branch_mixture(weights, rates, s) for s in states))
+    branch = [[branch_mixture([1.0], [r], s)[1] for s in states] for r in rates]
+    return states, np.array(posts), np.array(pmfs), np.array(branch)
+
+
+@st.composite
+def small_mixtures(draw):
+    """Coordinate and pair kernels whose truncation keeps all but 1e-9 of the mass."""
+    xi = draw(xis)
+    if draw(st.booleans()):
+        return CoordKernel(m=draw(st.integers(1, 20)), n=draw(st.integers(10, 40)), xi=xi,
+                           a_max=draw(st.integers(20, 30)))
+    n = draw(st.integers(20, 200))
+    return ClosenessPairKernel(n=n, m=draw(st.integers(1, (n - 1) // 2)),
+                               epsilon=draw(st.floats(0.15, 0.9)), xi=xi,
+                               a_max=draw(st.integers(13, 16)))
+
+
+@given(small_mixtures())
+@settings(max_examples=30, deadline=None)
+def test_branch_mixture_matches_the_term_by_term_oracle(kernel):
+    states, posts, pmfs, branch = _mixture_oracle(kernel)
+    counts = np.array(states).T
+    np.testing.assert_allclose(kernel.posterior(*counts), posts, rtol=1e-12)
+    np.testing.assert_allclose(kernel.stationary(*counts), pmfs, rtol=1e-12)
+    post, rows = kernel.factors()
+    np.testing.assert_allclose(post, posts, rtol=1e-12)
+    np.testing.assert_allclose(rows, branch, rtol=1e-12)
+    np.testing.assert_allclose(kernel.stationary_vector(), pmfs, rtol=1e-12)
+
+
+def test_pair_kernel_keeps_the_names_the_benchmark_wraps():
+    # bench/spans.py looks these up in the class's own namespace.
+    for name in ("transition_matrix", "stationary_vector", "initial_distributions"):
+        assert name in vars(ClosenessPairKernel)
 
 
 @pytest.mark.parametrize("initial", ["all", "poisson", "point"])
