@@ -29,6 +29,7 @@ from .experiments import (
     ExperimentConfig,
     calibrate,
     config_from_params,
+    read_json_object,
     recompute_aggregate,
     run_experiment,
 )
@@ -40,15 +41,7 @@ EXIT_CHECK_FAILED = 3
 
 
 def _load_constants(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read constants file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"constants file {path} must hold a JSON object")
-    return data
+    return read_json_object(path, "constants file") if path else {}
 
 
 def _read_samples(path: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -3,9 +3,9 @@ experiments, and desk-scale calibration.
 
 Every experiment is a pure function of ``(config, seed)``: per-trial
 randomness comes from substreams derived from the experiment seed, so
-records reproduce bit-for-bit and aggregate in any order. The trial
-kinds look their tester up in one table (``TESTERS``) that names its
-config class, its test function and its instances.
+records reproduce bit-for-bit and aggregate in any order. Every kind
+that runs a tester, and ``calibrate``, takes it from one table
+(``TESTERS``) naming its config class, its test function and its instances.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .measures import (
     zipf_measure,
 )
 from .rng import RngStream
-from .sampling import CountVector, measure_sampler, multinomial_split, sample_counts_poissonized
+from .sampling import measure_sampler
 from .verdict import TesterVerdict
 from .walks import ClosenessPairKernel, CoordKernel, estimate_mixing
 
@@ -65,12 +65,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
+        data = read_json_object(path, "config")
         if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {data.get('schema')}")
         missing = {"kind", "seed", "trials"} - data.keys()
@@ -114,6 +109,17 @@ class ExperimentResult:
         }
         json_path.write_text(json.dumps(payload, indent=2))
         return csv_path, json_path
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object held in ``path``; ``what`` names the file in errors."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def _rate_stderr(rate: float, n: int) -> float:
@@ -235,9 +241,13 @@ def _field_casts(cls) -> tuple:
 
 
 def _cast(name: str, cast, value):
-    """``cast(value)``, refusing a bool and a number that the cast would change."""
-    out = cast(value)
-    if isinstance(value, bool) or (isinstance(value, (int, float)) and out != value):
+    """``cast(value)``, refusing a bool, a failed cast and a number the cast would change."""
+    try:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    lossy = isinstance(value, (int, float)) and out != value
+    if out is None or isinstance(value, bool) or lossy:
         raise ConfigError(f"{name} must be {cast.__name__}, not {value!r}")
     return out
 
@@ -288,7 +298,8 @@ def _closeness_instance(params: dict, config: cl.ClosenessConfig) -> DrawInstanc
     if name == "hard-meta":
         if params.get("hard_m") is None:
             raise ConfigError("the closeness hard-meta instance needs parameter 'hard_m'")
-        return partial(_meta_closeness, n, int(params["hard_m"]), config.epsilon)
+        return partial(_meta_closeness, n, _cast("hard_m", int, params["hard_m"]),
+                       config.epsilon)
     if name == "file":
         p, q = _load_instance_measures(params, 2)
         return _fixed(p.normalized(), q.normalized())
@@ -306,7 +317,8 @@ def _uniformity_instance(params: dict, config: un.UniformityConfig) -> DrawInsta
         return lambda stream: (hard_instances.draw_uniformity_hard(far, stream).normalized(),)
     if name == "hard-meta":
         xi = params.get("xi")
-        return partial(_meta_uniformity, n, epsilon, None if xi is None else float(xi))
+        return partial(_meta_uniformity, n, epsilon,
+                       None if xi is None else _cast("xi", float, xi))
     if name == "file":
         return _fixed(_load_instance_measures(params, 1)[0])
     raise ConfigError(f"unknown uniformity instance {name!r}")
@@ -359,13 +371,10 @@ def _replicability_trial(params: dict, seed: int, t: int) -> dict:
 
 
 def _variance_trial(params: dict, seed: int, t: int) -> dict:
-    _, config, draw_instance = _tester("closeness", params)
+    test, config, draw_instance = _tester("closeness", params)
     trial = RngStream(seed, "variance-audit").substream("trial", t)
-    p, q = draw_instance(trial.substream("instance"))
-    m = config.sample_size()
-    sizes = multinomial_split(4 * m, 4, trial.substream("split"))
-    z = cl.closeness_statistic(*cl.draw_closeness_counts(p, q, sizes, config.n, trial))
-    return {"trial": t, "statistic": z, "m": m}
+    verdict = test(*draw_instance(trial.substream("instance")), config, trial)
+    return {"trial": t, "statistic": int(verdict.statistic), "m": verdict.detail["m"]}
 
 
 def _replicability_aggregate(records: list[dict]) -> dict:
@@ -395,7 +404,7 @@ def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     if kind not in _KERNELS:
         raise ConfigError(f"unknown kernel {kind!r}")
     kernel = config_from_params(_KERNELS[kind], params)
-    delta = float(params.get("delta", 0.04))
+    delta = _cast("delta", float, params.get("delta", 0.04))
     report = estimate_mixing(kernel, delta, initial=params.get("initial", "all"))
     records = [{"t": t, "l1_to_stationary": tv} for t, tv in report.tv_curve]
     return records, {
@@ -406,90 +415,40 @@ def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     }
 
 
-def acceptance_probability(
-    decide: Callable[[CountVector], bool],
-    p: NonNegativeMeasure,
-    m: int,
-    trials: int,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ``Pr[decide(T) = accept]`` for ``T ~ PoiS(m, p)``.
-
-    ``decide`` must have its internal randomness fixed externally so it
-    is a deterministic function of the count vector.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    hits = 0
-    for t in range(trials):
-        counts = sample_counts_poissonized(p, m, rng.substream("trial", t))
-        hits += bool(decide(counts))
-    acc = hits / trials
-    return acc, _rate_stderr(acc, trials)
-
-
-def concentration_experiment(
-    decide: Callable[[CountVector], bool],
-    n: int,
-    epsilon: float,
-    m: int,
-    xi_grid: Sequence[float],
-    draws_per_xi: int,
-    trials: int,
-    rng: RngStream,
-) -> list[dict]:
-    """Dispersion of acceptance probabilities across instances at each xi.
-
-    For each xi, draws instances with i.i.d. per-bucket masses
-    ``(1 +/- xi)/n``, estimates the acceptance probability of the fixed
-    tester on each, and reports the mean together with the fraction of
-    instances deviating from it by more than 1/4.
-    """
-    results = []
-    for i, xi in enumerate(xi_grid):
-        accs = []
-        for j in range(draws_per_xi):
-            params = UniformityHardParams(n, max(epsilon, 1e-12), min(xi, epsilon))
-            p = hard_instances.draw_uniformity_hard(params, rng.substream("instance", i, j))
-            acc, _ = acceptance_probability(
-                decide, p, m, trials, rng.substream("acc", i, j)
-            )
-            accs.append(acc)
-        accs_arr = np.asarray(accs)
-        mean = float(accs_arr.mean())
-        results.append(
-            {
-                "xi": float(xi),
-                "mean_acceptance": mean,
-                "deviation_fraction": float((np.abs(accs_arr - mean) > 0.25).mean()),
-                "draws": draws_per_xi,
-                "trials": trials,
-            }
-        )
-    return results
-
-
 def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
+    """Dispersion of acceptance probabilities across hard instances at each xi.
+
+    One internal string serves the whole run, so the uniformity tester
+    is a fixed function of its counts; each row gives the mean
+    acceptance over ``draws_per_xi`` instances and the fraction of them
+    deviating from it by more than 1/4.
+    """
     params = config.params
-    tester_config = config_from_params(un.UniformityConfig, params)
-    tester = un.UniformityTester(tester_config)
+    cls, test, _ = TESTERS["uniformity"]
+    tester = config_from_params(cls, params)
+    grid = params.get("xi_grid", [0.0, 0.1, 0.2])
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError(f"xi_grid must be a non-empty list, not {grid!r}")
+    xi_grid = [_cast("xi_grid", float, xi) for xi in grid]
+    if not all(0 <= xi <= tester.epsilon for xi in xi_grid):
+        raise ConfigError(f"xi_grid must lie in [0, epsilon = {tester.epsilon}], not {grid}")
+    draws = _cast("draws_per_xi", int, params.get("draws_per_xi", 20))
     internal = RngStream(config.seed, "concentration-internal")
-    verdict_cache = tester.decide_counts
-
-    def decide(counts) -> bool:
-        return verdict_cache(counts, internal).accept
-
-    xi_grid = [float(x) for x in params.get("xi_grid", [0.0, 0.1, 0.2])]
-    rows = concentration_experiment(
-        decide,
-        tester_config.n,
-        tester_config.epsilon,
-        tester.m,
-        xi_grid,
-        int(params.get("draws_per_xi", 20)),
-        config.trials,
-        RngStream(config.seed, "concentration"),
-    )
+    root = RngStream(config.seed, "concentration")
+    rows = []
+    for i, xi in enumerate(xi_grid):
+        hard = UniformityHardParams(tester.n, tester.epsilon, xi)
+        accs = np.empty(draws)
+        for j in range(draws):
+            p = hard_instances.draw_uniformity_hard(hard, root.substream("instance", i, j))
+            samples = root.substream("acc", i, j)
+            runs = [test(p, tester, internal, sample_rng=samples.substream("trial", t))
+                    for t in range(config.trials)]
+            accs[j] = np.mean([verdict.accept for verdict in runs])
+        mean = float(accs.mean())
+        deviation = float((np.abs(accs - mean) > 0.25).mean())
+        rows.append({"xi": xi, "mean_acceptance": mean, "deviation_fraction": deviation,
+                     "draws": draws, "trials": config.trials})
     worst = max(r["deviation_fraction"] for r in rows)
     return rows, {"max_deviation_fraction": worst, "xi_grid": xi_grid}
 
@@ -564,69 +523,58 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     """Desk-scale audit of the constants in ``params`` (defaults where absent).
 
     Reports the constants with what they give at the given parameters
-    and never changes them. Closeness runs the tester on a uniform pair
-    and a uniform/half-flat pair and reports the accept and reject
-    rates; uniformity draws no samples and reports the ceiling, the
-    floor and whether the gap is open; independence reports the
-    averaged non-singleton count and the spread of the averaged
-    statistic on product-uniform sets. The output can be passed to the
-    CLI's ``--constants`` flag, which ignores the keys that are not
-    constants.
+    and never changes them. Closeness reports the accept rate on a
+    uniform pair and the reject rate on a uniform/half-flat pair, which
+    are the ``closeness-acceptance`` kind's at the same seed;
+    uniformity draws no samples and reports the ceiling, the floor and
+    whether the gap is open; independence reports the averaged
+    non-singleton count and the spread of the averaged statistic on
+    product-uniform sets. The output can be passed to the CLI's
+    ``--constants`` flag, which ignores the keys that are not constants.
     """
+    if kind not in TESTERS:
+        raise ConfigError(f"unknown calibration kind {kind!r}")
+    config = config_from_params(TESTERS[kind][0], params)
+    m = config.sample_size()
     if kind == "closeness":
-        config = config_from_params(cl.ClosenessConfig, params)
-        trials = int(params.get("calibration_trials", 50))
-        p_u = uniform_measure(config.n)
-        far_q = half_flat_measure(config.n)
-        root = RngStream(seed, "calibrate-closeness")
-        accepts = [
-            cl.rep_closeness_test(p_u, p_u, config, root.substream("c", t)).accept
-            for t in range(trials)
-        ]
-        rejects = [
-            not cl.rep_closeness_test(p_u, far_q, config, root.substream("s", t)).accept
-            for t in range(trials)
-        ]
+        trials = _cast("calibration_trials", int, params.get("calibration_trials", 50))
+        same, far = [
+            _rate_aggregate([_acceptance_trial(kind, {**params, "instance": name}, seed, t)
+                             for t in range(trials)])
+            for name in ("uniform", "uniform-vs-half-flat")]
         return {
-            "kind": kind, "c1": config.c1, "c2": config.c2,
-            "m": config.sample_size(),
-            "complete_accept_rate": sum(accepts) / trials,
-            "far_reject_rate": sum(rejects) / trials,
+            "kind": kind, "c1": config.c1, "c2": config.c2, "m": m,
+            "complete_accept_rate": same["accept_rate"],
+            "far_reject_rate": far["reject_rate"],
         }
     if kind == "uniformity":
-        config = config_from_params(un.UniformityConfig, params)
-        m = config.sample_size()
         return {
             "kind": kind, "c1_u": config.c1_u, "c2_u": config.c2_u, "m": m,
             "calibrated_gap": config.is_calibrated(m),
             "ceiling": config.completeness_ceiling(m),
             "floor": config.soundness_floor(m),
         }
-    if kind == "independence":
-        config = config_from_params(ind.IndependenceConfig, params)
-        m = config.sample_size()
-        trials = int(params.get("calibration_trials", 20))
-        root = RngStream(seed, "calibrate-independence")
-        p = uniform_product_measure(config.n1, config.n2)
-        sampler = measure_sampler(p)
-        n_hats, z_hats = [], []
-        for t in range(trials):
-            z_a, n_a = ind.sampled_averaged_stats(
-                sampler, config, root.substream("sets", t), root.substream("avg", t),
-                k_avg=min(config.k_avg, 50),
-            )
-            n_hats.append(n_a)
-            z_hats.append(z_a)
-        scale = ind.stage1_scale(m, config.n1, config.n2)
-        gap = ind.independence_gap(m, config.n1, config.n2, config.epsilon)
-        return {
-            "kind": kind, "m": m,
-            "c_n": config.c_n, "c_i1": config.c_i1, "c_i2": config.c_i2,
-            "k_avg": config.k_avg, "median_reps": config.median_reps,
-            "m_scale": config.m_scale,
-            "mean_n_a": float(np.mean(n_hats)),
-            "n_a_over_scale": float(np.mean(n_hats) / scale),
-            "sd_z_a": float(np.std(z_hats, ddof=1)),
-            "gap_scale": gap,
-        }
-    raise ConfigError(f"unknown calibration kind {kind!r}")
+    trials = _cast("calibration_trials", int, params.get("calibration_trials", 20))
+    root = RngStream(seed, "calibrate-independence")
+    p = uniform_product_measure(config.n1, config.n2)
+    sampler = measure_sampler(p)
+    n_hats, z_hats = [], []
+    for t in range(trials):
+        z_a, n_a = ind.sampled_averaged_stats(
+            sampler, config, root.substream("sets", t), root.substream("avg", t),
+            k_avg=min(config.k_avg, 50),
+        )
+        n_hats.append(n_a)
+        z_hats.append(z_a)
+    scale = ind.stage1_scale(m, config.n1, config.n2)
+    gap = ind.independence_gap(m, config.n1, config.n2, config.epsilon)
+    return {
+        "kind": kind, "m": m,
+        "c_n": config.c_n, "c_i1": config.c_i1, "c_i2": config.c_i2,
+        "k_avg": config.k_avg, "median_reps": config.median_reps,
+        "m_scale": config.m_scale,
+        "mean_n_a": float(np.mean(n_hats)),
+        "n_a_over_scale": float(np.mean(n_hats) / scale),
+        "sd_z_a": float(np.std(z_hats, ddof=1)),
+        "gap_scale": gap,
+    }

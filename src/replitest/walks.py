@@ -229,6 +229,12 @@ class ClosenessPairKernel(_BranchMixture):
     def __post_init__(self) -> None:
         if not self.m < self.n / 2:
             raise ValueError("pair kernel requires m < n/2")
+        # the heavy rate 1 - eps and the light rates m(2 eps +/- xi)/(2(n-m))
+        # must not be negative
+        if not 0 < self.epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), not {self.epsilon}")
+        if not 0 <= self.xi <= 2 * self.epsilon:
+            raise ValueError(f"xi must lie in [0, 2*epsilon = {2 * self.epsilon}], not {self.xi}")
         super().__post_init__()
 
     # bench/spans.py wraps these two through vars(ClosenessPairKernel),

@@ -283,6 +283,37 @@ def test_experiment_casts_that_lose_data_are_named(tmp_path, capsys, config, nam
     assert f"{named} must be int" in err
 
 
+_HARD_META = {**_ACCEPTANCE_PARAMS, "instance": "hard-meta"}
+_CONCENTRATION = {"n": 100, "epsilon": 0.3, "rho": 0.1, "xi_grid": [0.0, 0.2]}
+_MIXING = {"kernel": "coordinate", "n": 1000, "m": 100, "xi": 0.2}
+
+
+@pytest.mark.parametrize("kind, params, named", [
+    ("closeness-acceptance", {**_HARD_META, "hard_m": 100.9}, "hard_m"),
+    ("closeness-acceptance", {**_HARD_META, "hard_m": "abc"}, "hard_m"),
+    ("closeness-acceptance", {**_ACCEPTANCE_PARAMS, "n": "1e2"}, "n"),
+    ("concentration", {**_CONCENTRATION, "draws_per_xi": 2.7}, "draws_per_xi"),
+    ("concentration", {**_CONCENTRATION, "draws_per_xi": True}, "draws_per_xi"),
+    ("mixing", {**_MIXING, "delta": True}, "delta"),
+    ("mixing", {**_MIXING, "delta": "abc"}, "delta"),
+    ("calibrate", {**_ACCEPTANCE_PARAMS, "calibration_trials": 2.7}, "calibration_trials"),
+], ids=["fractional-hard_m", "string-hard_m", "string-n", "fractional-draws_per_xi",
+        "bool-draws_per_xi", "bool-delta", "string-delta", "fractional-calibration_trials"])
+def test_parameters_that_do_not_cast_are_named(tmp_path, capsys, kind, params, named):
+    path = tmp_path / "cfg.json"
+    if kind == "calibrate":
+        path.write_text(json.dumps(params))
+        argv = ["calibrate", "--kind", "closeness", "--params", str(path)]
+    else:
+        path.write_text(json.dumps({"schema": 1, "kind": kind, "seed": 1, "trials": 2,
+                                    "params": params}))
+        argv = ["experiment", "--config", str(path)]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{named} must be " in err
+
+
 def test_experiment_command_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "nope", "seed": 1, "trials": 5}))

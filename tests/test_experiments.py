@@ -17,7 +17,7 @@ from replitest.experiments import (
     run_experiment,
 )
 from replitest.calibrated import INDEPENDENCE_DESK
-from replitest.closeness import ClosenessConfig
+from replitest.closeness import ClosenessConfig, rep_closeness_test
 from replitest.independence import IndependenceConfig
 from replitest.uniformity import UniformityConfig
 from replitest.measures import uniform_measure
@@ -191,6 +191,16 @@ def test_variance_audit_outputs_mean_and_variance():
     assert result.aggregate["variance"] > 0
 
 
+def test_variance_audit_records_the_testers_statistic():
+    params = {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"}
+    records = run_experiment(ExperimentConfig("variance-audit", 6, 5, params)).records
+    config, p = ClosenessConfig(100, 0.3, 0.1), uniform_measure(100)
+    root = RngStream(6, "variance-audit")
+    for t, record in enumerate(records):
+        verdict = rep_closeness_test(p, p, config, root.substream("trial", t))
+        assert record == {"trial": t, "statistic": verdict.statistic, "m": config.sample_size()}
+
+
 def test_replicability_kind_runs_uniformity_meta():
     config = ExperimentConfig(
         "replicability", seed=4, trials=30,
@@ -236,6 +246,36 @@ def test_mixing_kind_produces_curve():
     result = run_experiment(config)
     assert result.aggregate["tau_delta"] <= 2
     assert result.records[0]["t"] == 0
+
+
+_CONCENTRATION = {"n": 100, "epsilon": 0.3, "rho": 0.1, "xi_grid": [0.0, 0.1, 0.2, 0.3],
+                  "draws_per_xi": 12}
+
+
+def test_concentration_kind_accepts_uniform_instances():
+    # at xi = 0 every instance is uniform and the tester is complete
+    rows = run_experiment(ExperimentConfig("concentration", 3, 50, _CONCENTRATION)).records
+    assert rows[0]["xi"] == 0.0
+    assert rows[0]["mean_acceptance"] >= 0.9
+
+
+def test_concentration_kind_disperses_at_most_half():
+    # one internal string: the tester is a fixed function of the counts,
+    # and at an adequate budget the per-instance acceptance probabilities
+    # deviate from their mean by > 1/4 on at most half of the instances,
+    # at every xi (at xi = 0 all instances coincide)
+    result = run_experiment(ExperimentConfig("concentration", 4, 50, _CONCENTRATION))
+    assert [r["xi"] for r in result.records] == _CONCENTRATION["xi_grid"]
+    assert all(r["deviation_fraction"] <= 0.5 for r in result.records)
+    assert result.records[0]["deviation_fraction"] == 0.0
+    assert result.aggregate["max_deviation_fraction"] <= 0.5
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.5], [-0.1], 0.1, [], ["x"]])
+def test_concentration_kind_refuses_xi_grid_off_zero_to_epsilon(grid):
+    config = ExperimentConfig("concentration", 3, 2, {**_CONCENTRATION, "xi_grid": grid})
+    with pytest.raises(ConfigError, match="xi_grid"):
+        run_experiment(config)
 
 
 def test_results_round_trip_through_files(tmp_path):
@@ -321,6 +361,15 @@ def test_calibrate_closeness_reports_rates():
     )
     assert constants["complete_accept_rate"] >= 0.9
     assert constants["far_reject_rate"] >= 0.9
+
+
+def test_calibrate_closeness_rates_are_the_acceptance_kinds():
+    params = {"n": 100, "epsilon": 0.3, "rho": 0.1, "calibration_trials": 12}
+    constants = calibrate("closeness", params, seed=5)
+    for instance, key, rate in [("uniform", "complete_accept_rate", "accept_rate"),
+                                ("uniform-vs-half-flat", "far_reject_rate", "reject_rate")]:
+        config = ExperimentConfig("closeness-acceptance", 5, 12, {**params, "instance": instance})
+        assert constants[key] == run_experiment(config).aggregate[rate]
 
 
 def test_calibrate_uniformity_reports_gap():

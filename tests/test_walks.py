@@ -10,10 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from replitest import walks
-from replitest.experiments import acceptance_probability, concentration_experiment
-from replitest.measures import uniform_measure
 from replitest.rng import RngStream
-from replitest.uniformity import UniformityConfig, UniformityTester
 from replitest.walks import (
     ClosenessPairKernel,
     CoordKernel,
@@ -207,6 +204,17 @@ def test_pair_kernel_xi_zero_collapses_light_branches():
     assert rates[1] == rates[2]
 
 
+@pytest.mark.parametrize("epsilon, xi, named", [
+    (0.05, 0.2, "xi"),  # 2 eps < xi: a negative light rate
+    (0.2, -0.1, "xi"),
+    (1.5, 0.2, "epsilon"),  # eps > 1: a negative heavy rate
+    (0.0, 0.0, "epsilon"),
+])
+def test_pair_kernel_refuses_negative_rates(epsilon, xi, named):
+    with pytest.raises(ValueError, match=f"^{named} must lie in"):
+        ClosenessPairKernel(n=100, m=10, epsilon=epsilon, xi=xi)
+
+
 def test_pair_kernel_rows_stationarity_detailed_balance():
     k = ClosenessPairKernel(n=100, m=10, epsilon=0.2, xi=0.1, a_max=25)
     matrix = k.transition_matrix()
@@ -284,52 +292,6 @@ def test_product_walk_mixing_bound():
         for k in kernels
     ]
     assert tau_full <= max(per_coord)
-
-
-def test_acceptance_probability_constant_testers():
-    p = uniform_measure(20)
-    acc, err = acceptance_probability(lambda T: True, p, 50, 200, ROOT.substream("ca"))
-    assert acc == 1.0
-    acc, err = acceptance_probability(lambda T: False, p, 50, 200, ROOT.substream("cr"))
-    assert acc == 0.0
-
-
-def test_acceptance_probability_uniformity_completeness():
-    config = UniformityConfig(n=200, epsilon=0.3, rho=0.1)
-    tester = UniformityTester(config)
-    internal = ROOT.substream("fixed-internal")
-    acc, err = acceptance_probability(
-        lambda T: tester.decide_counts(T, internal).accept,
-        uniform_measure(200),
-        tester.m,
-        200,
-        ROOT.substream("acc-mc"),
-    )
-    assert 0.9 <= acc <= 1.0
-
-
-def test_concentration_constant_tester_zero_dispersion():
-    rows = concentration_experiment(
-        lambda T: True, 50, 0.2, 100, [0.0, 0.1], 10, 20, ROOT.substream("conc")
-    )
-    assert all(r["deviation_fraction"] == 0.0 for r in rows)
-    assert all(r["mean_acceptance"] == 1.0 for r in rows)
-
-
-def test_concentration_adequate_tester_disperses_at_most_half():
-    # fixed internal string: the tester is a deterministic function of
-    # the counts, and at an adequate budget the per-instance acceptance
-    # probabilities deviate from their mean by > 1/4 on at most half
-    # of the instances, at every xi (at xi = 0 all instances coincide)
-    config = UniformityConfig(n=100, epsilon=0.3, rho=0.1)
-    tester = UniformityTester(config)
-    internal = ROOT.substream("conc-internal")
-    rows = concentration_experiment(
-        lambda T: tester.decide_counts(T, internal).accept,
-        100, 0.3, tester.m, [0.0, 0.1, 0.2, 0.3], 12, 50, ROOT.substream("conc-grid"),
-    )
-    assert all(r["deviation_fraction"] <= 0.5 for r in rows)
-    assert rows[0]["deviation_fraction"] == 0.0
 
 
 def _assert_matches_dense(kernel, delta, initial):
