@@ -252,6 +252,14 @@ def _cast(name: str, cast, value):
     return out
 
 
+def _count(params: dict, name: str, default: int, least: int = 1) -> int:
+    """``params[name]`` (``default`` when absent) cast to an int of at least ``least``."""
+    value = _cast(name, int, params.get(name, default))
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, not {value}")
+    return value
+
+
 def config_from_params(cls, params: dict):
     """Build the tester config dataclass ``cls`` from a parameter dict.
 
@@ -432,7 +440,7 @@ def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
     xi_grid = [_cast("xi_grid", float, xi) for xi in grid]
     if not all(0 <= xi <= tester.epsilon for xi in xi_grid):
         raise ConfigError(f"xi_grid must lie in [0, epsilon = {tester.epsilon}], not {grid}")
-    draws = _cast("draws_per_xi", int, params.get("draws_per_xi", 20))
+    draws = _count(params, "draws_per_xi", 20)
     internal = RngStream(config.seed, "concentration-internal")
     root = RngStream(config.seed, "concentration")
     rows = []
@@ -528,8 +536,11 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     are the ``closeness-acceptance`` kind's at the same seed;
     uniformity draws no samples and reports the ceiling, the floor and
     whether the gap is open; independence reports the averaged
-    non-singleton count and the spread of the averaged statistic on
-    product-uniform sets. The output can be passed to the CLI's
+    non-singleton count and the spread ``sd_z_a`` of the averaged
+    statistic on product-uniform sets. That statistic is averaged
+    exactly over its fair marks (see ``independence``), so ``sd_z_a`` is
+    the spread of the mark-averaged statistic, lower than that of one
+    with drawn marks. The output can be passed to the CLI's
     ``--constants`` flag, which ignores the keys that are not constants.
     """
     if kind not in TESTERS:
@@ -537,7 +548,7 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     config = config_from_params(TESTERS[kind][0], params)
     m = config.sample_size()
     if kind == "closeness":
-        trials = _cast("calibration_trials", int, params.get("calibration_trials", 50))
+        trials = _count(params, "calibration_trials", 50)
         same, far = [
             _rate_aggregate([_acceptance_trial(kind, {**params, "instance": name}, seed, t)
                              for t in range(trials)])
@@ -554,7 +565,8 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
             "ceiling": config.completeness_ceiling(m),
             "floor": config.soundness_floor(m),
         }
-    trials = _cast("calibration_trials", int, params.get("calibration_trials", 20))
+    # sd_z_a is a sample standard deviation (ddof=1): it needs two trials.
+    trials = _count(params, "calibration_trials", 20, least=2)
     root = RngStream(seed, "calibrate-independence")
     p = uniform_product_measure(config.n1, config.n2)
     sampler = measure_sampler(p)

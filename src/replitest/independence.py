@@ -1,8 +1,9 @@
 """Replicable independence tester for distributions on ``[n1] x [n2]``.
 
 The core statistic flattens the samples on both axes, truncates to
-Poisson-sized subsets, and evaluates ``closeness_statistic`` on counts
-split by source and a fair mark, between samples from the unknown
+Poisson-sized subsets, and evaluates the marked closeness statistic
+(:func:`closeness_stat_marked`: ``closeness_statistic`` on counts split
+by source and a fair mark) between samples from the unknown
 distribution ``p`` and samples from the product of its marginals
 (simulated by splicing coordinates of two independent ``p`` samples).
 Because the statistic is randomized, the tester works with its average
@@ -12,13 +13,21 @@ count keeps the variance of the averaged statistic in check before the
 main threshold comparison, whose scale is the closeness soundness floor
 on ``n1 n2`` elements with ``C2 = 1``.
 
+The marks are not drawn: each run contributes the exact mean of the
+marked statistic over them, the sum over keys of :func:`_key_mark_mean`.
+That is the conditional expectation given the run's flattened sets, so
+the averaged statistic keeps its mean and its variance cannot rise
+(Rao-Blackwell; Casella & Robert, *Biometrika*, 1996).
+
 The reruns execute as one array program per chunk of runs
 (``_averaged``). Each run draws its flattening selectors sparsely: a
 Binomial number of dividers at a uniform subset of positions, which has
 the law of iid Bernoulli flags, so a run touches only its kept samples
-and dividers, not the whole sample sets. Keys carry the run index, so
-the statistic and the count of all runs of a chunk come from one call
-each and equal the sums of the per-run values exactly.
+and dividers, not the whole sample sets. Keys carry the run index, so a
+statistic of all runs of a chunk comes from one call on its keys and
+equals the sum of the per-run values exactly. Each stage reads one
+statistic and computes only that one: stage 1 the non-singleton count,
+stage 2 the mark-averaged statistic, from one sort of the chunk's keys.
 
 Fixed sample sets (``averaged_stats``) and fresh draws
 (``sampled_averaged_stats``) feed the runs the same way. Every run's
@@ -36,6 +45,7 @@ Algorithms*, 1995). At desk scale a set then holds about 3,600 of its
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -152,7 +162,8 @@ def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStre
     Every sample is marked independently with probability 1/2; the
     statistic is :func:`closeness_statistic` of the per-key counts
     ``(Tp0, Tp1, Tq0, Tq1)`` split by source and 0/1 mark. Singleton
-    keys contribute 0.
+    keys contribute 0. This is the definition; the tester's runs add its
+    exact mean over the marks instead (:func:`_mark_averaged_statistic`).
     """
     sp_keys = np.asarray(sp_keys, dtype=np.int64)
     sq_keys = np.asarray(sq_keys, dtype=np.int64)
@@ -172,6 +183,69 @@ def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStre
         bucket(~from_p & marked),
         bucket(~from_p & ~marked),
     )
+
+
+@functools.lru_cache(maxsize=2**12)
+def _key_mark_mean(a: int, b: int) -> float:
+    """Mean over fair marks of one key's term of :func:`closeness_stat_marked`.
+
+    The key holds ``a`` samples from ``S_p`` and ``b`` from ``S_q``;
+    ``U ~ Bin(a, 1/2)`` and ``V ~ Bin(b, 1/2)`` count their marked ones.
+    The term is ``|U - V| + |(a - U) - (b - V)| - |2U - a| - |2V - b|``,
+    and ``W = U + b - V ~ Bin(a + b, 1/2)`` is symmetric about
+    ``(a + b) / 2``, so both first terms have mean ``E|W - a|``:
+    ``f(a, b) = 2 E|W - a| - E|2U - a| - E|2V - b|``. The three means
+    are exact integer sums over ``2^(a+b)``, rounded once. Singletons
+    give 0. A chunk's keys hold a few dozen distinct ``(a, b)`` pairs at
+    desk scale, so the values are memoised; counts pass 64 at library
+    defaults, so no fixed table covers them.
+    """
+    n = a + b
+    w = sum(math.comb(n, k) * abs(k - a) for k in range(n + 1))
+    u = sum(math.comb(a, k) * abs(2 * k - a) for k in range(a + 1))
+    v = sum(math.comb(b, k) * abs(2 * k - b) for k in range(b + 1))
+    return (2 * w - (u << b) - (v << a)) / (1 << n)
+
+
+def _mark_averaged_statistic(keys: np.ndarray, kept_p: int) -> float:
+    """Sum of :func:`_key_mark_mean` over the distinct keys; the first ``kept_p`` are from ``S_p``.
+
+    One sort of ``2 key + side`` lists each key's samples together, the
+    ``S_p`` ones first, so the group sizes and the ``S_q`` bits give
+    ``(a, b)`` per key. Each ``(a, b)`` pair that occurs is evaluated
+    once.
+    """
+    if keys.max(initial=0) >= 2**62:
+        raise OverflowError("2 * key does not fit in int64")
+    side = np.ones(keys.size, dtype=np.int64)
+    side[:kept_p] = 0
+    tagged = np.sort(keys * 2 + side)
+    key = tagged >> 1
+    # Group starts, plus the end of the last group.
+    first = np.ones(key.size + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:-1])
+    bounds = np.flatnonzero(first)
+    from_q = np.zeros(key.size + 1, dtype=np.int64)
+    np.cumsum(tagged & 1, out=from_q[1:])
+    size = np.diff(bounds)
+    b = np.diff(from_q[bounds])
+    shared = size >= 2
+    b = b[shared]
+    radix = int(b.max(initial=0)) + 1
+    count = np.bincount((size[shared] - b) * radix + b)
+    pairs = np.flatnonzero(count)
+    return sum(c * _key_mark_mean(*divmod(pair, radix))
+               for pair, c in zip(pairs.tolist(), count[pairs].tolist()))
+
+
+def _non_singletons(keys: np.ndarray, kept_p: int) -> int:
+    """The non-singleton count of the keys; which side a key came from does not matter."""
+    return non_singleton_count(keys)
+
+
+# A statistic of the kept samples of one chunk's runs, from their packed
+# keys and the number of them that come from S_p (the first ones).
+_Reducer = Callable[[np.ndarray, int], float]
 
 
 # Expected kept samples plus dividers in one chunk of averaged runs: it
@@ -220,7 +294,6 @@ class _RunPlan:
     div_seg: np.ndarray
     div_pos: np.ndarray
     gen: np.random.Generator
-    rng: RngStream
 
     def reach(self, side: int) -> int:
         """Bound on the kept positions of ``side``: ``max_j(ell_j + D_j)``."""
@@ -266,20 +339,22 @@ def _plan_runs(
     if runs == 0:
         return None
     div_seg, div_pos = _distinct_positions(np.repeat(sizes, runs), dividers, gen)
-    return _RunPlan(sizes, alpha, beta, runs, dividers, ell, div_seg, div_pos, gen, rng)
+    return _RunPlan(sizes, alpha, beta, runs, dividers, ell, div_seg, div_pos, gen)
 
 
 def _finish_runs(
     plan: _RunPlan,
-    sets: tuple[np.ndarray, np.ndarray],
+    coords: np.ndarray,
     touched: tuple[np.ndarray, np.ndarray],
-) -> tuple[int, int]:
-    """``(sum_j Z_j, sum_j N_j)`` over the live runs of ``plan``.
+    reducers: tuple[_Reducer, ...],
+) -> tuple[float, ...]:
+    """Each reducer's statistic of the kept samples of the live runs of ``plan``.
 
-    ``sets[s]`` holds the pairs of side ``s`` at the sorted positions
-    ``touched[s]``. Kept samples lie in the prefix ``[0, plan.reach(s))``
-    that ``touched[s]`` starts with, so their positions index ``sets[s]``
-    directly; only the dividers are looked up.
+    ``coords`` holds the rows and the columns of the pairs of side 0 at
+    the sorted positions ``touched[0]``, then of side 1 at
+    ``touched[1]``. Kept samples lie in the prefix
+    ``[0, plan.reach(s))`` that ``touched[s]`` starts with, so their
+    positions index the side directly; only the dividers are looked up.
 
     The kept samples are the first ``ell`` non-dividers, computed from
     the sorted divider positions alone. Each divider is x-only, both or
@@ -289,9 +364,11 @@ def _finish_runs(
     uniform, and independent across disjoint subsets, so one permutation
     of all runs' items tags every run with the full-set flattening law.
     Tagging ``run * radix + row`` (and ``+ col``) and keying on it keeps
-    runs apart: samples of different runs never collide, so the marked
-    statistic and the non-singleton count of all runs' keys at once are
-    exactly the sums of the per-run values.
+    runs apart: samples of different runs never collide, so a statistic
+    of all runs' keys at once, the mark-averaged statistic
+    (:func:`_mark_averaged_statistic`, one sort) or the non-singleton
+    count, is exactly the sum of the per-run values. The caller passes
+    only the reducers whose statistics it reads; none of them draws.
     """
     runs, dividers, ell = plan.runs, plan.dividers, plan.ell
     div_seg, div_pos, gen = plan.div_seg, plan.div_pos, plan.gen
@@ -305,15 +382,19 @@ def _finish_runs(
     kept_pos = rank + np.searchsorted(gaps, kept_seg * radix + rank, side="right")
     kept_pos -= div_start[kept_seg]
 
+    kept = kept_seg.size
     kept_p = int(ell[:runs].sum())
     div_p = int(dividers[:runs].sum())
-    sp, sq = sets
-    pairs = np.concatenate([
-        sp[kept_pos[:kept_p]], sq[kept_pos[kept_p:]],
-        sp[np.searchsorted(touched[0], div_pos[:div_p])],
-        sq[np.searchsorted(touched[1], div_pos[div_p:])],
-    ])
-    run = np.concatenate([kept_seg, div_seg]) % runs
+    side1 = touched[0].size
+    row, col = coords.take(np.concatenate([
+        kept_pos[:kept_p], kept_pos[kept_p:] + side1,
+        np.searchsorted(touched[0], div_pos[:div_p]),
+        np.searchsorted(touched[1], div_pos[div_p:]) + side1,
+    ]), axis=1)
+    # Segment s holds side s // runs of run s % runs.
+    run = np.concatenate([kept_seg, div_seg])
+    run[kept_p:kept] -= runs
+    run[kept + div_p:] -= runs
     # A divider has F_x with probability alpha / r; F_x alone makes it a
     # divider, so F_y is then an independent Bernoulli(beta), else 1.
     rate = 1.0 - (1.0 - plan.alpha) * (1.0 - plan.beta)
@@ -323,16 +404,12 @@ def _finish_runs(
     unflagged = np.zeros(kept_seg.size, dtype=bool)
     fx = np.concatenate([unflagged, div_fx])
     fy = np.concatenate([unflagged, div_fy])
-    rows = run * (int(pairs[:, 0].max()) + 1) + pairs[:, 0]
-    cols = run * (int(pairs[:, 1].max()) + 1) + pairs[:, 1]
+    rows = run * (int(row.max()) + 1) + row
+    cols = run * (int(col.max()) + 1) + col
     row_subs = subbin_indices(rows, fx, gen.permutation(run.size))
     col_subs = subbin_indices(cols, fy, gen.permutation(run.size))
-
-    kept = kept_seg.size
     keys = pack_keys(rows[:kept], row_subs[:kept], cols[:kept], col_subs[:kept])
-    z = closeness_stat_marked(keys[:kept_p], keys[kept_p:], plan.rng.substream("marking"))
-    n = non_singleton_count(keys)
-    return z, n
+    return tuple(reduce(keys, kept_p) for reduce in reducers)
 
 
 def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
@@ -357,22 +434,24 @@ def _averaged(
     pairs_at: _PairsAt,
     config: IndependenceConfig,
     rng: RngStream,
+    reducers: tuple[_Reducer, ...],
     k_avg: int | None,
     alpha: float | None = None,
     beta: float | None = None,
     poisson_mean: float | None = None,
-) -> tuple[float, float]:
-    """``(Z_a, N_a)``: the average of ``k_avg`` runs on sets of ``sizes`` pairs.
+) -> tuple[float, ...]:
+    """Per reducer, the average of its statistic over ``k_avg`` runs on sets of ``sizes`` pairs.
 
     Run ``j`` flattens both axes, truncates to Poisson sizes and
-    contributes ``(Z_j, N_j)`` of the truncated flattened sets. The runs
-    execute in chunks of about 2^14 kept samples plus dividers, chunk
-    ``c`` as one array program on ``rng.substream("avg", c)``. Every
-    chunk's selectors are drawn first (:func:`_plan_runs`); then
-    ``pairs_at`` gives the pairs at the positions some run reads
-    (:func:`_touched_positions`), and each chunk finishes on its own
-    generator (:func:`_finish_runs`). ``None`` takes the configured
-    ``k_avg``, ``alpha``, ``beta`` and Poisson mean ``m``.
+    contributes each reducer's statistic of the truncated flattened
+    sets; an aborted run contributes 0. The runs execute in chunks of
+    about 2^14 kept samples plus dividers, chunk ``c`` as one array
+    program on ``rng.substream("avg", c)``. Every chunk's selectors are
+    drawn first (:func:`_plan_runs`); then ``pairs_at`` gives the pairs
+    at the positions some run reads (:func:`_touched_positions`), and
+    each chunk finishes on its own generator (:func:`_finish_runs`).
+    ``None`` takes the configured ``k_avg``, ``alpha``, ``beta`` and
+    Poisson mean ``m``.
     """
     k = config.k_avg if k_avg is None else k_avg
     m = config.sample_size()
@@ -389,14 +468,16 @@ def _averaged(
                                min(chunk, k - start), rng.substream("avg", c)))
     ]
     touched = (_touched_positions(plans, 0), _touched_positions(plans, 1))
-    sets = pairs_at(touched)
-    z_sum = 0
-    n_sum = 0
+    coords = np.concatenate(pairs_at(touched)).T.copy()
+    sums = [0] * len(reducers)
     for plan in plans:
-        z, n = _finish_runs(plan, sets, touched)
-        z_sum += z
-        n_sum += n
-    return z_sum / k, n_sum / k
+        for i, value in enumerate(_finish_runs(plan, coords, touched, reducers)):
+            sums[i] += value
+    return tuple(total / k for total in sums)
+
+
+# The reducers of (Z_a, N_a).
+_BOTH = (_mark_averaged_statistic, _non_singletons)
 
 
 def averaged_stats(
@@ -414,10 +495,11 @@ def averaged_stats(
     """Monte Carlo estimates ``(Z_a, N_a)`` of the averaged statistic and count.
 
     Averages ``k_avg`` (default ``config.k_avg``) independent randomized
-    evaluations on fixed sample sets; ``Z`` is the marked statistic and
-    ``N`` the non-singleton count of the truncated flattened sets. The
-    runs execute in chunks of about 2^14 kept samples and dividers;
-    chunk ``c`` draws from ``rng.substream("avg", c)``. The sets must
+    evaluations on fixed sample sets; ``Z`` is the marked statistic,
+    averaged exactly over its marks, and ``N`` the non-singleton count
+    of the truncated flattened sets. The runs execute in chunks of
+    about 2^14 kept samples and dividers; chunk ``c`` draws from
+    ``rng.substream("avg", c)``. The sets must
     hold ``100 m`` pairs each unless ``strict_size`` is false. The
     overrides of ``alpha``, ``beta`` and the Poisson mean of the
     truncation sizes exist for enumeration-scale tests; defaults follow
@@ -433,7 +515,7 @@ def averaged_stats(
         )
     return _averaged(
         sizes, lambda touched: (sets[0][touched[0]], sets[1][touched[1]]),
-        config, rng, k_avg, alpha, beta, poisson_mean,
+        config, rng, _BOTH, k_avg, alpha, beta, poisson_mean,
     )
 
 
@@ -482,6 +564,18 @@ def sampled_averaged_stats(
     ``sample_rng``, for its touched positions in position order: about
     ``1.02 m + K_avg (n1 + n2)`` of the ``100 m``.
     """
+    return _sampled_averages(sampler_p, config, sample_rng, rng, _BOTH, k_avg)
+
+
+def _sampled_averages(
+    sampler_p: IndexSampler,
+    config: IndependenceConfig,
+    sample_rng: RngStream,
+    rng: RngStream,
+    reducers: tuple[_Reducer, ...],
+    k_avg: int | None = None,
+) -> tuple[float, ...]:
+    """:func:`sampled_averaged_stats` for the given reducers only; the same draws."""
     m = config.sample_size()
     shape = (config.n1, config.n2)
     return _averaged(
@@ -489,7 +583,7 @@ def sampled_averaged_stats(
         lambda touched: _draw_pair_sets(
             sampler_p, shape, (touched[0].size, touched[1].size), sample_rng
         ),
-        config, rng, k_avg,
+        config, rng, reducers, k_avg,
     )
 
 
@@ -509,9 +603,9 @@ def rep_independence_test(
     exceeds a random multiple (uniform on ``[C_I1, C_I2]``) of the
     expectation-gap scale. Each stage computes ``median_reps``
     estimates on independent sample sets and compares their median to
-    the stage's single shared threshold. Each estimate is
-    :func:`sampled_averaged_stats`, which draws only the pairs its runs
-    read.
+    the stage's single shared threshold. Each estimate is the one
+    statistic its stage reads of :func:`sampled_averaged_stats`, which
+    draws only the pairs its runs read, on the same draws.
     """
     if isinstance(sampler_p, NonNegativeMeasure):
         if sampler_p.ndim != 2:
@@ -528,18 +622,17 @@ def rep_independence_test(
     internal = rng.substream("internal")
     m = config.sample_size()
 
-    def stage_estimates(stage: str) -> list[tuple[float, float]]:
-        return [
-            sampled_averaged_stats(
-                sampler_p, config, sample_rng.substream(stage, rep), internal.substream(stage, rep)
-            )
+    def stage_estimate(stage: str, reduce: _Reducer) -> float:
+        return float(np.median([
+            _sampled_averages(sampler_p, config, sample_rng.substream(stage, rep),
+                              internal.substream(stage, rep), (reduce,))[0]
             for rep in range(config.median_reps)
-        ]
+        ]))
 
     n_threshold = float(
         internal.substream("threshold-N").generator().uniform(2 * config.c_n, 100 * config.c_n)
     ) * stage1_scale(m, config.n1, config.n2)
-    n_hat = float(np.median([n for _, n in stage_estimates("stage1")]))
+    n_hat = stage_estimate("stage1", _non_singletons)
     if n_hat > n_threshold:
         return TesterVerdict(
             accept=False, statistic=n_hat, threshold=n_threshold,
@@ -549,7 +642,7 @@ def rep_independence_test(
     z_threshold = float(
         internal.substream("threshold-Z").generator().uniform(config.c_i1, config.c_i2)
     ) * independence_gap(m, config.n1, config.n2, config.epsilon)
-    z_hat = float(np.median([z for z, _ in stage_estimates("stage2")]))
+    z_hat = stage_estimate("stage2", _mark_averaged_statistic)
     return TesterVerdict(
         accept=z_hat <= z_threshold, statistic=z_hat, threshold=z_threshold,
         detail={"stage": 2, "m": m, "stage1_statistic": n_hat, "stage1_threshold": n_threshold},

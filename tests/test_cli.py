@@ -314,6 +314,32 @@ def test_parameters_that_do_not_cast_are_named(tmp_path, capsys, kind, params, n
     assert f"{named} must be " in err
 
 
+@pytest.mark.parametrize("argv, params, named", [
+    (["experiment"], {**_CONCENTRATION, "draws_per_xi": 0}, "draws_per_xi must be >= 1"),
+    (["calibrate", "--kind", "closeness"], {**_ACCEPTANCE_PARAMS, "calibration_trials": 0},
+     "calibration_trials must be >= 1"),
+    (["calibrate", "--kind", "independence"],
+     {"n1": 20, "n2": 10, "epsilon": 0.35, "rho": 0.2, "calibration_trials": 1},
+     "calibration_trials must be >= 2"),
+], ids=["zero-draws_per_xi", "zero-closeness-calibration_trials",
+        "one-independence-calibration_trial"])
+def test_counts_below_their_least_are_named(tmp_path, capsys, argv, params, named):
+    # zero draws or trials would report NaN or divide by zero; the
+    # independence spread sd_z_a (ddof=1) needs two trials
+    path = tmp_path / "cfg.json"
+    if argv[0] == "calibrate":
+        path.write_text(json.dumps(params))
+        argv = [*argv, "--params", str(path)]
+    else:
+        path.write_text(json.dumps({"schema": 1, "kind": "concentration", "seed": 1,
+                                    "trials": 2, "params": params}))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
 def test_experiment_command_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "nope", "seed": 1, "trials": 5}))

@@ -178,6 +178,39 @@ def test_marked_statistic_is_the_closeness_statistic_of_the_mark_split_counts(sp
     assert got == closeness_statistic(*counts)
 
 
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(st.integers(min_value=0, max_value=n), st.just(n))))
+@settings(max_examples=60, deadline=None)
+def test_key_mark_mean_is_the_mean_over_every_marking(split):
+    # zc_mean enumerates all 2^n markings of a key held a times by S_p
+    a, n = split
+    assert ind._key_mark_mean(a, n - a) == pytest.approx(zc_mean([0] * a, [0] * (n - a)),
+                                                         rel=1e-12, abs=0)
+
+
+@given(key_bags, key_bags)
+@settings(max_examples=60, deadline=None)
+def test_mark_averaged_statistic_sums_the_key_means(sp, sq):
+    # the one sort must recover (a, b) for every key, whatever the order
+    keys = np.array(sp + sq, dtype=np.int64)
+    expected = sum(ind._key_mark_mean(sp.count(k), sq.count(k)) for k in set(sp) | set(sq))
+    got = ind._mark_averaged_statistic(keys, len(sp))
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_marked_statistic_averages_to_the_mark_averaged_statistic():
+    # fixed keys with shared keys on one side, on both sides and singletons
+    sp = [3, 3, 7, 7, 7, 9, 11, 12, 12, 12, 12]
+    sq = [3, 7, 9, 9, 11, 11, 11, 2, 12]
+    exact = ind._mark_averaged_statistic(np.array(sp + sq), len(sp))
+    draws = 4000
+    values = np.array([
+        closeness_stat_marked(np.array(sp), np.array(sq), ROOT.substream("averaged-marks", t))
+        for t in range(draws)
+    ], dtype=float)
+    assert abs(values.mean() - exact) <= 3 * values.std(ddof=1) / math.sqrt(draws)
+
+
 def test_bounded_influence_of_non_singleton_removal():
     # dropping one copy of a colliding element moves the statistic by <= 2
     sp, sq = [4, 4, 4], [4, 2]
@@ -404,6 +437,33 @@ def test_rep_independence_shared_internal_reuses_thresholds():
     v2 = rep_independence_test(p, config, base, sample_rng=base.substream("s2"))
     assert v1.threshold == v2.threshold
     assert v1.detail["stage1_threshold"] == v2.detail["stage1_threshold"]
+
+
+@pytest.mark.parametrize("p, n1, n2, c_n, stage", [
+    (uniform_product_measure(40, 20), 40, 20, 4.0, 2),
+    (diagonal_measure(20), 20, 20, 4.0, 2),
+    # a tiny C_N makes stage 1 reject the diagonal
+    (diagonal_measure(20), 20, 20, 0.01, 1),
+], ids=["product", "diagonal", "diagonal-stage1"])
+def test_each_stage_reads_its_statistic_of_the_full_estimate(p, n1, n2, c_n, stage):
+    # a stage computes one statistic only; it must be exactly that one of
+    # sampled_averaged_stats on the same sample and run streams
+    config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2,
+                                **{**INDEPENDENCE_DESK, "c_n": c_n})
+    rng = ROOT.substream("split", n1, c_n)
+    verdict = rep_independence_test(p, config, rng)
+    samples, internal = rng.substream("samples"), rng.substream("internal")
+
+    def full(stage_name):
+        return sampled_averaged_stats(measure_sampler(p), config, samples.substream(stage_name, 0),
+                                      internal.substream(stage_name, 0))
+
+    assert verdict.detail["stage"] == stage
+    if stage == 1:
+        assert verdict.statistic == full("stage1")[1]
+    else:
+        assert verdict.detail["stage1_statistic"] == full("stage1")[1]
+        assert verdict.statistic == full("stage2")[0]
 
 
 def test_diagonal_rejected_at_stage_two():
