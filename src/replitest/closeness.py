@@ -23,7 +23,7 @@ from .calibrated import CLOSENESS_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, counts_from_indices, measure_sampler, multinomial_split
-from .verdict import CalibrationError, TesterVerdict, gap_verdict
+from .verdict import CalibrationError, TesterVerdict, _sample_budget, gap_verdict
 
 
 def closeness_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -34,17 +34,10 @@ def closeness_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not (0 < epsilon < 1 and 0 < rho < 1):
-        raise ValueError("epsilon and rho must lie in (0, 1)")
-    if m_scale <= 0:
-        raise ValueError("m_scale must be positive")
-    term1 = n ** (2.0 / 3.0) * rho ** (-2.0 / 3.0) * epsilon ** (-4.0 / 3.0)
-    term2 = math.sqrt(n) * epsilon**-2 * rho**-1
-    term3 = rho**-2 * epsilon**-2
-    m = m_scale * (term1 + term2 + term3)
-    if not math.isfinite(m) or m > 2**62:
-        raise OverflowError("sample size overflows for these parameters")
-    return math.ceil(m)
+    return _sample_budget(epsilon, rho, m_scale, lambda: m_scale * (
+        n ** (2.0 / 3.0) * rho ** (-2.0 / 3.0) * epsilon ** (-4.0 / 3.0)
+        + math.sqrt(n) * epsilon**-2 * rho**-1
+        + rho**-2 * epsilon**-2))
 
 
 def soundness_floor(m: int, n: int, epsilon: float, c2: float) -> float:

@@ -537,11 +537,13 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     uniformity draws no samples and reports the ceiling, the floor and
     whether the gap is open; independence reports the averaged
     non-singleton count and the spread ``sd_z_a`` of the averaged
-    statistic on product-uniform sets. That statistic is averaged
-    exactly over its fair marks (see ``independence``), so ``sd_z_a`` is
-    the spread of the mark-averaged statistic, lower than that of one
-    with drawn marks. The output can be passed to the CLI's
-    ``--constants`` flag, which ignores the keys that are not constants.
+    statistic on product-uniform sets. Each of those estimates averages
+    ``min(k_avg, 50)`` runs, though the output reports the configured
+    ``k_avg``. That statistic is averaged exactly over its fair marks
+    (see ``independence``), so ``sd_z_a`` is the spread of the
+    mark-averaged statistic, lower than that of one with drawn marks.
+    The output can be passed to the CLI's ``--constants`` flag, which
+    ignores the keys that are not constants.
     """
     if kind not in TESTERS:
         raise ConfigError(f"unknown calibration kind {kind!r}")

@@ -25,9 +25,9 @@ Binomial number of dividers at a uniform subset of positions, which has
 the law of iid Bernoulli flags, so a run touches only its kept samples
 and dividers, not the whole sample sets. Keys carry the run index, so a
 statistic of all runs of a chunk comes from one call on its keys and
-equals the sum of the per-run values exactly. Each stage reads one
-statistic and computes only that one: stage 1 the non-singleton count,
-stage 2 the mark-averaged statistic, from one sort of the chunk's keys.
+equals the sum of the per-run values exactly. One sort of the chunk's
+keys gives both statistics: the mark-averaged statistic that stage 2
+reads and the non-singleton count that stage 1 reads.
 
 Fixed sample sets (``averaged_stats``) and fresh draws
 (``sampled_averaged_stats``) feed the runs the same way. Every run's
@@ -54,11 +54,12 @@ import numpy as np
 
 from .calibrated import INDEPENDENCE_DESK
 from .closeness import closeness_statistic, soundness_floor
+# non_singleton_count is bound only for bench/spans.py, which wraps it here by name.
 from .flattening import non_singleton_count, pack_keys, subbin_indices
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, measure_sampler
-from .verdict import TesterVerdict
+from .verdict import TesterVerdict, _sample_budget
 
 
 def independence_sample_size(
@@ -75,17 +76,10 @@ def independence_sample_size(
     """
     if n1 < n2 or n2 < 1:
         raise ValueError("need n1 >= n2 >= 1")
-    if not (0 < epsilon < 1 and 0 < rho < 1):
-        raise ValueError("epsilon and rho must lie in (0, 1)")
-    if m_scale <= 0:
-        raise ValueError("m_scale must be positive")
-    term1 = n1 ** (2.0 / 3.0) * n2 ** (1.0 / 3.0) * rho ** (-2.0 / 3.0) * epsilon ** (-4.0 / 3.0)
-    term2 = math.sqrt(n1 * n2) * rho**-1 * epsilon**-2
-    term3 = epsilon**-2 * rho**-2
-    m = m_scale * max(math.log(n1 * n2), 1.0) * (term1 + term2 + term3)
-    if not math.isfinite(m) or m > 2**62:
-        raise OverflowError("sample size overflows for these parameters")
-    return math.ceil(m)
+    return _sample_budget(epsilon, rho, m_scale, lambda: m_scale * max(math.log(n1 * n2), 1.0) * (
+        n1 ** (2.0 / 3.0) * n2 ** (1.0 / 3.0) * rho ** (-2.0 / 3.0) * epsilon ** (-4.0 / 3.0)
+        + math.sqrt(n1 * n2) * rho**-1 * epsilon**-2
+        + epsilon**-2 * rho**-2))
 
 
 def independence_gap(m: int, n1: int, n2: int, epsilon: float) -> float:
@@ -163,7 +157,7 @@ def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStre
     statistic is :func:`closeness_statistic` of the per-key counts
     ``(Tp0, Tp1, Tq0, Tq1)`` split by source and 0/1 mark. Singleton
     keys contribute 0. This is the definition; the tester's runs add its
-    exact mean over the marks instead (:func:`_mark_averaged_statistic`).
+    exact mean over the marks instead (:func:`_key_stats`).
     """
     sp_keys = np.asarray(sp_keys, dtype=np.int64)
     sq_keys = np.asarray(sq_keys, dtype=np.int64)
@@ -207,13 +201,15 @@ def _key_mark_mean(a: int, b: int) -> float:
     return (2 * w - (u << b) - (v << a)) / (1 << n)
 
 
-def _mark_averaged_statistic(keys: np.ndarray, kept_p: int) -> float:
-    """Sum of :func:`_key_mark_mean` over the distinct keys; the first ``kept_p`` are from ``S_p``.
+def _key_stats(keys: np.ndarray, kept_p: int) -> tuple[float, int]:
+    """``(Z, N)`` of the keys; the first ``kept_p`` are from ``S_p``.
 
-    One sort of ``2 key + side`` lists each key's samples together, the
+    ``Z`` is the sum of :func:`_key_mark_mean` over the distinct keys and
+    ``N`` the non-singleton count (:func:`non_singleton_count`). One
+    sort of ``2 key + side`` lists each key's samples together, the
     ``S_p`` ones first, so the group sizes and the ``S_q`` bits give
-    ``(a, b)`` per key. Each ``(a, b)`` pair that occurs is evaluated
-    once.
+    ``(a, b)`` per key, and ``N`` is the sum of the group sizes of at
+    least 2. Each ``(a, b)`` pair that occurs is evaluated once.
     """
     if keys.max(initial=0) >= 2**62:
         raise OverflowError("2 * key does not fit in int64")
@@ -230,22 +226,14 @@ def _mark_averaged_statistic(keys: np.ndarray, kept_p: int) -> float:
     size = np.diff(bounds)
     b = np.diff(from_q[bounds])
     shared = size >= 2
+    size = size[shared]
     b = b[shared]
     radix = int(b.max(initial=0)) + 1
-    count = np.bincount((size[shared] - b) * radix + b)
+    count = np.bincount((size - b) * radix + b)
     pairs = np.flatnonzero(count)
-    return sum(c * _key_mark_mean(*divmod(pair, radix))
-               for pair, c in zip(pairs.tolist(), count[pairs].tolist()))
-
-
-def _non_singletons(keys: np.ndarray, kept_p: int) -> int:
-    """The non-singleton count of the keys; which side a key came from does not matter."""
-    return non_singleton_count(keys)
-
-
-# A statistic of the kept samples of one chunk's runs, from their packed
-# keys and the number of them that come from S_p (the first ones).
-_Reducer = Callable[[np.ndarray, int], float]
+    z = sum(c * _key_mark_mean(*divmod(pair, radix))
+            for pair, c in zip(pairs.tolist(), count[pairs].tolist()))
+    return z, int(size.sum())
 
 
 # Expected kept samples plus dividers in one chunk of averaged runs: it
@@ -346,9 +334,8 @@ def _finish_runs(
     plan: _RunPlan,
     coords: np.ndarray,
     touched: tuple[np.ndarray, np.ndarray],
-    reducers: tuple[_Reducer, ...],
-) -> tuple[float, ...]:
-    """Each reducer's statistic of the kept samples of the live runs of ``plan``.
+) -> tuple[float, int]:
+    """``(Z, N)`` of the kept samples of the live runs of ``plan``.
 
     ``coords`` holds the rows and the columns of the pairs of side 0 at
     the sorted positions ``touched[0]``, then of side 1 at
@@ -364,11 +351,9 @@ def _finish_runs(
     uniform, and independent across disjoint subsets, so one permutation
     of all runs' items tags every run with the full-set flattening law.
     Tagging ``run * radix + row`` (and ``+ col``) and keying on it keeps
-    runs apart: samples of different runs never collide, so a statistic
-    of all runs' keys at once, the mark-averaged statistic
-    (:func:`_mark_averaged_statistic`, one sort) or the non-singleton
-    count, is exactly the sum of the per-run values. The caller passes
-    only the reducers whose statistics it reads; none of them draws.
+    runs apart: samples of different runs never collide, so both
+    statistics of all runs' keys at once, from one sort
+    (:func:`_key_stats`), are exactly the sums of the per-run values.
     """
     runs, dividers, ell = plan.runs, plan.dividers, plan.ell
     div_seg, div_pos, gen = plan.div_seg, plan.div_pos, plan.gen
@@ -409,7 +394,7 @@ def _finish_runs(
     row_subs = subbin_indices(rows, fx, gen.permutation(run.size))
     col_subs = subbin_indices(cols, fy, gen.permutation(run.size))
     keys = pack_keys(rows[:kept], row_subs[:kept], cols[:kept], col_subs[:kept])
-    return tuple(reduce(keys, kept_p) for reduce in reducers)
+    return _key_stats(keys, kept_p)
 
 
 def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
@@ -434,17 +419,16 @@ def _averaged(
     pairs_at: _PairsAt,
     config: IndependenceConfig,
     rng: RngStream,
-    reducers: tuple[_Reducer, ...],
     k_avg: int | None,
     alpha: float | None = None,
     beta: float | None = None,
     poisson_mean: float | None = None,
-) -> tuple[float, ...]:
-    """Per reducer, the average of its statistic over ``k_avg`` runs on sets of ``sizes`` pairs.
+) -> tuple[float, float]:
+    """``(Z_a, N_a)``, the averages of ``(Z, N)`` over ``k_avg`` runs on sets of ``sizes`` pairs.
 
     Run ``j`` flattens both axes, truncates to Poisson sizes and
-    contributes each reducer's statistic of the truncated flattened
-    sets; an aborted run contributes 0. The runs execute in chunks of
+    contributes ``(Z, N)`` of the truncated flattened sets; an aborted
+    run contributes ``(0, 0)``. The runs execute in chunks of
     about 2^14 kept samples plus dividers, chunk ``c`` as one array
     program on ``rng.substream("avg", c)``. Every chunk's selectors are
     drawn first (:func:`_plan_runs`); then ``pairs_at`` gives the pairs
@@ -469,15 +453,8 @@ def _averaged(
     ]
     touched = (_touched_positions(plans, 0), _touched_positions(plans, 1))
     coords = np.concatenate(pairs_at(touched)).T.copy()
-    sums = [0] * len(reducers)
-    for plan in plans:
-        for i, value in enumerate(_finish_runs(plan, coords, touched, reducers)):
-            sums[i] += value
-    return tuple(total / k for total in sums)
-
-
-# The reducers of (Z_a, N_a).
-_BOTH = (_mark_averaged_statistic, _non_singletons)
+    stats = [_finish_runs(plan, coords, touched) for plan in plans]
+    return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
 
 
 def averaged_stats(
@@ -515,7 +492,7 @@ def averaged_stats(
         )
     return _averaged(
         sizes, lambda touched: (sets[0][touched[0]], sets[1][touched[1]]),
-        config, rng, _BOTH, k_avg, alpha, beta, poisson_mean,
+        config, rng, k_avg, alpha, beta, poisson_mean,
     )
 
 
@@ -564,18 +541,6 @@ def sampled_averaged_stats(
     ``sample_rng``, for its touched positions in position order: about
     ``1.02 m + K_avg (n1 + n2)`` of the ``100 m``.
     """
-    return _sampled_averages(sampler_p, config, sample_rng, rng, _BOTH, k_avg)
-
-
-def _sampled_averages(
-    sampler_p: IndexSampler,
-    config: IndependenceConfig,
-    sample_rng: RngStream,
-    rng: RngStream,
-    reducers: tuple[_Reducer, ...],
-    k_avg: int | None = None,
-) -> tuple[float, ...]:
-    """:func:`sampled_averaged_stats` for the given reducers only; the same draws."""
     m = config.sample_size()
     shape = (config.n1, config.n2)
     return _averaged(
@@ -583,7 +548,7 @@ def _sampled_averages(
         lambda touched: _draw_pair_sets(
             sampler_p, shape, (touched[0].size, touched[1].size), sample_rng
         ),
-        config, rng, reducers, k_avg,
+        config, rng, k_avg,
     )
 
 
@@ -603,9 +568,9 @@ def rep_independence_test(
     exceeds a random multiple (uniform on ``[C_I1, C_I2]``) of the
     expectation-gap scale. Each stage computes ``median_reps``
     estimates on independent sample sets and compares their median to
-    the stage's single shared threshold. Each estimate is the one
-    statistic its stage reads of :func:`sampled_averaged_stats`, which
-    draws only the pairs its runs read, on the same draws.
+    the stage's single shared threshold. Each estimate is the element
+    its stage reads of :func:`sampled_averaged_stats`, which draws only
+    the pairs its runs read.
     """
     if isinstance(sampler_p, NonNegativeMeasure):
         if sampler_p.ndim != 2:
@@ -622,17 +587,17 @@ def rep_independence_test(
     internal = rng.substream("internal")
     m = config.sample_size()
 
-    def stage_estimate(stage: str, reduce: _Reducer) -> float:
+    def stage_estimate(stage: str, element: int) -> float:
         return float(np.median([
-            _sampled_averages(sampler_p, config, sample_rng.substream(stage, rep),
-                              internal.substream(stage, rep), (reduce,))[0]
+            sampled_averaged_stats(sampler_p, config, sample_rng.substream(stage, rep),
+                                   internal.substream(stage, rep))[element]
             for rep in range(config.median_reps)
         ]))
 
     n_threshold = float(
         internal.substream("threshold-N").generator().uniform(2 * config.c_n, 100 * config.c_n)
     ) * stage1_scale(m, config.n1, config.n2)
-    n_hat = stage_estimate("stage1", _non_singletons)
+    n_hat = stage_estimate("stage1", 1)
     if n_hat > n_threshold:
         return TesterVerdict(
             accept=False, statistic=n_hat, threshold=n_threshold,
@@ -642,7 +607,7 @@ def rep_independence_test(
     z_threshold = float(
         internal.substream("threshold-Z").generator().uniform(config.c_i1, config.c_i2)
     ) * independence_gap(m, config.n1, config.n2, config.epsilon)
-    z_hat = stage_estimate("stage2", _mark_averaged_statistic)
+    z_hat = stage_estimate("stage2", 0)
     return TesterVerdict(
         accept=z_hat <= z_threshold, statistic=z_hat, threshold=z_threshold,
         detail={"stage": 2, "m": m, "stage1_statistic": n_hat, "stage1_threshold": n_threshold},

@@ -22,21 +22,15 @@ from .calibrated import UNIFORMITY_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import CountVector, IndexSampler, counts_from_indices, sample_counts_poissonized
-from .verdict import TesterVerdict, gap_verdict
+from .verdict import TesterVerdict, _sample_budget, gap_verdict
 
 
 def uniformity_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
     """``m = ceil(m_scale * (sqrt(n) eps^-2 rho^-1 + eps^-2 rho^-2))``."""
     if n < 1:
         raise ValueError("n must be positive")
-    if not (0 < epsilon < 1 and 0 < rho < 1):
-        raise ValueError("epsilon and rho must lie in (0, 1)")
-    if m_scale <= 0:
-        raise ValueError("m_scale must be positive")
-    m = m_scale * (math.sqrt(n) * epsilon**-2 * rho**-1 + epsilon**-2 * rho**-2)
-    if not math.isfinite(m) or m > 2**62:
-        raise OverflowError("sample size overflows for these parameters")
-    return math.ceil(m)
+    return _sample_budget(epsilon, rho, m_scale, lambda: m_scale * (
+        math.sqrt(n) * epsilon**-2 * rho**-1 + epsilon**-2 * rho**-2))
 
 
 def uniformity_statistic(counts: CountVector, m: int) -> float:

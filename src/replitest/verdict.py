@@ -1,14 +1,33 @@
-"""Verdict type of all testers, and the gap threshold and gap verdict of the 1D testers."""
+"""Verdict type and sample-budget check of all testers; gap threshold and verdict of 1D testers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .rng import RngStream
 
 
 class CalibrationError(ValueError):
     """Raised when configured constants leave no valid threshold gap."""
+
+
+def _sample_budget(epsilon: float, rho: float, m_scale: float, budget: Callable[[], float]) -> int:
+    """``ceil(budget())``, a tester's sample budget, after the checks every tester shares.
+
+    ``epsilon`` and ``rho`` must lie in (0, 1) and ``m_scale`` must be
+    positive before ``budget`` is called; a budget that is not finite or
+    exceeds ``2**62`` raises ``OverflowError``.
+    """
+    if not (0 < epsilon < 1 and 0 < rho < 1):
+        raise ValueError("epsilon and rho must lie in (0, 1)")
+    if m_scale <= 0:
+        raise ValueError("m_scale must be positive")
+    m = budget()
+    if not math.isfinite(m) or m > 2**62:
+        raise OverflowError("sample size overflows for these parameters")
+    return math.ceil(m)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from scipy import stats
 import replitest.independence as ind
 from replitest.calibrated import INDEPENDENCE_DESK
 from replitest.closeness import closeness_statistic
+from replitest.flattening import non_singleton_count
 from replitest.independence import (
     IndependenceConfig,
     averaged_stats,
@@ -191,18 +192,19 @@ def test_key_mark_mean_is_the_mean_over_every_marking(split):
 @given(key_bags, key_bags)
 @settings(max_examples=60, deadline=None)
 def test_mark_averaged_statistic_sums_the_key_means(sp, sq):
-    # the one sort must recover (a, b) for every key, whatever the order
+    # the one sort must recover (a, b) and N for every key, whatever the order
     keys = np.array(sp + sq, dtype=np.int64)
     expected = sum(ind._key_mark_mean(sp.count(k), sq.count(k)) for k in set(sp) | set(sq))
-    got = ind._mark_averaged_statistic(keys, len(sp))
+    got = ind._key_stats(keys, len(sp))[0]
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert ind._key_stats(keys, len(sp))[1] == non_singleton_count(keys)
 
 
 def test_marked_statistic_averages_to_the_mark_averaged_statistic():
     # fixed keys with shared keys on one side, on both sides and singletons
     sp = [3, 3, 7, 7, 7, 9, 11, 12, 12, 12, 12]
     sq = [3, 7, 9, 9, 11, 11, 11, 2, 12]
-    exact = ind._mark_averaged_statistic(np.array(sp + sq), len(sp))
+    exact = ind._key_stats(np.array(sp + sq), len(sp))[0]
     draws = 4000
     values = np.array([
         closeness_stat_marked(np.array(sp), np.array(sq), ROOT.substream("averaged-marks", t))
