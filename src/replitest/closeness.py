@@ -70,6 +70,8 @@ def closeness_statistic(x, x_prime, y, y_prime) -> int:
 class ClosenessConfig:
     """Parameters of the closeness tester.
 
+    ``epsilon`` is measured in unhalved l1 (twice the total variation
+    distance): the soundness case is ``||p - q||_1 >= epsilon``.
     ``epsilon`` and ``rho`` are nominally in (0, 1/4); the desk-scale
     experiments also run slightly above that range, so only (0, 1) is
     enforced. Construction verifies the gap condition

@@ -96,6 +96,10 @@ def stage1_scale(m: int, n1: int, n2: int) -> float:
 class IndependenceConfig:
     """Parameters of the independence tester.
 
+    ``epsilon`` is measured in unhalved l1 to the nearest product
+    distribution: the soundness case is
+    ``min_{q1, q2} ||p - q1 x q2||_1 >= epsilon``, over every product
+    of marginals, not only the product of ``p``'s own.
     ``epsilon`` and ``rho`` are nominally in (0, 1/4); desk-scale
     experiments also run above that range, so only (0, 1) is enforced.
     """

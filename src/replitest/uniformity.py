@@ -42,6 +42,14 @@ def uniformity_statistic(counts: CountVector, m: int) -> float:
 
 @dataclass(frozen=True)
 class UniformityConfig:
+    """Parameters of the uniformity tester.
+
+    ``epsilon`` is measured in unhalved l1 (twice the total variation
+    distance): the soundness case is ``||p - u||_1 >= epsilon``. The
+    soundness floor reads it so, through
+    ``E Z = m^2 ||p - u||_2^2 >= m^2 ||p - u||_1^2 / n``.
+    """
+
     n: int
     epsilon: float
     rho: float

@@ -450,9 +450,11 @@ def test_one_report_builds_the_poisson_starts_once(monkeypatch, kernel, initial)
 
 @st.composite
 def posterior_rows(draw):
-    """Row-stochastic (S, r) with r in {2, 3}: random, repeated, collinear
-    and saturated rows, or the posteriors of a small pair kernel (at xi = 0
-    its light columns coincide and every row lies on one line)."""
+    """Row-stochastic (S, r) with r in {2, 3}: random, repeated, collinear,
+    saturated and near rows, or the posteriors of a small pair kernel (at
+    xi = 0 its light columns coincide and every row lies on one line).
+    A near row is an existing row moved by 1e-16 to 1e-13, plus rows within
+    1e-100 of a simplex corner, as the pair kernels' heavy rows are."""
     if draw(st.booleans()):
         kernel = ClosenessPairKernel(n=100, m=draw(st.integers(1, 49)),
                                      epsilon=draw(st.floats(0.15, 0.9)),
@@ -462,8 +464,8 @@ def posterior_rows(draw):
     r = draw(st.sampled_from([2, 3]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = [gen.dirichlet(np.ones(r))]
-    for kind in draw(st.lists(st.sampled_from(["random", "repeat", "between", "saturated"]),
-                              max_size=40)):
+    kinds = ["random", "repeat", "between", "saturated", "near"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
         if kind == "random":
             rows.append(gen.dirichlet(np.full(r, 0.3)))
         elif kind == "repeat":
@@ -472,6 +474,14 @@ def posterior_rows(draw):
             i, j = gen.integers(len(rows), size=2)
             t = gen.integers(1, 8) / 8
             rows.append(t * rows[i] + (1 - t) * rows[j])
+        elif kind == "near":
+            t = 10.0 ** gen.uniform(-16, -13)
+            row = rows[gen.integers(len(rows))]
+            rows.append(row + t * (gen.dirichlet(np.ones(r)) - row))
+            corner = np.eye(r)[gen.integers(r)]
+            for _ in range(gen.integers(1, 4)):
+                t = 10.0 ** gen.uniform(-130, -90)
+                rows.append(corner + t * (gen.dirichlet(np.ones(r)) - corner))
         else:
             row = np.zeros(r)
             row[gen.choice(r, size=gen.integers(1, r + 1), replace=False)] = 1.0
@@ -491,7 +501,20 @@ def test_extreme_rows_attain_the_all_rows_maximum(post, states, seed):
     assert abs(all_rows_l1(post[keep], points, pi) - all_rows_l1(post, points, pi)) <= 1e-12
 
 
-@pytest.mark.parametrize("xi, most_rows", [(0.0, 2), (0.1, 199), (0.2, 199)])
+@pytest.mark.parametrize("base", [[0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+def test_extreme_rows_keep_one_row_of_a_grid_cell(base):
+    # Rows within 2^-49 of one point of the 2^-46 grid snap to it together,
+    # half of them at the 1e-125 scale of the pair kernels' heavy rows.
+    gen = np.random.default_rng(7)
+    shift = gen.uniform(-1.0, 1.0, size=(50, 3)) * 2.0**-49
+    shift[:, 0] = -shift[:, 1:].sum(axis=1)
+    shift[1::2] *= 1e-110
+    post = np.clip(np.array(base) + shift, 0.0, 1.0)
+    keep = walks._extreme_rows(post)
+    assert keep.size == 1 and 0 <= keep[0] < post.shape[0]
+
+
+@pytest.mark.parametrize("xi, most_rows", [(0.0, 2), (0.1, 22), (0.2, 22)])
 def test_point_curve_reads_few_rows_and_matches_all_rows(monkeypatch, xi, most_rows):
     # The three kernels of the mixing-walks benchmark workload.
     kernel = ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=xi)
