@@ -38,7 +38,7 @@ from .measures import (
 from .rng import RngStream
 from .sampling import measure_sampler
 from .verdict import TesterVerdict
-from .walks import ClosenessPairKernel, CoordKernel, estimate_mixing
+from .walks import ClosenessPairKernel, CoordKernel, TruncationError, estimate_mixing
 
 SCHEMA_VERSION = 1
 
@@ -413,7 +413,11 @@ def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
         raise ConfigError(f"unknown kernel {kind!r}")
     kernel = config_from_params(_KERNELS[kind], params)
     delta = _cast("delta", float, params.get("delta", 0.04))
-    report = estimate_mixing(kernel, delta, initial=params.get("initial", "all"))
+    try:
+        report = estimate_mixing(kernel, delta, initial=params.get("initial", "all"))
+    except TruncationError as exc:
+        raise ConfigError(f"a_max = {kernel.a_max} truncates the kernel ({exc}); "
+                          "raise a_max") from exc
     records = [{"t": t, "l1_to_stationary": tv} for t, tv in report.tv_curve]
     return records, {
         "tau_delta": report.tau_delta,

@@ -11,9 +11,11 @@ states and ``B`` (r x S) the truncated Poisson pmf of each of the r
 branches (r = 2 for the coordinate walk, r = 3 for the pair walk).
 Everything is computed in log-space, truncated at ``a_max``.
 
-Mixing reports read a kernel only through ``factors() -> (Post, B)``,
-whose rows of ``B`` are also the Poisson starts, and
-``stationary_vector()``, and never form ``P``. Since
+Mixing reports read a kernel only through ``factors() -> (Post, B, pi)``,
+and never form ``P``. One pass over the truncated grid evaluates each
+(branch, coordinate) log-pmf once; from those values come the rows of
+``B``, which are also the Poisson starts, and one log-sum-exp over the
+branch axis gives both ``Post`` and the stationary law ``pi``. Since
 ``P^t = Post (B Post)^{t-1} B``, the l1 curves advance through r x S
 factors and the nonzero spectrum of ``P`` is the spectrum of the r x r
 branch chain ``B Post`` (the data-augmentation duality of Liu, Wong &
@@ -65,17 +67,17 @@ def log_poisson_pmf(k, rate: float) -> np.ndarray:
     return -rate + k * math.log(rate) - log_factorial[np.searchsorted(states, k)]
 
 
-def logsumexp(a, keepdims: bool = False) -> np.ndarray:
-    """``log(sum(exp(a)))`` over the last axis, shifted by the maximum.
+def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """``log(sum(exp(a)))`` over ``axis``, shifted by the maximum.
 
-    A row of all ``-inf`` gives ``-inf`` without a warning.
+    A slice of all ``-inf`` gives ``-inf`` without a warning.
     """
     a = np.asarray(a, dtype=np.float64)
-    top = np.max(a, axis=-1, keepdims=True)
+    top = np.max(a, axis=axis, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - top).sum(axis=-1, keepdims=True)) + top
-    return out if keepdims else out[..., 0]
+        out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def _default_a_max(rate: float) -> int:
@@ -88,8 +90,8 @@ class _BranchMixture:
 
     A kernel declares ``_branches() -> (log_weights, rates)``, with
     ``rates[k]`` holding branch k's Poisson rate for each coordinate,
-    and ``initial_distributions()``, which names the rows of
-    ``_branch_pmfs()``.
+    and ``initial_distributions()``, which names the rows of the branch
+    factor ``factors()[1]``.
     """
 
     def __post_init__(self) -> None:
@@ -97,19 +99,20 @@ class _BranchMixture:
             top = max(r for rates in self._branches()[1] for r in rates)
             object.__setattr__(self, "a_max", _default_a_max(top))
 
-    def _log_joint(self, *counts) -> np.ndarray:
-        """``log(w_k * prod_i Poi(counts[i]; rates[k][i]))`` stacked over branches k.
+    def _log_pmfs(self, *counts):
+        """Per branch k: ``log w_k`` and ``log Poi(counts[i]; rates[k][i])`` for each i.
 
         The counts broadcast, so a grid passes as open axes and each pmf
         is evaluated once per axis.
         """
         counts = [np.asarray(c, dtype=np.float64) for c in counts]
-        parts = []
-        for total, rates in zip(*self._branches()):
-            for c, rate in zip(counts, rates):
-                total = total + log_poisson_pmf(c, rate)
-            parts.append(total)
-        return np.stack(parts, axis=-1)
+        for log_weight, rates in zip(*self._branches()):
+            yield log_weight, [log_poisson_pmf(c, rate) for c, rate in zip(counts, rates)]
+
+    def _log_joint(self, *counts) -> np.ndarray:
+        """``log(w_k * prod_i Poi(counts[i]; rates[k][i]))`` stacked over branches k."""
+        return np.stack([reduce(np.add, logs, log_weight)
+                         for log_weight, logs in self._log_pmfs(*counts)], axis=-1)
 
     def posterior(self, *counts) -> np.ndarray:
         """``Pr(branch | counts)``, stacked over branches on the last axis."""
@@ -124,29 +127,33 @@ class _BranchMixture:
         grid = np.arange(self.a_max + 1, dtype=np.float64)
         return np.ix_(*[grid] * len(self._branches()[1][0]))
 
-    def _branch_pmfs(self) -> list[np.ndarray]:
-        """Per branch, the ``kron`` of its truncated Poisson pmfs over the flattened grid."""
-        grid = np.arange(self.a_max + 1, dtype=np.float64)
-        return [reduce(np.kron, [np.exp(log_poisson_pmf(grid, r)) for r in rates])
-                for rates in self._branches()[1]]
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(post, branch, pi)`` with ``post @ branch`` the truncated kernel.
 
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(post, branch)`` with ``post @ branch`` the truncated kernel.
-
-        ``post`` is the (#states, r) branch posterior over the flattened
-        grid; ``branch`` row k, the Poisson start named for branch k, is
-        branch k's pmf.
+        One pass over the grid evaluates each (branch, coordinate)
+        log-pmf once. Branch k's start, row k of ``branch``, is the
+        outer product of its pmfs over the flattened grid. The log-joint
+        of each branch is stacked branch-major, and one log-sum-exp over
+        the branch axis gives the (#states, r) posterior ``post`` and the
+        truncated stationary law ``pi``. Nothing is cached: each call
+        evaluates the grid again, and ``pi``'s mass is not checked.
         """
-        branch = np.stack(list(self.initial_distributions().values()))
-        return self.posterior(*self._grid()).reshape(-1, len(branch)), branch
+        starts, terms = [], []
+        for log_weight, logs in self._log_pmfs(*self._grid()):
+            starts.append(reduce(np.multiply, map(np.exp, logs)).reshape(-1))
+            terms.append(reduce(np.add, logs, log_weight).reshape(-1))
+        terms = np.stack(terms)
+        lse = logsumexp(terms, axis=0, keepdims=True)
+        post = np.ascontiguousarray(np.exp(terms - lse).T)
+        return post, np.stack(starts), np.exp(lse[0])
 
     def transition_matrix(self) -> np.ndarray:
-        post, branch = self.factors()
+        post, branch, _ = self.factors()
         _check_rows(post, branch)
         return post @ branch
 
     def stationary_vector(self) -> np.ndarray:
-        return _check_mass(self.stationary(*self._grid()).reshape(-1))
+        return _check_mass(self.factors()[2])
 
     def _draw(self, counts, rng: RngStream) -> list:
         """A posterior branch per state, then one array of fresh Poissons per coordinate."""
@@ -214,7 +221,7 @@ class CoordKernel(_BranchMixture):
 
     def initial_distributions(self) -> dict[str, np.ndarray]:
         """The two admissible Poisson initial distributions, truncated."""
-        return dict(zip(("poisson-heavy", "poisson-light"), self._branch_pmfs()))
+        return dict(zip(("poisson-heavy", "poisson-light"), self.factors()[1]))
 
 
 @dataclass(frozen=True)
@@ -280,7 +287,7 @@ class ClosenessPairKernel(_BranchMixture):
         return (int(b), int(d)) if np.ndim(b) == 0 else (b, d)
 
     def initial_distributions(self) -> dict[str, np.ndarray]:
-        return dict(zip(("heavy", "light-plus", "light-minus"), self._branch_pmfs()))
+        return dict(zip(("heavy", "light-plus", "light-minus"), self.factors()[1]))
 
 
 def _check_rows(post: np.ndarray, branch: np.ndarray) -> None:
@@ -398,9 +405,10 @@ def estimate_mixing(
     kernel's admissible mixture components, ``"point"`` for the worst
     point mass within the truncation, ``"all"`` for both.
 
-    The kernel enters through ``kernel.factors()``, which gives
-    ``P = post @ branch``, and ``kernel.stationary_vector()``; both
-    truncate at ``kernel.a_max``. ``P`` itself is never formed. The
+    The kernel enters only through ``kernel.factors()``, one pass over
+    its grid truncated at ``kernel.a_max``, which gives
+    ``P = post @ branch`` and the stationary law ``pi``; ``delta`` must
+    be positive. ``P`` itself is never formed. The
     rows of ``branch`` are the Poisson starts, and a start advances as
     ``(dist @ post) @ branch``, O(S r) per step. The point-mass rows
     of ``P^t`` are ``post @ M_t`` with the r x S iterates
@@ -415,11 +423,13 @@ def estimate_mixing(
     The gap comes from the eigenvalues of the r x r branch chain
     ``branch @ post``, which are the nonzero eigenvalues of ``P``.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, not {delta}")
     if initial not in ("all", "poisson", "point"):
         raise ValueError("initial must be 'all', 'poisson' or 'point'")
-    post, branch = kernel.factors()
+    post, branch, pi = kernel.factors()
     _check_rows(post, branch)
-    pi = kernel.stationary_vector()
+    _check_mass(pi)
 
     dists = branch if initial in ("all", "poisson") else branch[:0]
     use_points = initial in ("all", "point")

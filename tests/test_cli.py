@@ -430,6 +430,23 @@ def test_mixing_command_closeness_pair_default_truncation(capsys):
     assert abs(out["gap_estimate"] - 0.4634972953683334) <= 1e-8
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--a-max", "3"], "a_max = 3 truncates"),
+    (["--delta", "0"], "delta must be > 0"),
+    (["--delta", "-1"], "delta must be > 0"),
+    (["--delta", "nan"], "delta must be "),
+], ids=["a_max-too-small", "zero-delta", "negative-delta", "nan-delta"])
+def test_mixing_input_errors_name_their_parameter(capsys, extra, named):
+    # a truncation that loses mass, or a delta no curve can fall below,
+    # is the caller's to fix: exit 2 with the field named, no traceback
+    code = main(["mixing", "--kernel", "closeness-pair", "--n", "100", "--m", "10",
+                 "--epsilon", "0.24", "--xi", "0.1", *extra])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the library and the CLI run on numpy.
     src = str(Path(replitest.__file__).parents[1])

@@ -448,8 +448,9 @@ def test_rep_independence_shared_internal_reuses_thresholds():
     (diagonal_measure(20), 20, 20, 0.01, 1),
 ], ids=["product", "diagonal", "diagonal-stage1"])
 def test_each_stage_reads_its_statistic_of_the_full_estimate(p, n1, n2, c_n, stage):
-    # a stage computes one statistic only; it must be exactly that one of
-    # sampled_averaged_stats on the same sample and run streams
+    # one sort per chunk gives both statistics, and a stage reads one of
+    # them; it must be exactly that one of sampled_averaged_stats on the
+    # same sample and run streams
     config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2,
                                 **{**INDEPENDENCE_DESK, "c_n": c_n})
     rng = ROOT.substream("split", n1, c_n)

@@ -29,14 +29,14 @@ ROOT = RngStream(161803, "walk-tests")
 class TwoStateKernel:
     """Toy kernel [[0.9, 0.1], [0.2, 0.8]] with stationary (2/3, 1/3).
 
-    Its factors are ``(I, P)``, so its Poisson starts are the rows of ``P``.
+    Its factors are ``(I, P, pi)``, so its Poisson starts are the rows of ``P``.
     """
 
     def transition_matrix(self):
         return np.array([[0.9, 0.1], [0.2, 0.8]])
 
     def factors(self):
-        return np.eye(2), self.transition_matrix()
+        return np.eye(2), self.transition_matrix(), self.stationary_vector()
 
     def stationary_vector(self):
         return np.array([2.0, 1.0]) / 3.0
@@ -193,6 +193,13 @@ def test_coord_kernel_needs_a_positive_rate(m, n):
         CoordKernel(m=m, n=n, xi=0.1)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+def test_mixing_refuses_a_delta_that_is_not_positive(delta):
+    # no curve falls below 0, and nan compares false with every distance
+    with pytest.raises(ValueError, match="delta must be > 0"):
+        estimate_mixing(CoordKernel(m=100, n=1000, xi=0.2), delta)
+
+
 def test_unmixed_within_budget_raises():
     with pytest.raises(RuntimeError, match="did not mix"):
         estimate_mixing(TwoStateKernel(), 1e-9, initial="point", max_steps=3)
@@ -319,7 +326,7 @@ xis = st.floats(0.0, 0.3, exclude_max=True)
 @settings(max_examples=40, deadline=None)
 def test_coord_factors_and_mixing_match_dense(m, n, xi, a_max, delta, initial):
     kernel = CoordKernel(m=m, n=n, xi=xi, a_max=a_max)
-    post, branch = kernel.factors()
+    post, branch, _ = kernel.factors()
     states = np.arange(a_max + 1, dtype=np.float64)
     closed_form = kernel.transition(states[:, None], states[None, :])
     np.testing.assert_allclose(post @ branch, closed_form, rtol=0, atol=1e-14)
@@ -340,7 +347,7 @@ def pair_kernels(draw):
 @given(pair_kernels(), deltas, initials, st.data())
 @settings(max_examples=25, deadline=None)
 def test_pair_factors_and_mixing_match_dense(kernel, delta, initial, data):
-    post, branch = kernel.factors()
+    post, branch, _ = kernel.factors()
     side = kernel.a_max + 1
     for _ in range(5):
         i = data.draw(st.integers(0, side * side - 1))
@@ -385,10 +392,14 @@ def test_branch_mixture_matches_the_term_by_term_oracle(kernel):
     counts = np.array(states).T
     np.testing.assert_allclose(kernel.posterior(*counts), posts, rtol=1e-12)
     np.testing.assert_allclose(kernel.stationary(*counts), pmfs, rtol=1e-12)
-    post, rows = kernel.factors()
+    post, rows, pi = kernel.factors()
     np.testing.assert_allclose(post, posts, rtol=1e-12)
     np.testing.assert_allclose(rows, branch, rtol=1e-12)
     np.testing.assert_allclose(kernel.stationary_vector(), pmfs, rtol=1e-12)
+    # the single grid pass does the same arithmetic as the per-state methods
+    grid = kernel._grid()
+    assert np.array_equal(post, kernel.posterior(*grid).reshape(post.shape))
+    assert np.array_equal(pi, kernel.stationary(*grid).reshape(-1))
 
 
 def test_pair_kernel_keeps_the_names_the_benchmark_wraps():
@@ -434,18 +445,18 @@ def test_pair_mixing_never_forms_the_dense_kernel(monkeypatch):
                                     ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=0.1)])
 @pytest.mark.parametrize("initial", ["all", "poisson", "point"])
 def test_one_report_builds_the_poisson_starts_once(monkeypatch, kernel, initial):
-    # The starts are the rows of the branch factor; a report reads them there.
-    cls = type(kernel)
-    build = cls.initial_distributions
+    # One pass over the grid gives the posterior, the starts and pi: each
+    # (branch, coordinate) log-pmf is evaluated once per report.
+    evaluate = walks.log_poisson_pmf
     calls = []
 
-    def counted(self):
-        calls.append(self)
-        return build(self)
+    def counted(k, rate):
+        calls.append(rate)
+        return evaluate(k, rate)
 
-    monkeypatch.setattr(cls, "initial_distributions", counted)
+    monkeypatch.setattr(walks, "log_poisson_pmf", counted)
     estimate_mixing(kernel, 0.04, initial=initial)
-    assert len(calls) == 1
+    assert len(calls) == {CoordKernel: 2, ClosenessPairKernel: 6}[type(kernel)]
 
 
 @st.composite
@@ -530,8 +541,7 @@ def test_point_curve_reads_few_rows_and_matches_all_rows(monkeypatch, xi, most_r
     assert rows_read and max(rows_read) <= most_rows
 
     curve = [tv for _, tv in report.tv_curve]
-    post, branch = kernel.factors()
-    pi = kernel.stationary_vector()
+    post, branch, pi = kernel.factors()
     expected, points = [], branch  # steps 1, 2, ...: every row of post @ M_t
     for _ in curve[1:]:
         expected.append(all_rows_l1(post, points, pi))
