@@ -191,7 +191,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_mixing(args: argparse.Namespace) -> int:
     keys = ("kernel", "n", "m", "xi", "epsilon", "delta", "a_max", "initial")
     params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    config = ExperimentConfig("mixing", args.seed, 1, params, args.out)
+    # a report draws nothing, so its seed is moot
+    config = ExperimentConfig("mixing", 0, 1, params, args.out)
     result = run_experiment(config)
     print(json.dumps(result.aggregate, indent=2))
     return EXIT_OK
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--n2", type=int)
     p_test.add_argument("--epsilon", type=float, required=True)
     p_test.add_argument("--rho", type=float, required=True)
-    p_test.add_argument("--m-scale", type=float, default=1.0)
+    p_test.add_argument("--m-scale", type=float)
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--constants", help="JSON constants file")
     p_test.set_defaults(func=_cmd_test)
@@ -273,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--delta", type=float)
     p_mix.add_argument("--a-max", type=int)
     p_mix.add_argument("--initial", choices=["all", "poisson", "point"])
-    p_mix.add_argument("--seed", type=int, default=0)
     p_mix.add_argument("--out")
     p_mix.set_defaults(func=_cmd_mixing)
 

@@ -104,9 +104,7 @@ def _sampler(source: IndexSampler | NonNegativeMeasure, n: int) -> IndexSampler:
     """``source`` itself, or the sampler of a measure that lives on ``[n]``."""
     if not isinstance(source, NonNegativeMeasure):
         return source
-    if source.shape != (n,):
-        raise ValueError(f"measure shape {source.shape} != configured {(n,)}")
-    return measure_sampler(source)
+    return measure_sampler(source.on((n,)))
 
 
 def draw_closeness_counts(

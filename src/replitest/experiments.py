@@ -241,11 +241,13 @@ def _field_casts(cls) -> tuple:
 
 
 def _cast(name: str, cast, value):
-    """``cast(value)``, refusing a bool, a failed cast and a number the cast would change."""
+    """``cast(value)``, refusing a bool, a failed or lossy cast and a float that is not finite."""
     try:
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         out = None
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigError(f"{name} must be a finite number, not {value!r}")
     lossy = isinstance(value, (int, float)) and out != value
     if out is None or isinstance(value, bool) or lossy:
         raise ConfigError(f"{name} must be {cast.__name__}, not {value!r}")

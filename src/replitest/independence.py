@@ -577,14 +577,7 @@ def rep_independence_test(
     the pairs its runs read.
     """
     if isinstance(sampler_p, NonNegativeMeasure):
-        if sampler_p.ndim != 2:
-            raise ValueError("independence testing needs a 2D measure")
-        shape = sampler_p.shape
-        sampler_p = measure_sampler(sampler_p)
-    else:
-        shape = (config.n1, config.n2)
-    if shape != (config.n1, config.n2):
-        raise ValueError(f"measure shape {shape} != configured {(config.n1, config.n2)}")
+        sampler_p = measure_sampler(sampler_p.on((config.n1, config.n2)))
     if sample_rng is None:
         sample_rng = rng.substream("samples")
 

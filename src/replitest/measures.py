@@ -43,6 +43,12 @@ class NonNegativeMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
+    def on(self, shape: tuple[int, ...]) -> "NonNegativeMeasure":
+        """``self``, once it lives on the domain ``shape`` a tester is configured for."""
+        if self.shape != shape:
+            raise ValueError(f"measure shape {self.shape} != configured {shape}")
+        return self
+
     def normalized(self) -> "NonNegativeMeasure":
         total = self.total_mass()
         if total <= 0:

@@ -109,9 +109,8 @@ class UniformityTester:
         self, source: NonNegativeMeasure | IndexSampler, sample_rng: RngStream
     ) -> CountVector:
         if isinstance(source, NonNegativeMeasure):
-            if source.shape != (self.config.n,):
-                raise ValueError(f"measure shape {source.shape} != configured {(self.config.n,)}")
-            return sample_counts_poissonized(source, self.m, sample_rng.substream("sample-1"))
+            return sample_counts_poissonized(source.on((self.config.n,)), self.m,
+                                             sample_rng.substream("sample-1"))
         gen = sample_rng.substream("sample-1").generator()
         total = int(gen.poisson(self.m))
         return counts_from_indices(source(total, gen), self.config.n)

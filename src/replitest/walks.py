@@ -408,56 +408,56 @@ def estimate_mixing(
     The kernel enters only through ``kernel.factors()``, one pass over
     its grid truncated at ``kernel.a_max``, which gives
     ``P = post @ branch`` and the stationary law ``pi``; ``delta`` must
-    be positive. ``P`` itself is never formed. The
-    rows of ``branch`` are the Poisson starts, and a start advances as
-    ``(dist @ post) @ branch``, O(S r) per step. The point-mass rows
-    of ``P^t`` are ``post @ M_t`` with the r x S iterates
-    ``M_1 = branch``, ``M_{t+1} = (M_t @ post) @ branch``.
-    Their largest l1 distance is taken over the rows that
-    ``_extreme_rows`` returns once per report, the hull vertices of the
-    rows snapped to a 2^-46 grid: the distance is convex in the row, so
-    a convex combination of rows is never farther than the farthest of
-    them (Rockafellar, *Convex Analysis*, Cor. 32.3.2), and it moves by
-    at most a row's l1 shift, so snapping costs at most 2^-44 (about
-    5.7e-14). Where ``post`` has more than 3 columns every row is kept.
-    The gap comes from the eigenvalues of the r x r branch chain
-    ``branch @ post``, which are the nonzero eigenvalues of ``P``.
+    be finite and positive. ``P`` itself is never formed: for t >= 1,
+    ``P^t = post @ M_t`` with the r x S iterates ``M_1 = branch``,
+    ``M_{t+1} = (M_t @ post) @ branch``, so every start's row of
+    ``P^t`` is a coefficient row times ``M_t``. A Poisson start, a row
+    of ``branch``, has its row of the r x r branch chain
+    ``chain = branch @ post``. A point mass has its row of ``post``,
+    kept only among the rows ``_extreme_rows`` returns, the hull
+    vertices of the rows snapped to a 2^-46 grid: the distance is
+    convex in the row, so a convex combination of rows is never farther
+    than the farthest of them (Rockafellar, *Convex Analysis*,
+    Cor. 32.3.2), and it moves by at most a row's l1 shift, so snapping
+    costs at most 2^-44 (about 5.7e-14). Where ``post`` has more than 3
+    columns every row is kept. One ``_max_row_l1`` call per step scores
+    the stacked rows, and the eigenvalues of ``chain``, the nonzero
+    eigenvalues of ``P``, give the gap.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, not {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be > 0 and finite, not {delta}")
     if initial not in ("all", "poisson", "point"):
         raise ValueError("initial must be 'all', 'poisson' or 'point'")
     post, branch, pi = kernel.factors()
     _check_rows(post, branch)
     _check_mass(pi)
 
-    dists = branch if initial in ("all", "poisson") else branch[:0]
-    use_points = initial in ("all", "point")
-    vertices = post[_extreme_rows(post)] if use_points else None
+    chain = branch @ post
+    rows = []
+    start = 0.0  # the distance at t = 0, where P^0 = I
+    if initial in ("all", "poisson"):
+        rows.append(chain)
+        start = float(np.abs(branch - pi).sum(axis=1).max())
+    if initial in ("all", "point"):
+        rows.append(post[_extreme_rows(post)])
+        # sum_j |e_i(j) - pi(j)| = 1 - 2 pi(i) + sum(pi)
+        start = max(start, float(1.0 - 2.0 * pi.min() + pi.sum()))
+    coeffs = np.concatenate(rows)
 
-    points = None  # M_t; None stands for P^0 = I
-    curve: list[float] = []
-    for _ in range(max_steps + 1):
-        worst = 0.0
-        if dists.size:
-            worst = max(worst, float(np.abs(dists - pi).sum(axis=1).max()))
-        if use_points and points is None:
-            # sum_j |e_i(j) - pi(j)| = 1 - 2 pi(i) + sum(pi)
-            worst = max(worst, float(1.0 - 2.0 * pi.min() + pi.sum()))
-        elif use_points:
-            worst = max(worst, _max_row_l1(vertices, points, pi))
-        curve.append(worst)
-        if worst < delta / 10.0 and len(curve) > 1:
+    points = branch  # M_t
+    curve = [start]
+    for _ in range(max_steps):
+        curve.append(_max_row_l1(coeffs, points, pi))
+        if curve[-1] < delta / 10.0:
             break
-        dists = (dists @ post) @ branch
-        points = branch if points is None else (points @ post) @ branch
+        points = (points @ post) @ branch
     if curve[-1] >= delta:
         raise RuntimeError(
             f"walk did not mix below delta={delta} within {max_steps} steps "
             f"(final distance {curve[-1]:.3g}); raise max_steps"
         )
 
-    eigenvalues = np.sort(np.abs(np.linalg.eigvals(branch @ post)))[::-1]
+    eigenvalues = np.sort(np.abs(np.linalg.eigvals(chain)))[::-1]
     lambda_star = float(eigenvalues[1]) if eigenvalues.size > 1 else 0.0
     return MixingReport(
         delta=delta,

@@ -297,8 +297,11 @@ _MIXING = {"kernel": "coordinate", "n": 1000, "m": 100, "xi": 0.2}
     ("mixing", {**_MIXING, "delta": True}, "delta"),
     ("mixing", {**_MIXING, "delta": "abc"}, "delta"),
     ("calibrate", {**_ACCEPTANCE_PARAMS, "calibration_trials": 2.7}, "calibration_trials"),
+    # JSON reads 1e400 as inf; a c2 of inf once ended in an AssertionError traceback
+    ("calibrate", {**_ACCEPTANCE_PARAMS, "c2": 1e400}, "c2"),
 ], ids=["fractional-hard_m", "string-hard_m", "string-n", "fractional-draws_per_xi",
-        "bool-draws_per_xi", "bool-delta", "string-delta", "fractional-calibration_trials"])
+        "bool-draws_per_xi", "bool-delta", "string-delta", "fractional-calibration_trials",
+        "inf-c2"])
 def test_parameters_that_do_not_cast_are_named(tmp_path, capsys, kind, params, named):
     path = tmp_path / "cfg.json"
     if kind == "calibrate":
@@ -434,8 +437,9 @@ def test_mixing_command_closeness_pair_default_truncation(capsys):
     (["--a-max", "3"], "a_max = 3 truncates"),
     (["--delta", "0"], "delta must be > 0"),
     (["--delta", "-1"], "delta must be > 0"),
-    (["--delta", "nan"], "delta must be "),
-], ids=["a_max-too-small", "zero-delta", "negative-delta", "nan-delta"])
+    (["--delta", "nan"], "delta must be a finite number, not nan"),
+    (["--delta", "inf"], "delta must be a finite number, not inf"),
+], ids=["a_max-too-small", "zero-delta", "negative-delta", "nan-delta", "inf-delta"])
 def test_mixing_input_errors_name_their_parameter(capsys, extra, named):
     # a truncation that loses mass, or a delta no curve can fall below,
     # is the caller's to fix: exit 2 with the field named, no traceback

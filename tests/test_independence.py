@@ -26,6 +26,7 @@ from replitest.independence import (
 from replitest.measures import (
     diagonal_measure,
     measure_2d,
+    uniform_measure,
     uniform_product_measure,
 )
 from replitest.rng import RngStream
@@ -439,6 +440,18 @@ def test_rep_independence_shared_internal_reuses_thresholds():
     v2 = rep_independence_test(p, config, base, sample_rng=base.substream("s2"))
     assert v1.threshold == v2.threshold
     assert v1.detail["stage1_threshold"] == v2.detail["stage1_threshold"]
+
+
+@pytest.mark.parametrize("measure, shape", [
+    (uniform_measure(64), "(64,)"),
+    (uniform_product_measure(8, 10), "(8, 10)"),
+], ids=["1d", "wrong-shape-2d"])
+def test_measure_off_the_domain_is_refused_before_any_draw(monkeypatch, measure, shape):
+    monkeypatch.setattr(ind, "measure_sampler", lambda *args: pytest.fail("a sampler was built"))
+    config = IndependenceConfig(n1=10, n2=8, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+    with pytest.raises(ValueError) as info:
+        rep_independence_test(measure, config, ROOT.substream("off-domain"))
+    assert str(info.value) == f"measure shape {shape} != configured (10, 8)"
 
 
 @pytest.mark.parametrize("p, n1, n2, c_n, stage", [

@@ -193,9 +193,10 @@ def test_coord_kernel_needs_a_positive_rate(m, n):
         CoordKernel(m=m, n=n, xi=0.1)
 
 
-@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
 def test_mixing_refuses_a_delta_that_is_not_positive(delta):
-    # no curve falls below 0, and nan compares false with every distance
+    # no curve falls below 0, nan compares false with every distance,
+    # and every curve falls below inf at once
     with pytest.raises(ValueError, match="delta must be > 0"):
         estimate_mixing(CoordKernel(m=100, n=1000, xi=0.2), delta)
 
