@@ -23,7 +23,7 @@ from .calibrated import CLOSENESS_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, counts_from_indices, measure_sampler, multinomial_split
-from .verdict import CalibrationError, TesterVerdict, _sample_budget, gap_verdict
+from .verdict import CalibrationError, TesterVerdict, _require_finite, _sample_budget, gap_verdict
 
 
 def closeness_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -86,6 +86,7 @@ class ClosenessConfig:
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c1", "c2")
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("C1 and C2 must be positive")
         m = self.sample_size()

@@ -21,9 +21,17 @@ def subbin_indices(values: np.ndarray, flags: np.ndarray, sigma: np.ndarray) -> 
 
     ``sigma[l]`` is the position of sample ``l`` in the order and must be
     a permutation of ``range(len(values))``. Then ``values * len(values)
-    + sigma`` are distinct keys whose single argsort lists the samples by
-    value and, within a value, from first to last. Raises
-    ``OverflowError`` when those keys do not fit in int64.
+    + sigma`` are distinct keys, so one in-place sort of them lists the
+    samples by value and, within a value, from first to last, and each
+    sorted key splits back into its value and its position. The tags are
+    counted in that order and scattered to positions, where sample ``l``
+    reads its tag at ``sigma[l]``: that gather applies the inverse of
+    ``sigma`` without forming it, so no argsort is needed, and a sort of
+    distinct int64 keys costs about half an argsort. For int64 inputs a
+    call allocates, besides bool masks, two arrays of ``len(values)``
+    int64: the keys, which become the result, and one work array. It
+    writes no input. Raises ``OverflowError`` when the keys do not fit
+    in int64.
     """
     values = np.asarray(values, dtype=np.int64)
     k = values.size
@@ -31,18 +39,37 @@ def subbin_indices(values: np.ndarray, flags: np.ndarray, sigma: np.ndarray) -> 
         return np.zeros(0, dtype=np.int64)
     if max(-int(values.min()), int(values.max()) + 1) * k > 2**63:
         raise OverflowError("values * len(values) does not fit in int64")
-    order = np.argsort(values * k + np.asarray(sigma, dtype=np.int64))
-    v = values[order]
-    f = np.asarray(flags, dtype=np.int64)[order]
-    before = np.cumsum(f) - f
-    # ``before`` never decreases, so its running maximum over the group
-    # starts (zero elsewhere) is its value at the current group's start.
+    sigma = np.asarray(sigma, dtype=np.int64)
+    key = values * k
+    key += sigma
+    key.sort()
+    # The work array holds the sorted samples' values, then two int32
+    # halves for the counts below (a count is at most k < 2**31).
+    work = key // k
     new = np.empty(k, dtype=bool)
     new[0] = True
-    np.not_equal(v[1:], v[:-1], out=new[1:])
-    out = np.empty(k, dtype=np.int64)
-    out[order] = before - np.maximum.accumulate(np.where(new, before, 0))
-    return out
+    np.not_equal(work[1:], work[:-1], out=new[1:])
+    work *= k
+    key -= work  # now the position of each sorted sample
+    flagged = np.zeros(k, dtype=bool)
+    flagged[sigma[np.flatnonzero(flags)]] = True
+    # Flags before each sample in sorted order, then less those before
+    # its value's first sample: ``count`` never decreases, so its running
+    # maximum over the value starts (zero elsewhere) is its value at the
+    # current value's start.
+    count, start = work.view(np.int32).reshape(2, k)
+    count[0] = 0
+    count[1:] = flagged.take(key[:-1])
+    np.cumsum(count, out=count)
+    np.multiply(count, new, out=start)
+    np.maximum.accumulate(start, out=start)
+    count -= start
+    start[key] = count
+    # sigma is a permutation, so "clip" clips nothing; it only lets take
+    # write straight into out, where "raise" would buffer.
+    np.take(start, sigma, out=count, mode="clip")
+    key[...] = count
+    return key
 
 
 def pack_keys(*columns: np.ndarray) -> np.ndarray:
@@ -60,7 +87,8 @@ def pack_keys(*columns: np.ndarray) -> np.ndarray:
             raise ValueError("columns must be non-negative")
         if key.max(initial=0) > (2**62) // max(radix, 1):
             raise OverflowError("key does not fit in int64; domain too large")
-        key = key * radix + col
+        key *= radix
+        key += col
     return key
 
 

@@ -59,7 +59,7 @@ from .flattening import non_singleton_count, pack_keys, subbin_indices
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, measure_sampler
-from .verdict import TesterVerdict, _sample_budget
+from .verdict import TesterVerdict, _require_finite, _sample_budget
 
 
 def independence_sample_size(
@@ -116,6 +116,7 @@ class IndependenceConfig:
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c_n", "c_i1", "c_i2")
         self.sample_size()  # checks n1, n2, epsilon, rho and m_scale
         if not self.c_i1 < self.c_i2:
             raise ValueError("need C_I1 < C_I2")
@@ -206,32 +207,31 @@ def _key_mark_mean(a: int, b: int) -> float:
 
 
 def _key_stats(keys: np.ndarray, kept_p: int) -> tuple[float, int]:
-    """``(Z, N)`` of the keys; the first ``kept_p`` are from ``S_p``.
+    """``(Z, N)`` of the keys; the first ``kept_p`` are from ``S_p``. Overwrites ``keys``.
 
     ``Z`` is the sum of :func:`_key_mark_mean` over the distinct keys and
     ``N`` the non-singleton count (:func:`non_singleton_count`). One
-    sort of ``2 key + side`` lists each key's samples together, the
-    ``S_p`` ones first, so the group sizes and the ``S_q`` bits give
-    ``(a, b)`` per key, and ``N`` is the sum of the group sizes of at
-    least 2. Each ``(a, b)`` pair that occurs is evaluated once.
+    in-place sort of ``2 key + side`` lists each key's samples together,
+    the ``S_p`` ones first, so a key's group size and the start of its
+    odd entries give ``(a, b)``, and ``N`` is the sum of the group sizes
+    of at least 2. Each ``(a, b)`` pair that occurs is evaluated once.
     """
     if keys.max(initial=0) >= 2**62:
         raise OverflowError("2 * key does not fit in int64")
-    side = np.ones(keys.size, dtype=np.int64)
-    side[:kept_p] = 0
-    tagged = np.sort(keys * 2 + side)
-    key = tagged >> 1
+    keys <<= 1
+    keys[kept_p:] += 1
+    keys.sort()
+    key = keys >> 1
     # Group starts, plus the end of the last group.
-    first = np.ones(key.size + 1, dtype=bool)
+    first = np.ones(keys.size + 1, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:-1])
+    del key
     bounds = np.flatnonzero(first)
-    from_q = np.zeros(key.size + 1, dtype=np.int64)
-    np.cumsum(tagged & 1, out=from_q[1:])
-    size = np.diff(bounds)
-    b = np.diff(from_q[bounds])
-    shared = size >= 2
-    size = size[shared]
-    b = b[shared]
+    shared = np.flatnonzero(np.diff(bounds) >= 2)
+    lo = bounds.take(shared)
+    hi = bounds.take(shared + 1)
+    size = hi - lo
+    b = hi - np.searchsorted(keys, keys.take(lo) | 1)
     radix = int(b.max(initial=0)) + 1
     count = np.bincount((size - b) * radix + b)
     pairs = np.flatnonzero(count)
@@ -241,7 +241,10 @@ def _key_stats(keys: np.ndarray, kept_p: int) -> tuple[float, int]:
 
 
 # Expected kept samples plus dividers in one chunk of averaged runs: it
-# bounds the working memory of an average, whatever K_avg is.
+# bounds the working memory of an average, whatever K_avg is. A chunk's
+# largest arrays hold one int64 per item (about 128 KB at 2^14 items).
+# At most about six of them are alive at once (_finish_runs), and all
+# are freed when the chunk ends.
 _CHUNK_ITEMS = 2**14
 
 
@@ -256,14 +259,17 @@ def _distinct_positions(
     every position alike, so its final set is a uniform
     ``count[i]``-subset. Needs ``count <= pop``.
     """
-    offset = np.cumsum(pop) - pop
+    offset = np.repeat(np.cumsum(pop) - pop, count)
     segment = np.repeat(np.arange(pop.size), count)
-    keys = np.sort(offset[segment] + gen.integers(0, pop[segment]))
+    keys = offset + gen.integers(0, np.repeat(pop, count))
+    keys.sort()
     while (repeat := keys[1:] == keys[:-1]).any():
         lost = segment[1:][repeat]
-        redraw = offset[lost] + gen.integers(0, pop[lost])
-        keys = np.sort(np.concatenate([np.unique(keys), redraw]))
-    return segment, keys - offset[segment]
+        redraw = offset[1:][repeat] + gen.integers(0, pop[lost])
+        keys = np.concatenate([keys[:1], keys[1:][~repeat], redraw])
+        keys.sort()
+    keys -= offset
+    return segment, keys
 
 
 @dataclass(frozen=True)
@@ -277,7 +283,6 @@ class _RunPlan:
     through its draws.
     """
 
-    sizes: np.ndarray
     alpha: float
     beta: float
     runs: int
@@ -331,7 +336,7 @@ def _plan_runs(
     if runs == 0:
         return None
     div_seg, div_pos = _distinct_positions(np.repeat(sizes, runs), dividers, gen)
-    return _RunPlan(sizes, alpha, beta, runs, dividers, ell, div_seg, div_pos, gen)
+    return _RunPlan(alpha, beta, runs, dividers, ell, div_seg, div_pos, gen)
 
 
 def _finish_runs(
@@ -358,46 +363,68 @@ def _finish_runs(
     runs apart: samples of different runs never collide, so both
     statistics of all runs' keys at once, from one sort
     (:func:`_key_stats`), are exactly the sums of the per-run values.
+
+    The axes are taken in turn: an axis's coordinates are gathered,
+    tagged and packed into the keys before the other axis starts, and
+    the items' places in ``coords`` are rebuilt for each axis rather
+    than held. With :func:`subbin_indices` sorting in place, at most
+    about six arrays of one int64 per item are alive at once.
     """
     runs, dividers, ell = plan.runs, plan.dividers, plan.ell
     div_seg, div_pos, gen = plan.div_seg, plan.div_pos, plan.gen
-    # The i-th non-divider of a segment sits after every divider t with
-    # (non-dividers before it) = pos_t - t <= i.
-    div_start = np.cumsum(dividers) - dividers
-    radix = int(plan.sizes.max()) + 1
-    gaps = div_seg * radix + div_pos - (np.arange(div_seg.size) - div_start[div_seg])
-    kept_seg = np.repeat(np.arange(ell.size), ell)
-    rank = np.arange(kept_seg.size) - (np.cumsum(ell) - ell)[kept_seg]
-    kept_pos = rank + np.searchsorted(gaps, kept_seg * radix + rank, side="right")
-    kept_pos -= div_start[kept_seg]
-
-    kept = kept_seg.size
+    kept = int(ell.sum())
     kept_p = int(ell[:runs].sum())
     div_p = int(dividers[:runs].sum())
+    items = kept + div_seg.size
+    # Divider t, the t-th of its segment, has gap = pos_t - t
+    # non-dividers before it, so it leads the segment's ell-th kept sample
+    # iff gap < ell. With c leading dividers, the kept samples are the
+    # free slots of the segment's first ell + c positions.
+    gap = div_pos - np.arange(div_seg.size)
+    gap += np.repeat(np.cumsum(dividers) - dividers, dividers)
+    lead = gap < np.repeat(ell, dividers)
+    seg = div_seg[lead]
+    span = ell + np.bincount(seg, minlength=ell.size)
+    span_start = np.cumsum(span) - span
+    free = np.ones(int(span.sum()), dtype=bool)
+    free[span_start[seg] + div_pos[lead]] = False
+    # Side 1 follows side 0 in coords, so its slots sit side1 further on.
     side1 = touched[0].size
-    row, col = coords.take(np.concatenate([
-        kept_pos[:kept_p], kept_pos[kept_p:] + side1,
-        np.searchsorted(touched[0], div_pos[:div_p]),
-        np.searchsorted(touched[1], div_pos[div_p:]) + side1,
-    ]), axis=1)
-    # Segment s holds side s // runs of run s % runs.
-    run = np.concatenate([kept_seg, div_seg])
-    run[kept_p:kept] -= runs
-    run[kept + div_p:] -= runs
+    span_start[runs:] -= side1
+    div_at = np.concatenate([np.searchsorted(touched[0], div_pos[:div_p]),
+                             np.searchsorted(touched[1], div_pos[div_p:]) + side1])
     # A divider has F_x with probability alpha / r; F_x alone makes it a
     # divider, so F_y is then an independent Bernoulli(beta), else 1.
     rate = 1.0 - (1.0 - plan.alpha) * (1.0 - plan.beta)
     u = gen.random((2, div_seg.size))
-    div_fx = u[0] * rate < plan.alpha
-    div_fy = ~div_fx | (u[1] < plan.beta)
-    unflagged = np.zeros(kept_seg.size, dtype=bool)
-    fx = np.concatenate([unflagged, div_fx])
-    fy = np.concatenate([unflagged, div_fy])
-    rows = run * (int(row.max()) + 1) + row
-    cols = run * (int(col.max()) + 1) + col
-    row_subs = subbin_indices(rows, fx, gen.permutation(run.size))
-    col_subs = subbin_indices(cols, fy, gen.permutation(run.size))
-    keys = pack_keys(rows[:kept], row_subs[:kept], cols[:kept], col_subs[:kept])
+    fx = np.zeros(items, dtype=bool)
+    fy = np.zeros(items, dtype=bool)
+    np.less(u[0] * rate, plan.alpha, out=fx[kept:])
+    np.less(u[1], plan.beta, out=fy[kept:])
+    fy[kept:] |= ~fx[kept:]
+    # Segment s holds side s // runs of run s % runs.
+    seg_run = np.arange(ell.size) % runs
+
+    def tagged(axis: int, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kept ``run * radix + coordinate`` of ``axis`` and their sub-bin tags."""
+        # Where each item's pair sits in coords, rebuilt for each axis
+        # rather than held: the kept samples by segment, then the dividers.
+        at = np.empty(items, dtype=np.int64)
+        np.subtract(np.flatnonzero(free), np.repeat(span_start, ell), out=at[:kept])
+        at[kept:] = div_at
+        values = coords[axis].take(at)
+        del at
+        base = seg_run * (int(values.max()) + 1)
+        values[:kept] += np.repeat(base, ell)
+        values[kept:] += base[div_seg]
+        subs = subbin_indices(values, flags, gen.permutation(items))
+        return values[:kept], subs[:kept]
+
+    # Each axis is packed as soon as it is tagged, so that only one
+    # axis's arrays are alive at a time; the keys equal those of one
+    # pack of all four columns.
+    keys = pack_keys(*tagged(0, fx))
+    keys = pack_keys(keys, *tagged(1, fy))
     return _key_stats(keys, kept_p)
 
 
@@ -405,13 +432,15 @@ def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
     """Sorted positions of ``side`` that some plan reads.
 
     The prefix ``[0, P)`` with ``P = max_j(ell_j + D_j)`` holds every
-    kept sample; the divider positions at or above ``P`` follow it.
+    kept sample; the divider positions at or above ``P`` follow it,
+    each once.
     """
     reach = max((plan.reach(side) for plan in plans), default=0)
     scattered = np.concatenate(
         [plan.side_dividers(side) for plan in plans] + [np.zeros(0, dtype=np.int64)]
     )
-    return np.concatenate([np.arange(reach), np.unique(scattered[scattered >= reach])])
+    far = np.sort(scattered[scattered >= reach])
+    return np.concatenate([np.arange(reach), far[:1], far[1:][far[1:] != far[:-1]]])
 
 
 # The pairs of both sample sets at the given sorted positions of each.

@@ -22,7 +22,7 @@ from .calibrated import UNIFORMITY_DESK
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import CountVector, IndexSampler, counts_from_indices, sample_counts_poissonized
-from .verdict import TesterVerdict, _sample_budget, gap_verdict
+from .verdict import TesterVerdict, _require_finite, _sample_budget, gap_verdict
 
 
 def uniformity_sample_size(n: int, epsilon: float, rho: float, m_scale: float = 1.0) -> int:
@@ -58,6 +58,7 @@ class UniformityConfig:
     m_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c1_u", "c2_u")
         self.sample_size()  # checks n, epsilon, rho and m_scale
         if self.c1_u < 0 or self.c2_u <= 0:
             raise ValueError("invalid calibration constants")

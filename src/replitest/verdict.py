@@ -1,4 +1,4 @@
-"""Verdict type and sample-budget check of all testers; gap threshold and verdict of 1D testers."""
+"""Verdict type, constant and sample-budget checks of all testers; gap threshold and verdict of 1D testers."""
 
 from __future__ import annotations
 
@@ -11,6 +11,14 @@ from .rng import RngStream
 
 class CalibrationError(ValueError):
     """Raised when configured constants leave no valid threshold gap."""
+
+
+def _require_finite(config: object, *fields: str) -> None:
+    """Refuse a nan or infinite constant of a tester config, naming its field."""
+    for name in fields:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
 
 
 def _sample_budget(epsilon: float, rho: float, m_scale: float, budget: Callable[[], float]) -> int:

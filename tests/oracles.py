@@ -94,17 +94,15 @@ def flatten_by_definition(values, flags, order):
     marks sample ``i`` as a divider. Output preserves input order.
     """
     position = {sample: pos for pos, sample in enumerate(order)}
-    out = []
-    for i, v in enumerate(values):
-        if flags[i]:
-            continue
-        tag = sum(
-            1
-            for j, w in enumerate(values)
-            if flags[j] and w == v and position[j] < position[i]
-        )
-        out.append((v, tag))
-    return out
+    divider_positions = {}
+    for j, w in enumerate(values):
+        if flags[j]:
+            divider_positions.setdefault(w, []).append(position[j])
+    return [
+        (v, sum(1 for pos in divider_positions.get(v, ()) if pos < position[i]))
+        for i, v in enumerate(values)
+        if not flags[i]
+    ]
 
 
 def inverse_cdf_indices(probs, k: int, gen: np.random.Generator) -> np.ndarray:

@@ -133,6 +133,15 @@ def test_config_enforces_gap_condition():
         ClosenessConfig(n=100, epsilon=0.3, rho=0.1, c2=0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["c1", "c2"])
+def test_config_refuses_a_constant_that_is_not_finite(field, value):
+    # an infinite C2 used to pass the gap check and end in an assertion
+    # of the threshold draw
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ClosenessConfig(n=100, epsilon=0.3, rho=0.1, **{field: value})
+
+
 def test_verdict_monotone_in_statistic():
     r = 10.0
     accepts = [z <= r for z in range(0, 25)]

@@ -161,6 +161,70 @@ def test_subbin_indices_overflow_is_an_error():
                           np.arange(2)).tolist() == [0, 1]
 
 
+def _literal_tags(values, flags, sigma):
+    kept = np.asarray(flags) == 0
+    literal = flatten_by_definition(list(values), list(flags), list(np.argsort(sigma)))
+    return kept, [t for _, t in literal]
+
+
+def test_subbin_indices_writes_no_input():
+    gen = ROOT.substream("inputs").generator()
+    values = gen.integers(-5, 5, size=300)
+    flags = gen.random(300) < 0.2
+    sigma = gen.permutation(300)
+    copies = (values.copy(), flags.copy(), sigma.copy())
+    subbin_indices(values, flags, sigma)
+    for array, copy in zip((values, flags, sigma), copies):
+        assert np.array_equal(array, copy)
+
+
+def test_subbin_indices_dtypes_give_the_same_tags():
+    gen = ROOT.substream("dtypes").generator()
+    values = gen.integers(0, 7, size=400)
+    flags = gen.random(400) < 0.25
+    sigma = gen.permutation(400)
+    tags = subbin_indices(values, flags, sigma)
+    assert tags.dtype == np.int64
+    for f in (flags, flags.astype(np.int8), flags.astype(np.int64)):
+        for s in (sigma, sigma.astype(np.int32)):
+            assert np.array_equal(subbin_indices(values, f, s), tags)
+    kept, literal = _literal_tags(values, flags, sigma)
+    assert tags[kept].tolist() == literal
+
+
+@pytest.mark.parametrize("values, flags, sigma, tags", [
+    # negative values sort below the others and keep apart from them
+    ([-3, -3, 2, -3, 2], [1, 0, 1, 0, 0], [4, 0, 2, 1, 3], [0, 0, 0, 0, 1]),
+    ([-2**40, 5, -2**40], [1, 0, 0], [0, 1, 2], [0, 0, 1]),
+    # one sample
+    ([7], [0], [0], [0]),
+    ([7], [1], [0], [0]),
+    # every sample flagged, and none
+    ([1, 1, 1, 2], [1, 1, 1, 1], [2, 0, 1, 3], [2, 0, 1, 0]),
+    ([1, 1, 1, 2], [0, 0, 0, 0], [2, 0, 1, 3], [0, 0, 0, 0]),
+], ids=["negative", "wide-negative", "one-kept", "one-flagged", "all-flagged", "none-flagged"])
+def test_subbin_indices_small_cases(values, flags, sigma, tags):
+    got = subbin_indices(np.array(values), np.array(flags), np.array(sigma))
+    assert got.tolist() == tags
+    kept, literal = _literal_tags(values, flags, sigma)
+    assert got[kept].tolist() == literal
+
+
+def test_subbin_indices_matches_definition_at_chunk_scale():
+    # one chunk of averaged independence runs: about 2^14 items, a few
+    # hundred (run, row) values and one flagged item in ten
+    gen = ROOT.substream("chunk").generator()
+    k = 2**14
+    values = gen.integers(0, 480, size=k)
+    flags = np.zeros(k, dtype=bool)
+    flags[gen.choice(k, size=1500, replace=False)] = True
+    sigma = gen.permutation(k)
+    tags = subbin_indices(values, flags, sigma)
+    kept, literal = _literal_tags(values.tolist(), flags.tolist(), sigma)
+    assert tags[kept].tolist() == literal
+    assert max(literal) > 2
+
+
 def test_pack_keys_injective_on_tuples():
     gen = ROOT.substream("pack").generator()
     cols = [gen.integers(0, 9, size=500) for _ in range(4)]

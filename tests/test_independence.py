@@ -73,6 +73,14 @@ def test_config_checks_the_sample_size_inputs_at_construction(kwargs, error):
         IndependenceConfig(**{"n1": 40, "n2": 20, "epsilon": 0.35, "rho": 0.2, **kwargs})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["c_n", "c_i1", "c_i2"])
+def test_config_refuses_a_constant_that_is_not_finite(field, value):
+    # a nan C_I1 used to fail the C_I1 < C_I2 check under that name
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        IndependenceConfig(n1=20, n2=10, epsilon=0.35, rho=0.2, **{field: value})
+
+
 def test_alpha_beta_formulas():
     config = IndependenceConfig(n1=40, n2=20, epsilon=0.2, rho=0.1)
     assert config.beta(1000) == pytest.approx(2e-4)
@@ -196,9 +204,9 @@ def test_mark_averaged_statistic_sums_the_key_means(sp, sq):
     # the one sort must recover (a, b) and N for every key, whatever the order
     keys = np.array(sp + sq, dtype=np.int64)
     expected = sum(ind._key_mark_mean(sp.count(k), sq.count(k)) for k in set(sp) | set(sq))
-    got = ind._key_stats(keys, len(sp))[0]
+    got = ind._key_stats(keys.copy(), len(sp))[0]
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert ind._key_stats(keys, len(sp))[1] == non_singleton_count(keys)
+    assert ind._key_stats(keys.copy(), len(sp))[1] == non_singleton_count(keys)
 
 
 def test_marked_statistic_averages_to_the_mark_averaged_statistic():
@@ -489,3 +497,45 @@ def test_diagonal_rejected_at_stage_two():
     )
     assert not verdict.accept
     assert verdict.detail["stage"] == 2
+
+
+# (Z_a, N_a) of sampled_averaged_stats and the verdict fields (accept,
+# statistic, threshold, stage 1 statistic, stage 1 threshold) per desk
+# case and seed.
+PINNED = {
+    ("product", 1): ((-6.68, 387.08),
+                     (True, 9.17875, 65.12607293088472, 392.74, 149378.42096167366)),
+    ("product", 2): ((-0.76, 399.54),
+                     (True, 2.401875, 174.68180028039433, 385.12, 86136.42177728892)),
+    ("product", 3): ((-11.22875, 406.4),
+                     (True, -4.6, 164.02021913793246, 387.28, 69952.57788250218)),
+    ("diagonal", 1): ((250.42254133224486, 444.3),
+                      (False, 236.29555905118585, 85.12210291180885, 455.52, 134893.42284526196)),
+    ("diagonal", 2): ((238.83080971062182, 450.76),
+                      (False, 249.06461846858264, 94.46644534070057, 444.18, 76711.24645430324)),
+    ("diagonal", 3): ((249.28944613239727, 456.58),
+                      (False, 262.6787642747164, 78.45495983284846, 460.98, 86655.95419729636)),
+}
+
+
+@pytest.mark.parametrize("case, seed", sorted(PINNED))
+def test_desk_outputs_are_pinned_bit_for_bit(case, seed):
+    """The independence-desk cases give exactly the values recorded on commit 3c4711b.
+
+    Those values come from the chunk path before it was rewritten to
+    sort in place and to hold fewer arrays. Any change to a draw, to the
+    chunk boundaries or to the arithmetic of a run changes some of
+    these floats, so a change that means to keep every verdict
+    bit-identical must leave this test passing.
+    """
+    p, (n1, n2) = {"product": (uniform_product_measure(40, 20), (40, 20)),
+                   "diagonal": (diagonal_measure(20), (20, 20))}[case]
+    config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+    rng = RngStream(seed, f"pinned/{case}")
+    stats_expected, verdict_expected = PINNED[case, seed]
+    assert sampled_averaged_stats(measure_sampler(p.on((n1, n2))), config,
+                                  rng.substream("sets"), rng.substream("runs")) == stats_expected
+    v = rep_independence_test(p, config, rng.substream("verdict"))
+    assert v.detail["stage"] == 2
+    assert (v.accept, v.statistic, v.threshold, v.detail["stage1_statistic"],
+            v.detail["stage1_threshold"]) == verdict_expected

@@ -36,6 +36,13 @@ def test_non_positive_m_scale_is_rejected(m_scale):
         UniformityConfig(n=100, epsilon=0.3, rho=0.1, m_scale=m_scale)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["c1_u", "c2_u"])
+def test_config_refuses_a_constant_that_is_not_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        UniformityConfig(n=100, epsilon=0.3, rho=0.1, **{field: value})
+
+
 def test_statistic_flat_counts():
     # T_i = m/n exactly: Z = sum(0 - T_i) = -m
     counts = np.full(10, 5)

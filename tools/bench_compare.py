@@ -14,8 +14,11 @@ ones.
 
 The output holds, per workload and end-to-end metric, each tree's
 median and interquartile range over the pairs and the pairs the change
-won; one traced run per tree and workload with its per-layer metrics;
-and the wall time of the Tier-1 suite in the change's copy.
+won; the same spread of each run process's user and system CPU time
+and minor page faults per attempted op, setup and warm-up included
+(``process``: a view of where the time goes, not an end-to-end
+metric); one traced run per tree and workload with its per-layer
+metrics; and the wall time of the Tier-1 suite in the change's copy.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -57,16 +61,21 @@ def export(rev: str, dest: Path) -> None:
 
 
 def bench_run(copy: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON summary that ``bench/run.py`` prints last."""
+    """The JSON summary that ``bench/run.py`` prints last, with the child's resource use."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=copy, capture_output=True, text=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode:
         raise RuntimeError(f"{copy.name} {workload} seed {seed}: {proc.stderr[-2000:]}")
     out = json.loads(proc.stdout.splitlines()[-1])
     out["absent"] = [line for line in proc.stderr.splitlines() if line.startswith("absent:")]
+    out["process"] = {"user_s": after.ru_utime - before.ru_utime,
+                      "sys_s": after.ru_stime - before.ru_stime,
+                      "minflt": after.ru_minflt - before.ru_minflt}
     return out
 
 
@@ -87,6 +96,14 @@ def compare(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         out[name] = {"better": metric["better"], "parent": spread(parent),
                      "change": spread(change), "wins": wins, "pairs": len(parent)}
     return out
+
+
+def process_use(runs: dict[str, list[dict]]) -> dict:
+    """Per field of the runs' ``process`` use: both trees' spreads per attempted op."""
+    return {f"{name}_per_op": {tree: spread([r["process"][name] / max(r["attempted"], 1)
+                                             for r in tree_runs])
+                               for tree, tree_runs in runs.items()}
+            for name in ("user_s", "sys_s", "minflt")}
 
 
 def tier1(copy: Path) -> dict:
@@ -154,6 +171,7 @@ def main(argv=None) -> int:
                       for tree in ("parent", "change")}
             result["workloads"][workload] = {
                 "end_to_end": compare(runs, declared["end_to_end"]),
+                "process": process_use(runs),
                 "all_correct": {tree: all(r["correct"] for r in runs[tree]) for tree in runs},
                 "per_layer": {tree: {k: v["value"] for k, v in t["metrics"].items()}
                               for tree, t in traced.items()},
