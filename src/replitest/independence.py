@@ -11,7 +11,11 @@ over the internal randomness, estimated by rerunning the statistic many
 times on fixed sample sets. A pre-test on the averaged non-singleton
 count keeps the variance of the averaged statistic in check before the
 main threshold comparison, whose scale is the closeness soundness floor
-on ``n1 n2`` elements with ``C2 = 1``.
+on ``n1 n2`` elements with ``C2 = 1``. The pre-test is first decided
+from its runs' truncation sizes alone: the count is at most
+``Σ ell / k``, about ``2m``, and its least threshold is
+``2 C_N max(m^2/(n1 n2), m/n2)``, so its runs finish only where
+``m < n1 n2 / C_N`` can let it fire.
 
 The marks are not drawn: each run contributes the exact mean of the
 marked statistic over them, the sum over keys of :func:`_key_mark_mean`.
@@ -447,28 +451,21 @@ def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
 _PairsAt = Callable[[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray]]
 
 
-def _averaged(
+def _plan_average(
     sizes: tuple[int, int],
-    pairs_at: _PairsAt,
     config: IndependenceConfig,
     rng: RngStream,
     k_avg: int | None,
     alpha: float | None = None,
     beta: float | None = None,
     poisson_mean: float | None = None,
-) -> tuple[float, float]:
-    """``(Z_a, N_a)``, the averages of ``(Z, N)`` over ``k_avg`` runs on sets of ``sizes`` pairs.
+) -> tuple[int, list[_RunPlan]]:
+    """``k`` and the plans of the live chunks of ``k`` runs on sets of ``sizes`` pairs.
 
-    Run ``j`` flattens both axes, truncates to Poisson sizes and
-    contributes ``(Z, N)`` of the truncated flattened sets; an aborted
-    run contributes ``(0, 0)``. The runs execute in chunks of
-    about 2^14 kept samples plus dividers, chunk ``c`` as one array
-    program on ``rng.substream("avg", c)``. Every chunk's selectors are
-    drawn first (:func:`_plan_runs`); then ``pairs_at`` gives the pairs
-    at the positions some run reads (:func:`_touched_positions`), and
-    each chunk finishes on its own generator (:func:`_finish_runs`).
-    ``None`` takes the configured ``k_avg``, ``alpha``, ``beta`` and
-    Poisson mean ``m``.
+    The runs execute in chunks of about 2^14 kept samples plus dividers,
+    chunk ``c`` on ``rng.substream("avg", c)``; planning one draws its
+    selectors only (:func:`_plan_runs`), no pair. ``None`` takes the
+    configured ``k_avg``, ``alpha``, ``beta`` and Poisson mean ``m``.
     """
     k = config.k_avg if k_avg is None else k_avg
     m = config.sample_size()
@@ -484,10 +481,49 @@ def _averaged(
         if (plan := _plan_runs(set_sizes, a, b, mean, abort_excess,
                                min(chunk, k - start), rng.substream("avg", c)))
     ]
+    return k, plans
+
+
+def _kept_bound(k: int, plans: list[_RunPlan]) -> float:
+    """``Σ ell / k`` over the live runs of ``plans``: a bound on their ``N_a``.
+
+    A run's ``N`` counts kept samples whose key occurs at least twice,
+    so it is at most the run's ``ell_p + ell_q``; an aborted run adds 0.
+    The integer sums satisfy ``Σ N <= Σ ell``, so the bound holds after
+    the division too.
+    """
+    return sum(int(plan.ell.sum()) for plan in plans) / k
+
+
+def _finish_average(k: int, plans: list[_RunPlan], pairs_at: _PairsAt) -> tuple[float, float]:
+    """``(Z_a, N_a)`` of the planned runs: the pairs they read, then each chunk's finish."""
     touched = (_touched_positions(plans, 0), _touched_positions(plans, 1))
     coords = np.concatenate(pairs_at(touched)).T.copy()
     stats = [_finish_runs(plan, coords, touched) for plan in plans]
     return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
+
+
+def _averaged(
+    sizes: tuple[int, int],
+    pairs_at: _PairsAt,
+    config: IndependenceConfig,
+    rng: RngStream,
+    k_avg: int | None,
+    alpha: float | None = None,
+    beta: float | None = None,
+    poisson_mean: float | None = None,
+) -> tuple[float, float]:
+    """``(Z_a, N_a)``, the averages of ``(Z, N)`` over ``k_avg`` runs on sets of ``sizes`` pairs.
+
+    Run ``j`` flattens both axes, truncates to Poisson sizes and
+    contributes ``(Z, N)`` of the truncated flattened sets; an aborted
+    run contributes ``(0, 0)``. Every chunk's selectors are drawn first
+    (:func:`_plan_average`); then ``pairs_at`` gives the pairs at the
+    positions some run reads (:func:`_touched_positions`), and each
+    chunk finishes on its own generator (:func:`_finish_runs`).
+    """
+    k, plans = _plan_average(sizes, config, rng, k_avg, alpha, beta, poisson_mean)
+    return _finish_average(k, plans, pairs_at)
 
 
 def averaged_stats(
@@ -551,6 +587,15 @@ def _draw_pair_sets(
     return sp, sq
 
 
+def _fresh_pairs_at(sampler_p: IndexSampler, config: IndependenceConfig,
+                    sample_rng: RngStream) -> _PairsAt:
+    """Fresh pairs at the touched positions, from :func:`_draw_pair_sets` on ``sample_rng``."""
+    shape = (config.n1, config.n2)
+    return lambda touched: _draw_pair_sets(
+        sampler_p, shape, (touched[0].size, touched[1].size), sample_rng
+    )
+
+
 def sampled_averaged_stats(
     sampler_p: IndexSampler,
     config: IndependenceConfig,
@@ -575,14 +620,8 @@ def sampled_averaged_stats(
     ``1.02 m + K_avg (n1 + n2)`` of the ``100 m``.
     """
     m = config.sample_size()
-    shape = (config.n1, config.n2)
-    return _averaged(
-        (100 * m, 100 * m),
-        lambda touched: _draw_pair_sets(
-            sampler_p, shape, (touched[0].size, touched[1].size), sample_rng
-        ),
-        config, rng, k_avg,
-    )
+    return _averaged((100 * m, 100 * m), _fresh_pairs_at(sampler_p, config, sample_rng),
+                     config, rng, k_avg)
 
 
 def rep_independence_test(
@@ -604,6 +643,18 @@ def rep_independence_test(
     the stage's single shared threshold. Each estimate is the element
     its stage reads of :func:`sampled_averaged_stats`, which draws only
     the pairs its runs read.
+
+    Stage 1 is first decided from its run plans, before it draws a
+    pair. A run's ``N`` is at most its kept count ``ell_p + ell_q``, so
+    each estimate is at most ``B = Σ ell / k`` over its live runs, and
+    the median is at most the largest ``B``. When that is at most the
+    threshold, stage 1 accepts for certain and its pairs are never
+    drawn; ``N_a`` is about ``2m`` at most, so only ``m < n1 n2 / C_N``
+    can let the stage fire. Otherwise the same plans finish as the
+    estimates. ``detail`` records ``stage1_bound`` (the largest ``B``),
+    ``stage1_certified`` and, when stage 1 ran, ``stage1_statistic``.
+    Stage 2 draws from its own streams, so the certificate changes no
+    draw of it.
     """
     if isinstance(sampler_p, NonNegativeMeasure):
         sampler_p = measure_sampler(sampler_p.on((config.n1, config.n2)))
@@ -613,28 +664,35 @@ def rep_independence_test(
     internal = rng.substream("internal")
     m = config.sample_size()
 
-    def stage_estimate(stage: str, element: int) -> float:
-        return float(np.median([
-            sampled_averaged_stats(sampler_p, config, sample_rng.substream(stage, rep),
-                                   internal.substream(stage, rep))[element]
-            for rep in range(config.median_reps)
-        ]))
+    def planned(stage: str) -> list[tuple[int, list[_RunPlan], _PairsAt]]:
+        # Per repetition: its runs' k and plans, and where its fresh pairs come from.
+        return [(*_plan_average((100 * m, 100 * m), config, internal.substream(stage, rep), None),
+                 _fresh_pairs_at(sampler_p, config, sample_rng.substream(stage, rep)))
+                for rep in range(config.median_reps)]
+
+    def median(estimates: list[tuple[int, list[_RunPlan], _PairsAt]], element: int) -> float:
+        return float(np.median([_finish_average(*estimate)[element] for estimate in estimates]))
 
     n_threshold = float(
         internal.substream("threshold-N").generator().uniform(2 * config.c_n, 100 * config.c_n)
     ) * stage1_scale(m, config.n1, config.n2)
-    n_hat = stage_estimate("stage1", 1)
-    if n_hat > n_threshold:
-        return TesterVerdict(
-            accept=False, statistic=n_hat, threshold=n_threshold,
-            detail={"stage": 1, "m": m},
-        )
+    stage1 = planned("stage1")
+    bound = max(_kept_bound(k, runs) for k, runs, _ in stage1)
+    detail = {"m": m, "stage1_bound": bound, "stage1_certified": bound <= n_threshold}
+    if not detail["stage1_certified"]:
+        n_hat = median(stage1, 1)
+        if n_hat > n_threshold:
+            return TesterVerdict(
+                accept=False, statistic=n_hat, threshold=n_threshold,
+                detail={"stage": 1, **detail},
+            )
+        detail["stage1_statistic"] = n_hat
 
     z_threshold = float(
         internal.substream("threshold-Z").generator().uniform(config.c_i1, config.c_i2)
     ) * independence_gap(m, config.n1, config.n2, config.epsilon)
-    z_hat = stage_estimate("stage2", 0)
+    z_hat = median(planned("stage2"), 0)
     return TesterVerdict(
         accept=z_hat <= z_threshold, statistic=z_hat, threshold=z_threshold,
-        detail={"stage": 2, "m": m, "stage1_statistic": n_hat, "stage1_threshold": n_threshold},
+        detail={"stage": 2, **detail, "stage1_threshold": n_threshold},
     )

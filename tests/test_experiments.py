@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import replitest
 from replitest.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -104,6 +109,25 @@ def test_parallel_trials_match_sequential(kind):
     assert sequential.records == parallel.records
     assert sequential.aggregate == parallel.aggregate
     assert [r["trial"] for r in parallel.records] == list(range(16))
+
+
+def test_process_pool_is_imported_only_for_a_parallel_run():
+    # a fresh interpreter: the import must not load the pool, and a
+    # parallel run, which loads it, must give the sequential records
+    src = str(Path(replitest.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import sys\n"
+        "from replitest.experiments import ExperimentConfig, run_experiment\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "config = ExperimentConfig('variance-audit', seed=5, trials=4,\n"
+        "                          params={'n': 100, 'epsilon': 0.3, 'rho': 0.1})\n"
+        "print(run_experiment(config, processes=2).records\n"
+        "      == run_experiment(config, processes=1).records)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("kind", ["closeness-acceptance", "replicability", "variance-audit"])

@@ -486,8 +486,109 @@ def test_each_stage_reads_its_statistic_of_the_full_estimate(p, n1, n2, c_n, sta
     if stage == 1:
         assert verdict.statistic == full("stage1")[1]
     else:
-        assert verdict.detail["stage1_statistic"] == full("stage1")[1]
+        # stage 1 is certified from its plans, so its statistic is never
+        # computed; the bound it was certified by holds the statistic
+        assert verdict.detail["stage1_certified"] is True
+        assert verdict.detail["stage1_bound"] >= full("stage1")[1]
         assert verdict.statistic == full("stage2")[0]
+
+
+def _stage1_bound(config, internal, rep=0):
+    """The certificate's bound ``Σ ell / k`` of one stage-1 estimate, from its plans alone."""
+    m = config.sample_size()
+    return ind._kept_bound(*ind._plan_average((100 * m, 100 * m), config,
+                                              internal.substream("stage1", rep), None))
+
+
+@pytest.mark.parametrize("n1, n2, m_scale", [
+    (8, 8, 0.05), (20, 10, 0.05), (40, 20, 0.05), (20, 20, 0.2), (100, 100, 0.02),
+])
+def test_stage1_bound_holds_the_estimate_on_the_same_streams(n1, n2, m_scale):
+    config = IndependenceConfig(n1=n1, n2=n2, **{**DESK, "m_scale": m_scale})
+    sampler = measure_sampler(diagonal_measure(n2) if n1 == n2 else uniform_product_measure(n1, n2))
+    for seed in range(3):
+        rng = ROOT.substream("bound", n1, n2, m_scale, seed)
+        _, n_a = sampled_averaged_stats(sampler, config, rng.substream("samples", "stage1", 0),
+                                        rng.substream("internal", "stage1", 0))
+        assert _stage1_bound(config, rng.substream("internal")) >= n_a
+
+
+@pytest.mark.parametrize("n1, n2, m_scale", [
+    (20, 10, 0.05), (40, 20, 0.05), (20, 20, 0.05), (40, 20, 1.0), (20, 10, 0.5),
+])
+def test_stage1_certifies_where_its_least_threshold_clears_2m(n1, n2, m_scale):
+    # the least threshold is 2 C_N max(m^2/(n1 n2), m/n2); with it 10%
+    # above 2m no threshold draw can fall below the bound, about 2m
+    config = IndependenceConfig(n1=n1, n2=n2, **{**DESK, "m_scale": m_scale})
+    m = config.sample_size()
+    least = 2 * config.c_n * stage1_scale(m, n1, n2)
+    assert least >= 1.1 * 2 * m
+    for seed in range(5):
+        assert _stage1_bound(config, ROOT.substream("certifies", n1, m_scale, seed)) <= least
+
+
+@pytest.mark.parametrize("n, fires", [(100, False), (1000, True)])
+def test_stage1_threshold_falls_below_the_bound_only_where_m_is_small(n, fires):
+    # m_scale 0.05: at (100, 100) the least threshold, 5,080, sits just
+    # above 2m = 5,040, so the certificate holds, narrowly; at
+    # (1000, 1000) it is 10,673 against 2m = 73,050, so some draws leave
+    # stage 1 to run
+    config = IndependenceConfig(n1=n, n2=n, **DESK)
+    m = config.sample_size()
+    scale = stage1_scale(m, n, n)
+    below, closest = 0, 0.0
+    for seed in range(20):
+        internal = ROOT.substream("fires", n, seed, "internal")
+        threshold = scale * float(internal.substream("threshold-N").generator().uniform(
+            2 * config.c_n, 100 * config.c_n))
+        bound = _stage1_bound(config, internal)
+        below += threshold < bound
+        closest = max(closest, bound / (2 * config.c_n * scale))
+    if fires:
+        assert 0 < below < 20
+    else:
+        assert below == 0 and 0.98 <= closest <= 1
+
+
+def _without_certificate(monkeypatch, p, config, rng):
+    with monkeypatch.context() as patched:
+        patched.setattr(ind, "_kept_bound", lambda k, plans: math.inf)
+        return rep_independence_test(p, config, rng)
+
+
+@pytest.mark.parametrize("c_n, reps, seed", [(0.02, 1, 2), (0.02, 3, 3), (4.0, 3, 0)],
+                         ids=["stage1-runs", "stage1-runs-median", "certified-median"])
+def test_stage1_certificate_changes_no_verdict(monkeypatch, c_n, reps, seed):
+    # with a small C_N the threshold can lie between N_a and the bound:
+    # stage 1 then runs on its plans and accepts, reading the estimates
+    # of sampled_averaged_stats on the same streams
+    config = IndependenceConfig(n1=20, n2=20, epsilon=0.35, rho=0.2,
+                                **{**INDEPENDENCE_DESK, "c_n": c_n, "median_reps": reps,
+                                   "k_avg": 20})
+    p = diagonal_measure(20)
+    rng = ROOT.substream("certificate", c_n, reps, seed)
+    verdict = rep_independence_test(p, config, rng)
+    samples, internal = rng.substream("samples"), rng.substream("internal")
+    bounds = [_stage1_bound(config, internal, rep) for rep in range(reps)]
+    assert verdict.detail["stage1_bound"] == max(bounds)
+    assert verdict.detail["stage"] == 2
+    certified = c_n == 4.0
+    assert verdict.detail["stage1_certified"] is certified
+    reference = _without_certificate(monkeypatch, p, config, rng)
+    for field in ("accept", "statistic", "threshold"):
+        assert getattr(verdict, field) == getattr(reference, field)
+    assert verdict.detail["stage1_threshold"] == reference.detail["stage1_threshold"]
+    if certified:
+        assert "stage1_statistic" not in verdict.detail
+        assert max(bounds) <= verdict.detail["stage1_threshold"]
+    else:
+        n_a = np.median([
+            sampled_averaged_stats(measure_sampler(p), config, samples.substream("stage1", rep),
+                                   internal.substream("stage1", rep))[1]
+            for rep in range(reps)
+        ])
+        assert verdict.detail["stage1_statistic"] == n_a == reference.detail["stage1_statistic"]
+        assert n_a <= verdict.detail["stage1_threshold"] < max(bounds)
 
 
 def test_diagonal_rejected_at_stage_two():
@@ -499,22 +600,27 @@ def test_diagonal_rejected_at_stage_two():
     assert verdict.detail["stage"] == 2
 
 
-# (Z_a, N_a) of sampled_averaged_stats and the verdict fields (accept,
+# (Z_a, N_a) of sampled_averaged_stats, the verdict fields (accept,
 # statistic, threshold, stage 1 statistic, stage 1 threshold) per desk
-# case and seed.
+# case and seed, and the stage 1 bound that certifies it. The stage 1
+# statistics were recorded before stage 1 was certified from its plans;
+# it is no longer computed, and each bound must hold it.
 PINNED = {
     ("product", 1): ((-6.68, 387.08),
-                     (True, 9.17875, 65.12607293088472, 392.74, 149378.42096167366)),
+                     (True, 9.17875, 65.12607293088472, 392.74, 149378.42096167366), 1163.26),
     ("product", 2): ((-0.76, 399.54),
-                     (True, 2.401875, 174.68180028039433, 385.12, 86136.42177728892)),
+                     (True, 2.401875, 174.68180028039433, 385.12, 86136.42177728892), 1162.6),
     ("product", 3): ((-11.22875, 406.4),
-                     (True, -4.6, 164.02021913793246, 387.28, 69952.57788250218)),
+                     (True, -4.6, 164.02021913793246, 387.28, 69952.57788250218), 1158.3),
     ("diagonal", 1): ((250.42254133224486, 444.3),
-                      (False, 236.29555905118585, 85.12210291180885, 455.52, 134893.42284526196)),
+                      (False, 236.29555905118585, 85.12210291180885, 455.52, 134893.42284526196),
+                      761.62),
     ("diagonal", 2): ((238.83080971062182, 450.76),
-                      (False, 249.06461846858264, 94.46644534070057, 444.18, 76711.24645430324)),
+                      (False, 249.06461846858264, 94.46644534070057, 444.18, 76711.24645430324),
+                      753.12),
     ("diagonal", 3): ((249.28944613239727, 456.58),
-                      (False, 262.6787642747164, 78.45495983284846, 460.98, 86655.95419729636)),
+                      (False, 262.6787642747164, 78.45495983284846, 460.98, 86655.95419729636),
+                      758.82),
 }
 
 
@@ -532,10 +638,13 @@ def test_desk_outputs_are_pinned_bit_for_bit(case, seed):
                    "diagonal": (diagonal_measure(20), (20, 20))}[case]
     config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
     rng = RngStream(seed, f"pinned/{case}")
-    stats_expected, verdict_expected = PINNED[case, seed]
+    stats_expected, verdict_expected, bound = PINNED[case, seed]
     assert sampled_averaged_stats(measure_sampler(p.on((n1, n2))), config,
                                   rng.substream("sets"), rng.substream("runs")) == stats_expected
     v = rep_independence_test(p, config, rng.substream("verdict"))
+    accept, statistic, threshold, stage1_statistic, stage1_threshold = verdict_expected
     assert v.detail["stage"] == 2
-    assert (v.accept, v.statistic, v.threshold, v.detail["stage1_statistic"],
-            v.detail["stage1_threshold"]) == verdict_expected
+    assert (v.accept, v.statistic, v.threshold, v.detail["stage1_threshold"]) == (
+        accept, statistic, threshold, stage1_threshold)
+    assert v.detail["stage1_certified"] is True
+    assert v.detail["stage1_bound"] == bound >= stage1_statistic
