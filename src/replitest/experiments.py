@@ -55,8 +55,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _TRIAL_FUNCS and self.kind not in _RUNNERS:
+        if _name("kind", self.kind) not in _TRIAL_FUNCS and self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.out is not None and not isinstance(self.out, (str, Path)):
+            raise ConfigError(f"out must be a path string, not {self.out!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not isinstance(self.params, dict):
@@ -119,6 +121,17 @@ def read_json_object(path: str | Path, what: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object")
     return data
+
+
+def _name(field: str, value) -> str:
+    """``value``, refused unless it is a string; ``field`` names it in the error.
+
+    A name that is not a string would otherwise fail as a dict key or as
+    a path with a ``TypeError``.
+    """
+    if not isinstance(value, str):
+        raise ConfigError(f"{field} must be a string, not {value!r}")
+    return value
 
 
 def _rate_stderr(rate: float, n: int) -> float:
@@ -283,7 +296,7 @@ def config_from_params(cls, params: dict):
 
 def _load_instance_measures(params: dict, expected: int) -> list[NonNegativeMeasure]:
     path = params.get("instance_file")
-    if not path or not Path(path).exists():
+    if not path or not Path(_name("instance_file", path)).exists():
         raise ConfigError(f"instance file not found: {path!r}")
     _, measures = hard_instances.instance_from_json(Path(path).read_text())
     if len(measures) != expected:
@@ -355,7 +368,7 @@ TESTERS = {
 
 def _tester(name: str, params: dict) -> tuple:
     """``(test, config, draw_instance)`` of the tester ``name`` at ``params``."""
-    if name not in TESTERS:
+    if _name("tester", name) not in TESTERS:
         raise ConfigError(f"unknown tester {name!r}")
     cls, test, instance = TESTERS[name]
     config = config_from_params(cls, params)
@@ -409,7 +422,7 @@ _KERNELS = {"coordinate": CoordKernel, "closeness-pair": ClosenessPairKernel}
 
 def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
-    kind = params.get("kernel", "coordinate")
+    kind = _name("kernel", params.get("kernel", "coordinate"))
     if kind not in _KERNELS:
         raise ConfigError(f"unknown kernel {kind!r}")
     kernel = config_from_params(_KERNELS[kind], params)

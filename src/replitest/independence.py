@@ -1,21 +1,21 @@
 """Replicable independence tester for distributions on ``[n1] x [n2]``.
 
-The core statistic flattens the samples on both axes, truncates to
-Poisson-sized subsets, and evaluates the marked closeness statistic
-(:func:`closeness_stat_marked`: ``closeness_statistic`` on counts split
-by source and a fair mark) between samples from the unknown
-distribution ``p`` and samples from the product of its marginals
-(simulated by splicing coordinates of two independent ``p`` samples).
-Because the statistic is randomized, the tester works with its average
-over the internal randomness, estimated by rerunning the statistic many
-times on fixed sample sets. A pre-test on the averaged non-singleton
-count keeps the variance of the averaged statistic in check before the
-main threshold comparison, whose scale is the closeness soundness floor
-on ``n1 n2`` elements with ``C2 = 1``. The pre-test is first decided
-from its runs' truncation sizes alone: the count is at most
-``Σ ell / k``, about ``2m``, and its least threshold is
-``2 C_N max(m^2/(n1 n2), m/n2)``, so its runs finish only where
-``m < n1 n2 / C_N`` can let it fire.
+One run of the core statistic flattens the samples on both axes,
+truncates them to Poisson-sized subsets, and scores the marked
+closeness statistic (:func:`closeness_stat_marked`:
+``closeness_statistic`` on counts split by source and a fair mark)
+between samples from the unknown distribution ``p`` and samples from
+the product of its marginals (simulated by splicing coordinates of two
+independent ``p`` samples). Because the statistic is randomized, the
+tester works with its average over the internal randomness, estimated
+by rerunning the statistic many times on fixed sample sets. A pre-test
+on the averaged non-singleton count keeps the variance of the averaged
+statistic in check before the main threshold comparison, whose scale
+is the closeness soundness floor on ``n1 n2`` elements with ``C2 = 1``.
+The pre-test is first decided from its runs' truncation sizes alone:
+the count is at most ``Σ ell / k``, about ``2m``, and its least
+threshold is ``2 C_N max(m^2/(n1 n2), m/n2)``, so its runs finish only
+where ``m < n1 n2 / C_N`` can let it fire.
 
 The marks are not drawn: each run contributes the exact mean of the
 marked statistic over them, the sum over keys of :func:`_key_mark_mean`.
@@ -23,28 +23,31 @@ That is the conditional expectation given the run's flattened sets, so
 the averaged statistic keeps its mean and its variance cannot rise
 (Rao-Blackwell; Casella & Robert, *Biometrika*, 1996).
 
-The reruns execute as one array program per chunk of runs
-(``_averaged``). Each run draws its flattening selectors sparsely: a
-Binomial number of dividers at a uniform subset of positions, which has
-the law of iid Bernoulli flags, so a run touches only its kept samples
-and dividers, not the whole sample sets. Keys carry the run index, so a
-statistic of all runs of a chunk comes from one call on its keys and
-equals the sum of the per-run values exactly. One sort of the chunk's
-keys gives both statistics: the mark-averaged statistic that stage 2
-reads and the non-singleton count that stage 1 reads.
+Every estimate ``(Z_a, N_a)`` takes one path, for fixed sample sets
+(``averaged_stats``) and fresh draws (``sampled_averaged_stats``) alike:
 
-Fixed sample sets (``averaged_stats``) and fresh draws
-(``sampled_averaged_stats``) feed the runs the same way. Every run's
-selectors are drawn first; they name the positions the runs read: a
-prefix that holds every kept sample, plus the scattered dividers beyond
-it. Fixed sets are then indexed at those positions, and the tester,
-which never draws its sets of ``100 m`` pairs in full, draws pairs for
-those positions only, in position order. The pairs are iid and
-independent of the selectors, and a pair that no run reads never
-reaches ``Z`` or ``N``, so leaving it undrawn changes no law (the
-principle of deferred decisions, Motwani & Raghavan, *Randomized
-Algorithms*, 1995). At desk scale a set then holds about 3,600 of its
-58,000 pairs.
+- Plan (:func:`_plan_average`). Each chunk of runs draws its selectors
+  sparsely (:func:`_plan_runs`): a Binomial number of dividers at a
+  uniform subset of positions, which has the law of iid Bernoulli
+  flags, and the Poisson truncation sizes. No pair is read yet.
+- Touched positions (:func:`_touched_positions`). The plans name the
+  positions the runs read: a prefix that holds every kept sample, plus
+  the scattered dividers beyond it.
+- Pairs. The rows and columns of the pairs at those positions come as
+  one ``(2, T0 + T1)`` array. Fixed sets are indexed there. The tester,
+  which never draws its sets of ``100 m`` pairs in full, draws pairs
+  for those positions only, in position order (:func:`_plan_fresh`).
+  The pairs are iid and independent of the selectors, and a pair that
+  no run reads never reaches ``Z`` or ``N``, so leaving it undrawn
+  changes no law (the principle of deferred decisions, Motwani &
+  Raghavan, *Randomized Algorithms*, 1995). At desk scale a set then
+  holds about 3,600 of its 58,000 pairs.
+- Finish (:func:`_finish_runs`). Each chunk runs as one array program
+  on its kept samples and dividers only. Keys carry the run index, so a
+  statistic of all runs of a chunk comes from one call on its keys and
+  equals the sum of the per-run values exactly. One sort of the chunk's
+  keys gives both statistics: the mark-averaged statistic that stage 2
+  reads and the non-singleton count that stage 1 reads.
 """
 
 from __future__ import annotations
@@ -296,15 +299,6 @@ class _RunPlan:
     div_pos: np.ndarray
     gen: np.random.Generator
 
-    def reach(self, side: int) -> int:
-        """Bound on the kept positions of ``side``: ``max_j(ell_j + D_j)``."""
-        seg = slice(side * self.runs, (side + 1) * self.runs)
-        return int((self.ell[seg] + self.dividers[seg]).max())
-
-    def side_dividers(self, side: int) -> np.ndarray:
-        cut = int(self.dividers[: self.runs].sum())
-        return self.div_pos[cut:] if side else self.div_pos[:cut]
-
 
 def _plan_runs(
     sizes: np.ndarray,
@@ -352,8 +346,8 @@ def _finish_runs(
 
     ``coords`` holds the rows and the columns of the pairs of side 0 at
     the sorted positions ``touched[0]``, then of side 1 at
-    ``touched[1]``. Kept samples lie in the prefix
-    ``[0, plan.reach(s))`` that ``touched[s]`` starts with, so their
+    ``touched[1]``. Kept samples lie in the prefix ``[0, P)`` that
+    ``touched[s]`` starts with (:func:`_touched_positions`), so their
     positions index the side directly; only the dividers are looked up.
 
     The kept samples are the first ``ell`` non-dividers, computed from
@@ -432,23 +426,30 @@ def _finish_runs(
     return _key_stats(keys, kept_p)
 
 
-def _touched_positions(plans: list[_RunPlan], side: int) -> np.ndarray:
-    """Sorted positions of ``side`` that some plan reads.
+def _touched_positions(plans: list[_RunPlan]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted positions of each side that some plan reads.
 
-    The prefix ``[0, P)`` with ``P = max_j(ell_j + D_j)`` holds every
-    kept sample; the divider positions at or above ``P`` follow it,
-    each once.
+    A side's prefix ``[0, P)``, with ``P = max_j(ell_j + D_j)`` over its
+    segments, holds every kept sample; the divider positions at or above
+    ``P`` follow it, each once.
     """
-    reach = max((plan.reach(side) for plan in plans), default=0)
-    scattered = np.concatenate(
-        [plan.side_dividers(side) for plan in plans] + [np.zeros(0, dtype=np.int64)]
-    )
-    far = np.sort(scattered[scattered >= reach])
-    return np.concatenate([np.arange(reach), far[:1], far[1:][far[1:] != far[:-1]]])
+    touched = []
+    for side in (0, 1):
+        reach, scattered = 0, [np.zeros(0, dtype=np.int64)]
+        for plan in plans:
+            reach = max(reach, int((plan.ell + plan.dividers).reshape(2, -1)[side].max()))
+            cut = int(plan.dividers[: plan.runs].sum())
+            scattered.append(plan.div_pos[cut:] if side else plan.div_pos[:cut])
+        far = np.concatenate(scattered)
+        far = np.sort(far[far >= reach])
+        # np.unique does the same about ten times slower here.
+        touched.append(np.concatenate([np.arange(reach), far[:1], far[1:][far[1:] != far[:-1]]]))
+    return touched[0], touched[1]
 
 
-# The pairs of both sample sets at the given sorted positions of each.
-_PairsAt = Callable[[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray]]
+# The rows and columns, shape (2, T0 + T1), of the pairs of both sample
+# sets at the T0 and T1 sorted positions given for each.
+_PairsAt = Callable[[tuple[np.ndarray, np.ndarray]], np.ndarray]
 
 
 def _plan_average(
@@ -496,34 +497,16 @@ def _kept_bound(k: int, plans: list[_RunPlan]) -> float:
 
 
 def _finish_average(k: int, plans: list[_RunPlan], pairs_at: _PairsAt) -> tuple[float, float]:
-    """``(Z_a, N_a)`` of the planned runs: the pairs they read, then each chunk's finish."""
-    touched = (_touched_positions(plans, 0), _touched_positions(plans, 1))
-    coords = np.concatenate(pairs_at(touched)).T.copy()
-    stats = [_finish_runs(plan, coords, touched) for plan in plans]
-    return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
-
-
-def _averaged(
-    sizes: tuple[int, int],
-    pairs_at: _PairsAt,
-    config: IndependenceConfig,
-    rng: RngStream,
-    k_avg: int | None,
-    alpha: float | None = None,
-    beta: float | None = None,
-    poisson_mean: float | None = None,
-) -> tuple[float, float]:
-    """``(Z_a, N_a)``, the averages of ``(Z, N)`` over ``k_avg`` runs on sets of ``sizes`` pairs.
+    """``(Z_a, N_a)`` of the planned runs: the pairs they read, then each chunk's finish.
 
     Run ``j`` flattens both axes, truncates to Poisson sizes and
     contributes ``(Z, N)`` of the truncated flattened sets; an aborted
-    run contributes ``(0, 0)``. Every chunk's selectors are drawn first
-    (:func:`_plan_average`); then ``pairs_at`` gives the pairs at the
-    positions some run reads (:func:`_touched_positions`), and each
-    chunk finishes on its own generator (:func:`_finish_runs`).
+    run contributes ``(0, 0)``.
     """
-    k, plans = _plan_average(sizes, config, rng, k_avg, alpha, beta, poisson_mean)
-    return _finish_average(k, plans, pairs_at)
+    touched = _touched_positions(plans)
+    coords = pairs_at(touched)
+    stats = [_finish_runs(plan, coords, touched) for plan in plans]
+    return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
 
 
 def averaged_stats(
@@ -559,41 +542,36 @@ def averaged_stats(
         raise ValueError(
             f"expected |S_p| = |S_q| = 100 m = {100 * m}; got {sizes[0]} and {sizes[1]}"
         )
-    return _averaged(
-        sizes, lambda touched: (sets[0][touched[0]], sets[1][touched[1]]),
-        config, rng, k_avg, alpha, beta, poisson_mean,
-    )
+    k, plans = _plan_average(sizes, config, rng, k_avg, alpha, beta, poisson_mean)
+    return _finish_average(k, plans, lambda touched: np.concatenate(
+        [sets[0][touched[0]].T, sets[1][touched[1]].T], axis=1))
 
 
-def _draw_pair_sets(
+def _plan_fresh(
     sampler_p: IndexSampler,
-    shape: tuple[int, int],
-    sizes: tuple[int, int],
+    config: IndependenceConfig,
+    sample_rng: RngStream,
     rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``sizes[0]`` pairs from ``p`` and ``sizes[1]`` from the product of its marginals.
+    k_avg: int | None = None,
+) -> tuple[int, list[_RunPlan], _PairsAt]:
+    """``k``, the plans and the pair source of an estimate on fresh sets of ``100 m`` pairs.
 
-    They come from the substreams ``sample-1`` and ``sample-2`` of ``rng``,
-    in that order.
+    The runs are planned on ``rng`` (:func:`_plan_average`). The source
+    draws one pair per touched position, in position order: side 0 from
+    ``sampler_p`` on the substream ``sample-1`` of ``sample_rng``, side 1
+    from :func:`product_of_marginals_sampler` on ``sample-2``.
     """
-    n2 = shape[1]
-    gen_p = rng.substream("sample-1").generator()
-    gen_q = rng.substream("sample-2").generator()
-    sampler_q = product_of_marginals_sampler(sampler_p, shape)
-    flat_p = sampler_p(sizes[0], gen_p)
-    flat_q = sampler_q(sizes[1], gen_q)
-    sp = np.stack([flat_p // n2, flat_p % n2], axis=1)
-    sq = np.stack([flat_q // n2, flat_q % n2], axis=1)
-    return sp, sq
+    m = config.sample_size()
+    n2 = config.n2
+    sources = ((sampler_p, "sample-1"),
+               (product_of_marginals_sampler(sampler_p, (config.n1, n2)), "sample-2"))
 
+    def pairs_at(touched: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        flat = [sampler(positions.size, sample_rng.substream(name).generator())
+                for (sampler, name), positions in zip(sources, touched)]
+        return np.stack(np.divmod(np.concatenate(flat), n2))
 
-def _fresh_pairs_at(sampler_p: IndexSampler, config: IndependenceConfig,
-                    sample_rng: RngStream) -> _PairsAt:
-    """Fresh pairs at the touched positions, from :func:`_draw_pair_sets` on ``sample_rng``."""
-    shape = (config.n1, config.n2)
-    return lambda touched: _draw_pair_sets(
-        sampler_p, shape, (touched[0].size, touched[1].size), sample_rng
-    )
+    return (*_plan_average((100 * m, 100 * m), config, rng, k_avg), pairs_at)
 
 
 def sampled_averaged_stats(
@@ -606,22 +584,21 @@ def sampled_averaged_stats(
 ) -> tuple[float, float]:
     """``(Z_a, N_a)`` of ``k_avg`` runs on fresh sets of ``100 m`` pairs from ``sampler_p``.
 
-    Has the law of :func:`averaged_stats` on the sets
-    ``_draw_pair_sets(sampler_p, shape, (100 m, 100 m), sample_rng)``,
-    and draws the runs from ``rng`` the same way, but draws pairs only
-    where a run reads one. The pairs at distinct positions are iid and
-    independent of the selectors, and a pair that no run reads never
-    reaches ``Z`` or ``N``, so the decision of what it is can be
-    deferred until a run needs it, or never made (the principle of
-    deferred decisions, Motwani & Raghavan, *Randomized Algorithms*,
+    Has the law of :func:`averaged_stats` on ``100 m`` pairs drawn from
+    ``sampler_p`` on the substream ``sample-1`` of ``sample_rng`` and
+    ``100 m`` drawn from :func:`product_of_marginals_sampler` on its
+    ``sample-2``, and draws the runs from ``rng`` the same way, but draws
+    pairs only where a run reads one. The pairs at distinct positions
+    are iid and independent of the selectors, and a pair that no run
+    reads never reaches ``Z`` or ``N``, so the decision of what it is
+    can be deferred until a run needs it, or never made (the principle
+    of deferred decisions, Motwani & Raghavan, *Randomized Algorithms*,
     1995). Every run's selectors are drawn first; then each side draws
-    pairs, from the substreams ``sample-1`` and ``sample-2`` of
-    ``sample_rng``, for its touched positions in position order: about
-    ``1.02 m + K_avg (n1 + n2)`` of the ``100 m``.
+    pairs for its touched positions in position order
+    (:func:`_plan_fresh`): about ``1.02 m + K_avg (n1 + n2)`` of the
+    ``100 m``.
     """
-    m = config.sample_size()
-    return _averaged((100 * m, 100 * m), _fresh_pairs_at(sampler_p, config, sample_rng),
-                     config, rng, k_avg)
+    return _finish_average(*_plan_fresh(sampler_p, config, sample_rng, rng, k_avg))
 
 
 def rep_independence_test(
@@ -665,9 +642,8 @@ def rep_independence_test(
     m = config.sample_size()
 
     def planned(stage: str) -> list[tuple[int, list[_RunPlan], _PairsAt]]:
-        # Per repetition: its runs' k and plans, and where its fresh pairs come from.
-        return [(*_plan_average((100 * m, 100 * m), config, internal.substream(stage, rep), None),
-                 _fresh_pairs_at(sampler_p, config, sample_rng.substream(stage, rep)))
+        return [_plan_fresh(sampler_p, config, sample_rng.substream(stage, rep),
+                            internal.substream(stage, rep))
                 for rep in range(config.median_reps)]
 
     def median(estimates: list[tuple[int, list[_RunPlan], _PairsAt]], element: int) -> float:

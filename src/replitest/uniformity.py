@@ -85,9 +85,17 @@ class UniformityTester:
         self.m = config.sample_size()
 
     def decide_counts(self, counts: CountVector, internal: RngStream) -> TesterVerdict:
-        """Verdict on an externally supplied Poissonized count vector."""
-        if np.asarray(counts).size != self.config.n:
+        """Verdict on an externally supplied Poissonized count vector.
+
+        The counts must be non-negative integers; an integer vector is
+        checked by one pass, its minimum.
+        """
+        counts = np.asarray(counts)
+        if counts.size != self.config.n:
             raise ValueError("count vector length must equal n")
+        if counts.min() < 0 or (counts.dtype.kind not in "biu"
+                                and np.mod(counts, 1).any()):
+            raise ValueError("counts must be non-negative integers")
         config, m = self.config, self.m
         return gap_verdict(
             uniformity_statistic(counts, m), config.completeness_ceiling(m),

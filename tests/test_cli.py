@@ -343,6 +343,27 @@ def test_counts_below_their_least_are_named(tmp_path, capsys, argv, params, name
     assert named in err
 
 
+@pytest.mark.parametrize("config, named", [
+    ({**_ACCEPTANCE, "kind": ["mixing"], "params": _MIXING}, "kind"),
+    ({**_ACCEPTANCE, "kind": "replicability",
+      "params": {**_ACCEPTANCE_PARAMS, "tester": ["closeness"]}}, "tester"),
+    ({**_ACCEPTANCE, "kind": "mixing", "params": {**_MIXING, "kernel": ["coordinate"]}},
+     "kernel"),
+    ({**_ACCEPTANCE, "params": _ACCEPTANCE_PARAMS, "out": 5}, "out"),
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "instance": "file", "instance_file": 5}},
+     "instance_file"),
+], ids=["kind", "tester", "kernel", "out", "instance_file"])
+def test_config_names_and_paths_that_are_not_strings_are_named(tmp_path, capsys, config, named):
+    # each of these once ended in a TypeError traceback: an unhashable
+    # name used as a key, or a number given to Path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{named} must be a " in err
+
+
 def test_experiment_command_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "nope", "seed": 1, "trials": 5}))

@@ -21,7 +21,6 @@ from replitest.independence import (
     sampled_averaged_stats,
     stage1_scale,
     _distinct_positions,
-    _draw_pair_sets,
 )
 from replitest.measures import (
     diagonal_measure,
@@ -354,7 +353,12 @@ def test_desk_average_memory_is_bounded_by_the_chunk():
     config = IndependenceConfig(n1=40, n2=20, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
     m = config.sample_size()
     sampler = measure_sampler(uniform_product_measure(40, 20))
-    sp, sq = _draw_pair_sets(sampler, (40, 20), (100 * m, 100 * m), ROOT.substream("memory"))
+    # both full sets of 100 m pairs, from the pair source of the fresh path
+    *_, pairs_at = ind._plan_fresh(sampler, config, ROOT.substream("memory"),
+                                   ROOT.substream("memory-plans"))
+    every = np.arange(100 * m)
+    coords = pairs_at((every, every))
+    sp, sq = coords[:, :100 * m].T.copy(), coords[:, 100 * m:].T.copy()
     tracemalloc.start()
     try:
         averaged_stats(sp, sq, config, ROOT.substream("memory-avg"))
@@ -364,38 +368,27 @@ def test_desk_average_memory_is_bounded_by_the_chunk():
     assert peak < 4 * 2**20
 
 
-def test_lazy_sets_equal_eager_sets_holding_the_drawn_pairs(monkeypatch):
+def test_lazy_sets_equal_eager_sets_holding_the_drawn_pairs():
     # the lazy path draws pairs only at the touched positions; full sets
     # holding those pairs there and junk everywhere else must give the
     # same (Z_a, N_a) from the same run streams, so no run reads the junk
-    drawn = {}
-    touched_positions = ind._touched_positions
-    draw_pair_sets = ind._draw_pair_sets
-
-    def record_touched(plans, side):
-        drawn[side] = touched_positions(plans, side)
-        return drawn[side]
-
-    def record_sets(*args):
-        drawn["sets"] = draw_pair_sets(*args)
-        return drawn["sets"]
-
-    monkeypatch.setattr(ind, "_touched_positions", record_touched)
-    monkeypatch.setattr(ind, "_draw_pair_sets", record_sets)
     cases = [(uniform_product_measure(40, 20), (40, 20)), (diagonal_measure(20), (20, 20))]
     for t in range(10):
         p, (n1, n2) = cases[t % 2]
         config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
         size = 100 * config.sample_size()
-        runs = ROOT.substream("lazy-runs", t)
-        lazy = sampled_averaged_stats(measure_sampler(p), config,
-                                      ROOT.substream("lazy-sets", t), runs)
+        runs, sets = ROOT.substream("lazy-runs", t), ROOT.substream("lazy-sets", t)
+        lazy = sampled_averaged_stats(measure_sampler(p), config, sets, runs)
+        # the same plans and pairs, planned again on the same streams
+        _, plans, pairs_at = ind._plan_fresh(measure_sampler(p), config, sets, runs)
+        drawn = ind._touched_positions(plans)
+        coords = pairs_at(drawn)
         assert drawn[0].size < size // 10 and drawn[1].size < size // 10
         junk = ROOT.substream("junk", t).generator()
         eager = []
-        for side in (0, 1):
+        for side, columns in enumerate(np.split(coords, [drawn[0].size], axis=1)):
             full = np.stack([junk.integers(0, n1, size), junk.integers(0, n2, size)], axis=1)
-            full[drawn[side]] = drawn["sets"][side]
+            full[drawn[side]] = columns.T
             eager.append(full)
         assert averaged_stats(eager[0], eager[1], config, runs) == lazy
 
@@ -648,3 +641,34 @@ def test_desk_outputs_are_pinned_bit_for_bit(case, seed):
         accept, statistic, threshold, stage1_threshold)
     assert v.detail["stage1_certified"] is True
     assert v.detail["stage1_bound"] == bound >= stage1_statistic
+
+
+# (Z_a, N_a) of averaged_stats per desk case and seed, on fixed sets of
+# 100 m pairs drawn once from measure_sampler and from
+# product_of_marginals_sampler, recorded on commit d61ae86. PINNED
+# reaches the runs only through fresh draws, and the lazy/eager test
+# compares the two paths with each other, so neither sees a change that
+# moves both paths at once.
+FIXED_PINNED = {
+    ("product", 1): (-12.4325, 391.84),
+    ("product", 2): (2.44, 380.44),
+    ("product", 3): (-1.745625, 386.62),
+    ("diagonal", 1): (243.35789502039552, 460.0),
+    ("diagonal", 2): (240.90160653159023, 450.28),
+    ("diagonal", 3): (234.38215021699668, 453.08),
+}
+
+
+@pytest.mark.parametrize("case, seed", sorted(FIXED_PINNED))
+def test_desk_fixed_sets_are_pinned_bit_for_bit(case, seed):
+    p, (n1, n2) = {"product": (uniform_product_measure(40, 20), (40, 20)),
+                   "diagonal": (diagonal_measure(20), (20, 20))}[case]
+    config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+    size = 100 * config.sample_size()
+    rng = RngStream(seed, f"pinned/{case}")
+    sampler = measure_sampler(p.on((n1, n2)))
+    flat_p = sampler(size, rng.substream("fixed-sets", "p").generator())
+    flat_q = product_of_marginals_sampler(sampler, (n1, n2))(
+        size, rng.substream("fixed-sets", "q").generator())
+    sp, sq = (np.stack(np.divmod(flat, n2), axis=1) for flat in (flat_p, flat_q))
+    assert averaged_stats(sp, sq, config, rng.substream("fixed-runs")) == FIXED_PINNED[case, seed]

@@ -130,6 +130,17 @@ def test_decide_counts_matches_run_pipeline():
     assert verdict.accept == direct.accept
 
 
+@pytest.mark.parametrize("counts", [
+    np.full(100, -5), np.full(100, 2.5), np.r_[np.ones(99), -1.0], np.r_[np.ones(99), np.nan],
+], ids=["negative", "fractional", "one-negative-float", "nan"])
+def test_decide_counts_refuses_counts_outside_the_sampling_model(counts):
+    # these once gave statistics of 74,647 (negative) and 38,677
+    # (fractional) and a reject
+    tester = UniformityTester(UniformityConfig(n=100, epsilon=0.3, rho=0.1))
+    with pytest.raises(ValueError, match="counts must be non-negative integers"):
+        tester.decide_counts(counts, ROOT.substream("bad-counts"))
+
+
 @pytest.mark.parametrize("measure, shape", [
     (uniform_product_measure(25, 20), "(25, 20)"),
     (uniform_measure(400), "(400,)"),
