@@ -334,9 +334,9 @@ def _uniformity_instance(params: dict, config: un.UniformityConfig) -> DrawInsta
     if name == "uniform":
         return _fixed(uniform_measure(n))
     if name == "meta-epsilon":
-        # The far end of the family, xi = epsilon.
-        far = UniformityHardParams(n, epsilon, epsilon)
-        return lambda stream: (hard_instances.draw_uniformity_hard(far, stream).normalized(),)
+        # The far end of the family, xi = epsilon, normalized.
+        far = partial(_meta_uniformity, n, epsilon, epsilon)
+        return lambda stream: (far(stream)[0].normalized(),)
     if name == "hard-meta":
         xi = params.get("xi")
         return partial(_meta_uniformity, n, epsilon,
@@ -375,10 +375,15 @@ def _tester(name: str, params: dict) -> tuple:
     return test, config, instance(params, config)
 
 
-def _acceptance_trial(tester: str, params: dict, seed: int, t: int) -> dict:
+def _trial_verdict(kind: str, tester: str, params: dict, seed: int, t: int) -> TesterVerdict:
+    """Trial ``t`` of ``kind``: one ``tester`` verdict on the trial's own instance and stream."""
     test, config, draw_instance = _tester(tester, params)
-    trial = RngStream(seed, f"{tester}-acceptance").substream("trial", t)
-    verdict = test(*draw_instance(trial.substream("instance")), config, trial)
+    trial = RngStream(seed, kind).substream("trial", t)
+    return test(*draw_instance(trial.substream("instance")), config, trial)
+
+
+def _acceptance_trial(tester: str, params: dict, seed: int, t: int) -> dict:
+    verdict = _trial_verdict(f"{tester}-acceptance", tester, params, seed, t)
     record = {"trial": t, "accept": int(verdict.accept),
               "statistic": verdict.statistic, "threshold": verdict.threshold}
     if "stage" in verdict.detail:
@@ -393,9 +398,7 @@ def _replicability_trial(params: dict, seed: int, t: int) -> dict:
 
 
 def _variance_trial(params: dict, seed: int, t: int) -> dict:
-    test, config, draw_instance = _tester("closeness", params)
-    trial = RngStream(seed, "variance-audit").substream("trial", t)
-    verdict = test(*draw_instance(trial.substream("instance")), config, trial)
+    verdict = _trial_verdict("variance-audit", "closeness", params, seed, t)
     return {"trial": t, "statistic": int(verdict.statistic), "m": verdict.detail["m"]}
 
 
@@ -408,6 +411,9 @@ def _replicability_aggregate(records: list[dict]) -> dict:
 
 def _variance_aggregate(records: list[dict]) -> dict:
     m = records[0]["m"]
+    # The sample variance (ddof=1) of one trial is NaN, which JSON cannot hold.
+    if len(records) < 2:
+        raise ConfigError(f"variance-audit needs trials >= 2, not {len(records)}")
     stats = np.array([r["statistic"] for r in records], dtype=float)
     return {
         "m": m,
@@ -432,6 +438,8 @@ def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     except TruncationError as exc:
         raise ConfigError(f"a_max = {kernel.a_max} truncates the kernel ({exc}); "
                           "raise a_max") from exc
+    except RuntimeError as exc:  # did not mix; max_steps is not a parameter here
+        raise ConfigError(f"{str(exc).partition('; ')[0]}; raise delta") from exc
     records = [{"t": t, "l1_to_stationary": tv} for t, tv in report.tv_curve]
     return records, {
         "tau_delta": report.tau_delta,
@@ -463,10 +471,9 @@ def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
     root = RngStream(config.seed, "concentration")
     rows = []
     for i, xi in enumerate(xi_grid):
-        hard = UniformityHardParams(tester.n, tester.epsilon, xi)
         accs = np.empty(draws)
         for j in range(draws):
-            p = hard_instances.draw_uniformity_hard(hard, root.substream("instance", i, j))
+            (p,) = _meta_uniformity(tester.n, tester.epsilon, xi, root.substream("instance", i, j))
             samples = root.substream("acc", i, j)
             runs = [test(p, tester, internal, sample_rng=samples.substream("trial", t))
                     for t in range(config.trials)]

@@ -28,8 +28,10 @@ taken over the rows snapped to a 2^-46 grid, one row per grid point;
 the distance is also 1-Lipschitz in l1, since the rows of ``M_t`` sum
 to at most 1, so the curve is exact to within 2^-44 (about 5.7e-14).
 The pair walk's 1,936 rows leave 2 vertices at xi = 0 and 22 at
-xi = 0.1 and 0.2. The dense ``transition_matrix`` remains for
-exactness checks and for ``product_walk_tau``.
+xi = 0.1 and 0.2. A product of walks, one per coordinate, factors
+through the Kronecker products of its kernels' factors, so
+``product_walk_tau`` is ``estimate_mixing`` on that product. The dense
+``transition_matrix`` remains for exactness checks.
 
 The mixing-time convention follows the unhalved l1 metric
 ``sum_j |P^t(i, j) - pi(j)| < delta`` (twice the total variation
@@ -468,28 +470,34 @@ def estimate_mixing(
     )
 
 
-def product_walk_tau(
-    matrices: Sequence[np.ndarray],
-    stationaries: Sequence[np.ndarray],
-    delta: float,
-    max_steps: int = 64,
-) -> int:
-    """Mixing time of a product walk by exact tensor-product powers.
+class _ProductWalk:
+    """The product walk, whose coordinates step at once, each by its own kernel.
 
-    Worst case over all product point-mass initial states; intended for
-    small per-coordinate truncations.
+    By the mixed-product rule ``(A (x) C)(B (x) D) = AB (x) CD``, the
+    Kronecker products of the kernels' ``(post, branch, pi)`` factor the
+    product kernel ``P_1 (x) P_2 (x) ...`` (Levin, Peres & Wilmer,
+    *Markov Chains and Mixing Times*, ch. 20), so ``estimate_mixing``
+    reads it as one more factored kernel. It is a plain class, not a
+    dataclass: every command and benchmark workload imports this module,
+    and generating a dataclass's methods adds about 1 ms to that import.
     """
-    powers = [np.eye(m.shape[0]) for m in matrices]
-    pi_full = stationaries[0]
-    for pi in stationaries[1:]:
-        pi_full = np.kron(pi_full, pi)
-    curve = []
-    for _ in range(max_steps + 1):
-        full = powers[0]
-        for p in powers[1:]:
-            full = np.kron(full, p)
-        curve.append(float(np.abs(full - pi_full).sum(axis=1).max()))
-        if curve[-1] < delta / 10.0 and len(curve) > 1:
-            break
-        powers = [p @ m for p, m in zip(powers, matrices)]
-    return _curve_tau(curve, delta)
+
+    def __init__(self, kernels: Sequence) -> None:
+        self.kernels = tuple(kernels)
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(reduce(np.kron, parts) for parts in zip(*(k.factors() for k in self.kernels)))
+
+
+def product_walk_tau(kernels: Sequence, delta: float, max_steps: int = 64) -> int:
+    """Mixing time of the product of the walks of ``kernels``.
+
+    The worst case over all product point-mass starts, from
+    ``estimate_mixing`` on the Kronecker-factored product kernel
+    (``_ProductWalk``). It raises as ``estimate_mixing`` does when the
+    product's truncation loses mass or the walk does not mix within
+    ``max_steps``. With more than 3 branch columns in all, every product
+    state's row is scored, so the curve is exact.
+    """
+    return estimate_mixing(_ProductWalk(kernels), delta, initial="point",
+                           max_steps=max_steps).tau_delta

@@ -5,8 +5,9 @@ Python: flattening by scanning a random order, the marked closeness
 statistic by dictionary counting, expectations by enumerating every
 assignment of the internal randomness (selector vectors, orders,
 truncation sizes with exact Poisson weights, markings). The mixing
-oracle powers the dense truncated kernel and diagonalises it whole, and
-the point-mass oracle forms every row of ``post @ M``.
+oracle powers the dense truncated kernel and diagonalises it whole, the
+point-mass oracle forms every row of ``post @ M``, and the product-walk
+oracle forms ``kron`` powers of the dense kernels.
 """
 
 from __future__ import annotations
@@ -332,3 +333,30 @@ def dense_mixing_report(kernel, delta: float, *, initial="all", max_steps=64):
 def all_rows_l1(post: np.ndarray, points: np.ndarray, pi: np.ndarray) -> float:
     """``max_i sum_j |(post @ points)[i, j] - pi[j]|`` over every row of ``post``."""
     return float(np.abs(post @ points - pi).sum(axis=1).max())
+
+
+def dense_product_report(kernels, delta: float, *, max_steps=64):
+    """Product-walk mixing curve and ``tau_delta`` from ``kron`` powers of dense kernels.
+
+    The worst point-mass start over the full product chain: at step t
+    every row of ``P_1^t (x) P_2^t (x) ...`` is compared with the
+    product stationary law. The curve stops after the first step below
+    ``delta / 10`` or at ``max_steps``, and does not check that it fell
+    below ``delta``.
+    """
+    matrices = [k.transition_matrix() for k in kernels]
+    pi_full = np.ones(1)
+    for k in kernels:
+        pi_full = np.kron(pi_full, k.stationary_vector())
+    powers = [np.eye(m.shape[0]) for m in matrices]
+    curve = []
+    for _ in range(max_steps + 1):
+        full = np.ones((1, 1))
+        for p in powers:
+            full = np.kron(full, p)
+        curve.append(float(np.abs(full - pi_full).sum(axis=1).max()))
+        if curve[-1] < delta / 10.0 and len(curve) > 1:
+            break
+        powers = [p @ m for p, m in zip(powers, matrices)]
+    tau = next(t for t in range(len(curve) + 1) if all(v < delta for v in curve[t:]))
+    return {"tau_delta": tau, "curve": curve}

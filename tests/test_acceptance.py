@@ -438,10 +438,8 @@ def test_criterion_13_product_walk_mixing():
         CoordKernel(m=5, n=10, xi=0.15, a_max=14),
         CoordKernel(m=10, n=10, xi=0.1, a_max=14),
     ]
-    matrices = [k.transition_matrix() for k in kernels]
-    pis = [k.stationary_vector() for k in kernels]
     delta = 0.05
-    tau_full = product_walk_tau(matrices, pis, delta, max_steps=25)
+    tau_full = product_walk_tau(kernels, delta, max_steps=25)
     per_coordinate = [
         estimate_mixing(k, delta / 3, initial="point", max_steps=25).tau_delta
         for k in kernels

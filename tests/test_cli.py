@@ -472,6 +472,31 @@ def test_mixing_input_errors_name_their_parameter(capsys, extra, named):
     assert named in err
 
 
+def test_mixing_walk_that_does_not_mix_names_delta(capsys):
+    # at xi = 0.9 and rate 100 the walk is still about 1 from stationary
+    # after 64 steps; max_steps is no parameter, so the advice is delta
+    code = main(["mixing", "--kernel", "coordinate", "--n", "10", "--m", "1000", "--xi", "0.9"])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "did not mix below delta=0.04" in err and "raise delta" in err
+
+
+def test_variance_audit_of_one_trial_is_named(tmp_path, capsys):
+    # the sample variance (ddof=1) of one trial is NaN, which JSON cannot hold
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "kind": "variance-audit", "seed": 9, "trials": 1,
+                               "params": {"n": 100, "epsilon": 0.3, "rho": 0.1}}))
+    records = tmp_path / "records.csv"
+    records.write_text("trial,statistic,m\n0,3,781\n")
+    for argv in (["experiment", "--config", str(cfg)],
+                 ["report", "--records", str(records), "--kind", "variance-audit"]):
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "variance-audit needs trials >= 2, not 1" in err
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the library and the CLI run on numpy.
     src = str(Path(replitest.__file__).parents[1])

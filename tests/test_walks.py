@@ -21,7 +21,7 @@ from replitest.walks import (
     product_walk_tau,
 )
 
-from oracles import all_rows_l1, branch_mixture, dense_mixing_report
+from oracles import all_rows_l1, branch_mixture, dense_mixing_report, dense_product_report
 
 ROOT = RngStream(161803, "walk-tests")
 
@@ -285,21 +285,62 @@ def test_tv_curve_monotone_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_product_walk_mixing_bound():
-    kernels = [
-        CoordKernel(m=3, n=10, xi=0.2, a_max=12),
-        CoordKernel(m=5, n=10, xi=0.15, a_max=12),
-        CoordKernel(m=10, n=10, xi=0.1, a_max=12),
+def _three_coordinates(a_max: int) -> list[CoordKernel]:
+    """The coordinates of criterion 13 (``a_max = 14``) and of the product bound test (12)."""
+    return [
+        CoordKernel(m=3, n=10, xi=0.2, a_max=a_max),
+        CoordKernel(m=5, n=10, xi=0.15, a_max=a_max),
+        CoordKernel(m=10, n=10, xi=0.1, a_max=a_max),
     ]
-    matrices = [k.transition_matrix() for k in kernels]
-    pis = [k.stationary_vector() for k in kernels]
+
+
+def test_product_walk_mixing_bound():
+    kernels = _three_coordinates(12)
     delta = 0.05
-    tau_full = product_walk_tau(matrices, pis, delta, max_steps=20)
+    tau_full = product_walk_tau(kernels, delta, max_steps=20)
     per_coord = [
         estimate_mixing(k, delta / 3, initial="point", max_steps=20).tau_delta
         for k in kernels
     ]
     assert tau_full <= max(per_coord)
+
+
+@pytest.mark.parametrize("a_max, max_steps", [(14, 25), (12, 20)])
+def test_product_walk_curve_matches_kron_powers(a_max, max_steps):
+    kernels = _three_coordinates(a_max)
+    report = estimate_mixing(walks._ProductWalk(kernels), 0.05, initial="point",
+                             max_steps=max_steps)
+    expected = dense_product_report(kernels, 0.05, max_steps=max_steps)
+    curve = [tv for _, tv in report.tv_curve]
+    assert len(curve) == len(expected["curve"])
+    np.testing.assert_allclose(curve, expected["curve"], rtol=0, atol=1e-12)
+    assert report.tau_delta == expected["tau_delta"]
+    assert product_walk_tau(kernels, 0.05, max_steps=max_steps) == expected["tau_delta"]
+
+
+def test_product_walk_that_has_not_mixed_raises():
+    kernels = [CoordKernel(m=10, n=10, xi=0.9, a_max=30)] * 2
+    # At step 3 the product is still about 0.29 from stationary, so no
+    # step up to 3 is a mixing time for delta = 0.04.
+    assert dense_product_report(kernels, 0.04, max_steps=3)["curve"][-1] > 0.25
+    with pytest.raises(RuntimeError, match="did not mix"):
+        product_walk_tau(kernels, 0.04, max_steps=3)
+
+
+def test_product_walk_truncation_that_loses_mass_raises():
+    # Poisson rates of 2.7 and 3.3 keep 88-94% of their mass at a_max = 5.
+    kernels = [CoordKernel(m=10, n=10, xi=0.1, a_max=14), CoordKernel(m=30, n=10, xi=0.1, a_max=5)]
+    with pytest.raises(TruncationError, match="loses mass"):
+        product_walk_tau(kernels, 0.05)
+
+
+@pytest.mark.parametrize("kernel", [
+    CoordKernel(m=100, n=1000, xi=0.2),
+    ClosenessPairKernel(n=100, m=10, epsilon=0.24, xi=0.1, a_max=20),
+], ids=["coordinate", "closeness-pair"])
+def test_product_of_one_walk_is_that_walk(kernel):
+    expected = estimate_mixing(kernel, 0.04, initial="point").tau_delta
+    assert product_walk_tau([kernel], 0.04) == expected
 
 
 def _assert_matches_dense(kernel, delta, initial):
