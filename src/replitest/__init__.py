@@ -57,6 +57,7 @@ from .walks import (
     ClosenessPairKernel,
     CoordKernel,
     MixingReport,
+    NotMixedError,
     TruncationError,
     estimate_mixing,
     product_walk_tau,

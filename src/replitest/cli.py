@@ -27,8 +27,8 @@ from .experiments import (
     TESTERS,
     ConfigError,
     ExperimentConfig,
+    _tester,
     calibrate,
-    config_from_params,
     read_json_object,
     recompute_aggregate,
     run_experiment,
@@ -116,8 +116,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
         "n": args.n, "n1": args.n1, "n2": args.n2,
         "epsilon": args.epsilon, "rho": args.rho,
     }
-    cls, test, _ = TESTERS[args.problem]
-    config = config_from_params(cls, params)
+    test, config, _ = _tester(args.problem, params)
     flags, shape = _SAMPLE_FILES[args.problem]
     sources = []
     for flag in flags:

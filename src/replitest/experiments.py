@@ -15,7 +15,7 @@ import json
 import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -37,7 +37,13 @@ from .measures import (
 from .rng import RngStream
 from .sampling import measure_sampler
 from .verdict import TesterVerdict
-from .walks import ClosenessPairKernel, CoordKernel, TruncationError, estimate_mixing
+from .walks import (
+    ClosenessPairKernel,
+    CoordKernel,
+    NotMixedError,
+    TruncationError,
+    estimate_mixing,
+)
 
 SCHEMA_VERSION = 1
 
@@ -178,8 +184,12 @@ def measure_replicability(pair_fn: PairFn, pairs: int, rng: RngStream) -> Replic
 DrawInstance = Callable[[RngStream], tuple]
 
 
+def _same(measures: tuple, stream: RngStream) -> tuple:
+    return measures
+
+
 def _fixed(*measures) -> DrawInstance:
-    return lambda stream: measures
+    return partial(_same, measures)
 
 
 def _paired(test: Callable[..., TesterVerdict], config, draw_instance: DrawInstance) -> PairFn:
@@ -209,6 +219,12 @@ def _meta_uniformity(n: int, epsilon: float, xi: float | None, stream: RngStream
         return (draw_meta_uniformity(n, epsilon, stream)[1],)
     params = UniformityHardParams(n, max(epsilon, 1e-12), xi)
     return (hard_instances.draw_uniformity_hard(params, stream),)
+
+
+def _far_uniformity(n: int, epsilon: float, stream: RngStream) -> tuple:
+    """The uniformity family at its far end, xi = epsilon, normalized."""
+    (p,) = _meta_uniformity(n, epsilon, epsilon, stream)
+    return (p.normalized(),)
 
 
 # The public builders look the testers up when called, so that a
@@ -244,14 +260,6 @@ def uniformity_meta_pair_fn(
     return _paired(un.rep_uniformity_test, config, partial(_meta_uniformity, n, epsilon, xi))
 
 
-@cache
-def _field_casts(cls) -> tuple:
-    # Resolving the annotations costs ~0.1 ms, several percent of a small
-    # trial, and experiments build a config per trial: resolve once per class.
-    hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name], f.default is MISSING) for f in fields(cls))
-
-
 def _cast(name: str, cast, value):
     """``cast(value)``, refusing a bool, a failed or lossy cast and a float that is not finite."""
     try:
@@ -281,24 +289,35 @@ def config_from_params(cls, params: dict):
     fields are ignored and ``None`` counts as absent. A bool, or a number
     the cast would change (``2.7`` for an int), raises ``ConfigError``.
     """
+    hints = get_type_hints(cls)
     missing = []
     kwargs = {}
-    for name, cast, required in _field_casts(cls):
-        value = params.get(name)
+    for f in fields(cls):
+        value = params.get(f.name)
         if value is not None:
-            kwargs[name] = _cast(name, cast, value)
-        elif required:
-            missing.append(name)
+            kwargs[f.name] = _cast(f.name, hints[f.name], value)
+        elif f.default is MISSING:
+            missing.append(f.name)
     if missing:
         raise ConfigError(f"{cls.__name__} needs parameters {missing}")
     return cls(**kwargs)
 
 
 def _load_instance_measures(params: dict, expected: int) -> list[NonNegativeMeasure]:
-    path = params.get("instance_file")
-    if not path or not Path(_name("instance_file", path)).exists():
-        raise ConfigError(f"instance file not found: {path!r}")
-    _, measures = hard_instances.instance_from_json(Path(path).read_text())
+    """The ``expected`` measures of the JSON file ``params['instance_file']``.
+
+    The file is what ``hard_instances.instance_to_json`` writes: an object
+    whose ``measures`` list holds ``{"masses": [...], "shape": [...]}``.
+    """
+    if params.get("instance_file") is None:
+        raise ConfigError("the file instance needs parameter 'instance_file'")
+    path = _name("instance_file", params["instance_file"])
+    data = read_json_object(path, "instance file")
+    try:
+        measures = [NonNegativeMeasure.from_dict(d) for d in data["measures"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"instance file {path} holds no valid 'measures' list: "
+                          f"{type(exc).__name__}: {exc}") from exc
     if len(measures) != expected:
         raise ConfigError(
             f"instance file {path} holds {len(measures)} measures, expected {expected}"
@@ -334,9 +353,7 @@ def _uniformity_instance(params: dict, config: un.UniformityConfig) -> DrawInsta
     if name == "uniform":
         return _fixed(uniform_measure(n))
     if name == "meta-epsilon":
-        # The far end of the family, xi = epsilon, normalized.
-        far = partial(_meta_uniformity, n, epsilon, epsilon)
-        return lambda stream: (far(stream)[0].normalized(),)
+        return partial(_far_uniformity, n, epsilon)
     if name == "hard-meta":
         xi = params.get("xi")
         return partial(_meta_uniformity, n, epsilon,
@@ -375,15 +392,18 @@ def _tester(name: str, params: dict) -> tuple:
     return test, config, instance(params, config)
 
 
-def _trial_verdict(kind: str, tester: str, params: dict, seed: int, t: int) -> TesterVerdict:
-    """Trial ``t`` of ``kind``: one ``tester`` verdict on the trial's own instance and stream."""
-    test, config, draw_instance = _tester(tester, params)
+# A trial of ``kind`` is a pure function ``(kind, tester, seed, t)`` of
+# the resolved ``tester``, ``(test, config, draw_instance)``, and of the
+# stream that ``kind`` and ``seed`` name.
+def _trial_verdict(kind: str, tester: tuple, seed: int, t: int) -> TesterVerdict:
+    """Trial ``t`` of ``kind``: one verdict on the trial's own instance and stream."""
+    test, config, draw_instance = tester
     trial = RngStream(seed, kind).substream("trial", t)
     return test(*draw_instance(trial.substream("instance")), config, trial)
 
 
-def _acceptance_trial(tester: str, params: dict, seed: int, t: int) -> dict:
-    verdict = _trial_verdict(f"{tester}-acceptance", tester, params, seed, t)
+def _acceptance_trial(kind: str, tester: tuple, seed: int, t: int) -> dict:
+    verdict = _trial_verdict(kind, tester, seed, t)
     record = {"trial": t, "accept": int(verdict.accept),
               "statistic": verdict.statistic, "threshold": verdict.threshold}
     if "stage" in verdict.detail:
@@ -391,14 +411,13 @@ def _acceptance_trial(tester: str, params: dict, seed: int, t: int) -> dict:
     return record
 
 
-def _replicability_trial(params: dict, seed: int, t: int) -> dict:
-    pair_fn = _paired(*_tester(params.get("tester", "closeness"), params))
-    a, b = pair_fn(RngStream(seed, "replicability").substream("pair", t))
+def _replicability_trial(kind: str, tester: tuple, seed: int, t: int) -> dict:
+    a, b = _paired(*tester)(RngStream(seed, kind).substream("pair", t))
     return {"trial": t, "verdict_1": int(a), "verdict_2": int(b)}
 
 
-def _variance_trial(params: dict, seed: int, t: int) -> dict:
-    verdict = _trial_verdict("variance-audit", "closeness", params, seed, t)
+def _variance_trial(kind: str, tester: tuple, seed: int, t: int) -> dict:
+    verdict = _trial_verdict(kind, tester, seed, t)
     return {"trial": t, "statistic": int(verdict.statistic), "m": verdict.detail["m"]}
 
 
@@ -411,9 +430,7 @@ def _replicability_aggregate(records: list[dict]) -> dict:
 
 def _variance_aggregate(records: list[dict]) -> dict:
     m = records[0]["m"]
-    # The sample variance (ddof=1) of one trial is NaN, which JSON cannot hold.
-    if len(records) < 2:
-        raise ConfigError(f"variance-audit needs trials >= 2, not {len(records)}")
+    _enough_trials("variance-audit", len(records))
     stats = np.array([r["statistic"] for r in records], dtype=float)
     return {
         "m": m,
@@ -438,8 +455,9 @@ def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     except TruncationError as exc:
         raise ConfigError(f"a_max = {kernel.a_max} truncates the kernel ({exc}); "
                           "raise a_max") from exc
-    except RuntimeError as exc:  # did not mix; max_steps is not a parameter here
-        raise ConfigError(f"{str(exc).partition('; ')[0]}; raise delta") from exc
+    except NotMixedError as exc:  # max_steps is not a parameter here
+        raise ConfigError(f"walk did not mix below delta={exc.delta} within {exc.max_steps} "
+                          f"steps (final distance {exc.final_distance:.3g}); raise delta") from exc
     records = [{"t": t, "l1_to_stationary": tv} for t, tv in report.tv_curve]
     return records, {
         "tau_delta": report.tau_delta,
@@ -458,8 +476,8 @@ def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
     deviating from it by more than 1/4.
     """
     params = config.params
-    cls, test, _ = TESTERS["uniformity"]
-    tester = config_from_params(cls, params)
+    # The instances are drawn per (xi, draw) below, whatever ``params`` names.
+    test, tester, _ = _tester("uniformity", {**params, "instance": "uniform"})
     grid = params.get("xi_grid", [0.0, 0.1, 0.2])
     if not isinstance(grid, list) or not grid:
         raise ConfigError(f"xi_grid must be a non-empty list, not {grid!r}")
@@ -497,13 +515,21 @@ def _rate_aggregate(records: list[dict]) -> dict:
     }
 
 
-# kinds whose trials are independent pure functions of (params, seed, index)
+# Kinds whose trials are independent: per kind, the tester it runs
+# (None: the ``tester`` parameter, closeness by default), its trial, its
+# aggregate and its least trial count. The sample variance (ddof=1) of
+# one trial is NaN, which JSON cannot hold.
 _TRIAL_FUNCS = {
-    **{f"{name}-acceptance": (partial(_acceptance_trial, name), _rate_aggregate)
-       for name in TESTERS},
-    "replicability": (_replicability_trial, _replicability_aggregate),
-    "variance-audit": (_variance_trial, _variance_aggregate),
+    **{f"{name}-acceptance": (name, _acceptance_trial, _rate_aggregate, 1) for name in TESTERS},
+    "replicability": (None, _replicability_trial, _replicability_aggregate, 1),
+    "variance-audit": ("closeness", _variance_trial, _variance_aggregate, 2),
 }
+
+
+def _enough_trials(kind: str, trials: int) -> None:
+    least = _TRIAL_FUNCS[kind][3]
+    if trials < least:
+        raise ConfigError(f"{kind} needs trials >= {least}, not {trials}")
 
 # whole-run kinds (matrix computations, grids)
 _RUNNERS = {
@@ -515,14 +541,19 @@ _RUNNERS = {
 def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentResult:
     """Execute one experiment; deterministic given ``(config, seed)``.
 
-    ``processes > 1`` runs independent trials in a process pool; per-trial
-    streams are derived from the trial index, so records are identical
-    to a sequential run and are written in trial order.
+    A kind with independent trials resolves its tester, config and
+    instance once, before the first trial, so too few trials, a bad name
+    or a bad instance file fails before any work. ``processes > 1`` runs
+    the trials in a process pool, which receives the resolved tester;
+    per-trial streams are derived from the trial index, so records are
+    identical to a sequential run and are written in trial order.
     """
     start = time.perf_counter()
     if config.kind in _TRIAL_FUNCS:
-        trial_fn, aggregate_fn = _TRIAL_FUNCS[config.kind]
-        worker = partial(trial_fn, config.params, config.seed)
+        name, trial_fn, aggregate_fn, _ = _TRIAL_FUNCS[config.kind]
+        _enough_trials(config.kind, config.trials)
+        tester = _tester(name or config.params.get("tester", "closeness"), config.params)
+        worker = partial(trial_fn, config.kind, tester, config.seed)
         if processes > 1:
             # Imported here: it costs every other caller about 13 ms of import.
             from concurrent.futures import ProcessPoolExecutor
@@ -550,7 +581,7 @@ def recompute_aggregate(kind: str, records: list[dict]) -> dict:
     if not records:
         raise ConfigError("no records to aggregate")
     try:
-        return _TRIAL_FUNCS[kind][1](records)
+        return _TRIAL_FUNCS[kind][2](records)
     except KeyError as exc:
         raise ConfigError(f"{kind} records need a {exc.args[0]!r} column") from exc
 
@@ -573,16 +604,19 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     The output can be passed to the CLI's ``--constants`` flag, which
     ignores the keys that are not constants.
     """
-    if kind not in TESTERS:
-        raise ConfigError(f"unknown calibration kind {kind!r}")
-    config = config_from_params(TESTERS[kind][0], params)
+    # Each rate runs on its own instance, whatever ``params`` names: the
+    # builders' defaults (a uniform pair, product-uniform sets) and
+    # closeness's uniform/half-flat pair.
+    params = {key: value for key, value in params.items() if key != "instance"}
+    tester = _tester(kind, params)
+    _, config, draw_instance = tester
     m = config.sample_size()
     if kind == "closeness":
         trials = _count(params, "calibration_trials", 50)
         same, far = [
-            _rate_aggregate([_acceptance_trial(kind, {**params, "instance": name}, seed, t)
+            _rate_aggregate([_acceptance_trial("closeness-acceptance", each, seed, t)
                              for t in range(trials)])
-            for name in ("uniform", "uniform-vs-half-flat")]
+            for each in (tester, _tester(kind, {**params, "instance": "uniform-vs-half-flat"}))]
         return {
             "kind": kind, "c1": config.c1, "c2": config.c2, "m": m,
             "complete_accept_rate": same["accept_rate"],
@@ -598,7 +632,7 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     # sd_z_a is a sample standard deviation (ddof=1): it needs two trials.
     trials = _count(params, "calibration_trials", 20, least=2)
     root = RngStream(seed, "calibrate-independence")
-    p = uniform_product_measure(config.n1, config.n2)
+    (p,) = draw_instance(root)
     sampler = measure_sampler(p)
     n_hats, z_hats = [], []
     for t in range(trials):

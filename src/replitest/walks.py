@@ -56,6 +56,18 @@ class TruncationError(RuntimeError):
     """Raised when the truncated state space loses too much mass."""
 
 
+class NotMixedError(RuntimeError):
+    """Raised when a walk is still at or above ``delta`` after ``max_steps`` steps."""
+
+    def __init__(self, delta: float, max_steps: int, final_distance: float) -> None:
+        super().__init__(delta, max_steps, final_distance)
+        self.delta, self.max_steps, self.final_distance = delta, max_steps, final_distance
+
+    def __str__(self) -> str:
+        return (f"walk did not mix below delta={self.delta} within {self.max_steps} steps "
+                f"(final distance {self.final_distance:.3g}); raise max_steps")
+
+
 def log_poisson_pmf(k, rate: float) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
     if rate == 0.0:
@@ -97,7 +109,9 @@ class _BranchMixture:
     """
 
     def __post_init__(self) -> None:
-        if self.a_max < 0:
+        if self.a_max < -1:
+            raise ValueError(f"a_max must be >= 0, or -1 for the default, not {self.a_max}")
+        if self.a_max == -1:
             top = max(r for rates in self._branches()[1] for r in rates)
             object.__setattr__(self, "a_max", _default_a_max(top))
 
@@ -424,7 +438,9 @@ def estimate_mixing(
     costs at most 2^-44 (about 5.7e-14). Where ``post`` has more than 3
     columns every row is kept. One ``_max_row_l1`` call per step scores
     the stacked rows, and the eigenvalues of ``chain``, the nonzero
-    eigenvalues of ``P``, give the gap.
+    eigenvalues of ``P``, give the gap. A truncation that loses mass
+    raises ``TruncationError``, and a walk still at or above ``delta``
+    after ``max_steps`` steps raises ``NotMixedError``.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be > 0 and finite, not {delta}")
@@ -454,10 +470,7 @@ def estimate_mixing(
             break
         points = (points @ post) @ branch
     if curve[-1] >= delta:
-        raise RuntimeError(
-            f"walk did not mix below delta={delta} within {max_steps} steps "
-            f"(final distance {curve[-1]:.3g}); raise max_steps"
-        )
+        raise NotMixedError(delta, max_steps, curve[-1])
 
     eigenvalues = np.sort(np.abs(np.linalg.eigvals(chain)))[::-1]
     lambda_star = float(eigenvalues[1]) if eigenvalues.size > 1 else 0.0

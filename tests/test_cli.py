@@ -460,7 +460,9 @@ def test_mixing_command_closeness_pair_default_truncation(capsys):
     (["--delta", "-1"], "delta must be > 0"),
     (["--delta", "nan"], "delta must be a finite number, not nan"),
     (["--delta", "inf"], "delta must be a finite number, not inf"),
-], ids=["a_max-too-small", "zero-delta", "negative-delta", "nan-delta", "inf-delta"])
+    (["--a-max", "-7"], "a_max must be >= 0, or -1 for the default, not -7"),
+], ids=["a_max-too-small", "zero-delta", "negative-delta", "nan-delta", "inf-delta",
+        "negative-a_max"])
 def test_mixing_input_errors_name_their_parameter(capsys, extra, named):
     # a truncation that loses mass, or a delta no curve can fall below,
     # is the caller's to fix: exit 2 with the field named, no traceback
@@ -482,8 +484,16 @@ def test_mixing_walk_that_does_not_mix_names_delta(capsys):
     assert "did not mix below delta=0.04" in err and "raise delta" in err
 
 
-def test_variance_audit_of_one_trial_is_named(tmp_path, capsys):
-    # the sample variance (ddof=1) of one trial is NaN, which JSON cannot hold
+def test_variance_audit_of_one_trial_is_named(tmp_path, capsys, monkeypatch):
+    # the sample variance (ddof=1) of one trial is NaN, which JSON cannot
+    # hold; the experiment refuses the count before it runs a verdict
+    from replitest import experiments
+
+    def verdict(*args, **kwargs):
+        raise AssertionError("a verdict ran")
+
+    cls, _, instance = experiments.TESTERS["closeness"]
+    monkeypatch.setitem(experiments.TESTERS, "closeness", (cls, verdict, instance))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1, "kind": "variance-audit", "seed": 9, "trials": 1,
                                "params": {"n": 100, "epsilon": 0.3, "rho": 0.1}}))
@@ -495,6 +505,30 @@ def test_variance_audit_of_one_trial_is_named(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "variance-audit needs trials >= 2, not 1" in err
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    {"params": {}},
+    [1, 2],
+    {"measures": [{"masses": [1.0, 2.0]}]},
+    {"measures": [{"masses": [1.0, -1.0], "shape": [2]}]},
+    {"measures": 5},
+], ids=["directory", "no-measures", "list", "no-shape", "negative-mass", "measures-number"])
+def test_instance_file_that_holds_no_measures_is_named(tmp_path, capsys, content):
+    # each of the first three once ended in a traceback with exit 1
+    path = tmp_path / "instance.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_ACCEPTANCE, "params": {
+        **_ACCEPTANCE_PARAMS, "instance": "file", "instance_file": str(path)}}))
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"instance file {path}" in err
 
 
 def test_import_loads_no_scipy():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import replitest
+from replitest import experiments
 from replitest.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -109,6 +110,57 @@ def test_parallel_trials_match_sequential(kind):
     assert sequential.records == parallel.records
     assert sequential.aggregate == parallel.aggregate
     assert [r["trial"] for r in parallel.records] == list(range(16))
+
+
+def _closeness_file(tmp_path) -> Path:
+    from replitest.hard_instances import (
+        ClosenessHardParams,
+        draw_closeness_hard,
+        instance_to_json,
+    )
+
+    params = ClosenessHardParams(100, 10, 0.2, 0.1)
+    path = tmp_path / "instance.json"
+    measures = draw_closeness_hard(params, ROOT.substream("file"))
+    path.write_text(instance_to_json(params, list(measures)))
+    return path
+
+
+# The pool receives the resolved tester, so every instance drawer pickles.
+@pytest.mark.parametrize("kind, instance", [
+    ("uniformity-acceptance", {"instance": "meta-epsilon"}),
+    ("closeness-acceptance", {"instance": "file"}),
+], ids=["meta-epsilon", "file"])
+def test_parallel_trials_pickle_their_instance(tmp_path, kind, instance):
+    params = {"n": 100, "epsilon": 0.3, "rho": 0.1, **instance,
+              "instance_file": str(_closeness_file(tmp_path))}
+    config = ExperimentConfig(kind, seed=22, trials=6, params=params)
+    sequential = run_experiment(config, processes=1)
+    parallel = run_experiment(config, processes=2)
+    assert sequential.records == parallel.records
+    assert sequential.aggregate == parallel.aggregate
+
+
+def test_file_instance_is_resolved_once_per_experiment(tmp_path, monkeypatch):
+    calls = {"load": 0, "config": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "_load_instance_measures",
+                        counted("load", experiments._load_instance_measures))
+    monkeypatch.setattr(experiments, "config_from_params",
+                        counted("config", experiments.config_from_params))
+    config = ExperimentConfig(
+        "closeness-acceptance", seed=8, trials=5,
+        params={"n": 100, "epsilon": 0.3, "rho": 0.1,
+                "instance": "file", "instance_file": str(_closeness_file(tmp_path))},
+    )
+    assert len(run_experiment(config).records) == 5
+    assert calls == {"load": 1, "config": 1}
 
 
 def test_process_pool_is_imported_only_for_a_parallel_run():
@@ -259,6 +311,18 @@ def test_replicability_unknown_tester_or_instance_is_config_error():
                                   params={**params, **extra})
         with pytest.raises(ConfigError):
             run_experiment(config)
+
+
+def test_mixing_kind_relabels_only_a_walk_that_did_not_mix(monkeypatch):
+    # "raise delta" is advice for a NotMixedError only
+    def fails(*args, **kwargs):
+        raise RuntimeError("not a mixing failure")
+
+    monkeypatch.setattr(experiments, "estimate_mixing", fails)
+    params = {"kernel": "coordinate", "n": 1000, "m": 100, "xi": 0.2}
+    with pytest.raises(RuntimeError, match="not a mixing failure") as info:
+        run_experiment(ExperimentConfig("mixing", seed=5, trials=1, params=params))
+    assert not isinstance(info.value, ConfigError)
 
 
 def test_mixing_kind_produces_curve():

@@ -14,6 +14,7 @@ from replitest.rng import RngStream
 from replitest.walks import (
     ClosenessPairKernel,
     CoordKernel,
+    NotMixedError,
     TruncationError,
     estimate_mixing,
     log_poisson_pmf,
@@ -202,8 +203,16 @@ def test_mixing_refuses_a_delta_that_is_not_positive(delta):
 
 
 def test_unmixed_within_budget_raises():
-    with pytest.raises(RuntimeError, match="did not mix"):
+    with pytest.raises(RuntimeError, match="did not mix") as info:
         estimate_mixing(TwoStateKernel(), 1e-9, initial="point", max_steps=3)
+    # a NotMixedError, which carries its fields: from a point start the
+    # two-state chain's l1 distance is 4/3 and falls by 0.7 a step
+    error = info.value
+    assert isinstance(error, NotMixedError) and not isinstance(error, TruncationError)
+    assert (error.delta, error.max_steps) == (1e-9, 3)
+    assert error.final_distance == pytest.approx(4 / 3 * 0.7**3)
+    assert str(error) == ("walk did not mix below delta=1e-09 within 3 steps "
+                          "(final distance 0.457); raise max_steps")
 
 
 def test_pair_kernel_xi_zero_collapses_light_branches():
