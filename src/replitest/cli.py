@@ -116,7 +116,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
         "n": args.n, "n1": args.n1, "n2": args.n2,
         "epsilon": args.epsilon, "rho": args.rho,
     }
-    test, config, _ = _tester(args.problem, params)
+    test, config = _tester(args.problem, params)
     flags, shape = _SAMPLE_FILES[args.problem]
     sources = []
     for flag in flags:

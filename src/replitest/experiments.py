@@ -140,6 +140,13 @@ def _name(field: str, value) -> str:
     return value
 
 
+def _pick(table: dict, field: str, name):
+    """``table[name]``; ``field`` names the lookup, and an unknown name the choices."""
+    if _name(field, name) not in table:
+        raise ConfigError(f"unknown {field} {name!r}; expected one of {', '.join(table)}")
+    return table[name]
+
+
 def _rate_stderr(rate: float, n: int) -> float:
     """Standard error of a rate over ``n`` Bernoulli outcomes, floored above 0."""
     return math.sqrt(max(rate * (1 - rate), 1e-12) / n)
@@ -190,6 +197,10 @@ def _same(measures: tuple, stream: RngStream) -> tuple:
 
 def _fixed(*measures) -> DrawInstance:
     return partial(_same, measures)
+
+
+def _twice(measure: NonNegativeMeasure) -> DrawInstance:
+    return _fixed(measure, measure)
 
 
 def _paired(test: Callable[..., TesterVerdict], config, draw_instance: DrawInstance) -> PairFn:
@@ -325,71 +336,75 @@ def _load_instance_measures(params: dict, expected: int) -> list[NonNegativeMeas
     return measures
 
 
-def _closeness_instance(params: dict, config: cl.ClosenessConfig) -> DrawInstance:
-    name = params.get("instance", "uniform")
-    n = config.n
-    if name == "uniform":
-        p = uniform_measure(n)
-        return _fixed(p, p)
-    if name == "zipf":
-        p = zipf_measure(n)
-        return _fixed(p, p)
-    if name == "uniform-vs-half-flat":
-        return _fixed(uniform_measure(n), half_flat_measure(n))
-    if name == "hard-meta":
-        if params.get("hard_m") is None:
-            raise ConfigError("the closeness hard-meta instance needs parameter 'hard_m'")
-        return partial(_meta_closeness, n, _cast("hard_m", int, params["hard_m"]),
-                       config.epsilon)
-    if name == "file":
-        p, q = _load_instance_measures(params, 2)
-        return _fixed(p.normalized(), q.normalized())
-    raise ConfigError(f"unknown closeness instance {name!r}")
+def _hard_params(field: str, cls, *args) -> None:
+    """Check that ``cls(*args)`` builds, naming ``field`` in the ``ConfigError`` if not."""
+    try:
+        cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"hard-meta parameter {field!r}: {exc}") from exc
 
 
-def _uniformity_instance(params: dict, config: un.UniformityConfig) -> DrawInstance:
-    name = params.get("instance", "uniform")
-    n, epsilon = config.n, config.epsilon
-    if name == "uniform":
-        return _fixed(uniform_measure(n))
-    if name == "meta-epsilon":
-        return partial(_far_uniformity, n, epsilon)
-    if name == "hard-meta":
-        xi = params.get("xi")
-        return partial(_meta_uniformity, n, epsilon,
-                       None if xi is None else _cast("xi", float, xi))
-    if name == "file":
-        return _fixed(_load_instance_measures(params, 1)[0])
-    raise ConfigError(f"unknown uniformity instance {name!r}")
+def _closeness_hard_meta(params: dict, config: cl.ClosenessConfig) -> DrawInstance:
+    if params.get("hard_m") is None:
+        raise ConfigError("the closeness hard-meta instance needs parameter 'hard_m'")
+    m_hard = _cast("hard_m", int, params["hard_m"])
+    _hard_params("hard_m", hard_instances.ClosenessHardParams,
+                 config.n, m_hard, config.epsilon, 0.0)
+    return partial(_meta_closeness, config.n, m_hard, config.epsilon)
 
 
-def _independence_instance(params: dict, config: ind.IndependenceConfig) -> DrawInstance:
-    name = params.get("instance", "product-uniform")
-    if name == "product-uniform":
-        return _fixed(uniform_product_measure(config.n1, config.n2))
-    if name == "diagonal":
-        if config.n1 != config.n2:
-            raise ConfigError("diagonal instance needs n1 == n2")
-        return _fixed(diagonal_measure(config.n1))
-    raise ConfigError(f"unknown independence instance {name!r}")
+def _closeness_file(params: dict, config: cl.ClosenessConfig) -> DrawInstance:
+    p, q = _load_instance_measures(params, 2)
+    return _fixed(p.normalized(), q.normalized())
+
+
+def _uniformity_hard_meta(params: dict, config: un.UniformityConfig) -> DrawInstance:
+    xi = params.get("xi")
+    if xi is not None:
+        xi = _cast("xi", float, xi)
+        _hard_params("xi", UniformityHardParams, config.n, config.epsilon, xi)
+    return partial(_meta_uniformity, config.n, config.epsilon, xi)
+
+
+def _diagonal(params: dict, config: ind.IndependenceConfig) -> DrawInstance:
+    if config.n1 != config.n2:
+        raise ConfigError("diagonal instance needs n1 == n2")
+    return _fixed(diagonal_measure(config.n1))
 
 
 # Per tester: its config class, one run ``test(*instance, config, rng,
-# sample_rng=...)``, and its instance builder ``(params, config) -> draw``.
+# sample_rng=...)``, and its instances by name, each built by
+# ``(params, config) -> draw``; the first is the default.
 TESTERS = {
-    "closeness": (cl.ClosenessConfig, cl.rep_closeness_test, _closeness_instance),
-    "uniformity": (un.UniformityConfig, un.rep_uniformity_test, _uniformity_instance),
-    "independence": (ind.IndependenceConfig, ind.rep_independence_test, _independence_instance),
+    "closeness": (cl.ClosenessConfig, cl.rep_closeness_test, {
+        "uniform": lambda params, config: _twice(uniform_measure(config.n)),
+        "zipf": lambda params, config: _twice(zipf_measure(config.n)),
+        "uniform-vs-half-flat": lambda params, config: _fixed(
+            uniform_measure(config.n), half_flat_measure(config.n)),
+        "hard-meta": _closeness_hard_meta,
+        "file": _closeness_file,
+    }),
+    "uniformity": (un.UniformityConfig, un.rep_uniformity_test, {
+        "uniform": lambda params, config: _fixed(uniform_measure(config.n)),
+        "meta-epsilon": lambda params, config: partial(_far_uniformity, config.n, config.epsilon),
+        "hard-meta": _uniformity_hard_meta,
+        "file": lambda params, config: _fixed(_load_instance_measures(params, 1)[0]),
+    }),
+    "independence": (ind.IndependenceConfig, ind.rep_independence_test, {
+        "product-uniform": lambda params, config: _fixed(
+            uniform_product_measure(config.n1, config.n2)),
+        "diagonal": _diagonal,
+    }),
 }
 
 
 def _tester(name: str, params: dict) -> tuple:
-    """``(test, config, draw_instance)`` of the tester ``name`` at ``params``."""
-    if _name("tester", name) not in TESTERS:
-        raise ConfigError(f"unknown tester {name!r}")
-    cls, test, instance = TESTERS[name]
-    config = config_from_params(cls, params)
-    return test, config, instance(params, config)
+    """``(test, config)`` of the tester ``name`` at ``params``.
+
+    Its instance is resolved apart, and only by the kinds that draw one.
+    """
+    cls, test, _ = _pick(TESTERS, "tester", name)
+    return test, config_from_params(cls, params)
 
 
 # A trial of ``kind`` is a pure function ``(kind, tester, seed, t)`` of
@@ -445,10 +460,8 @@ _KERNELS = {"coordinate": CoordKernel, "closeness-pair": ClosenessPairKernel}
 
 def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
-    kind = _name("kernel", params.get("kernel", "coordinate"))
-    if kind not in _KERNELS:
-        raise ConfigError(f"unknown kernel {kind!r}")
-    kernel = config_from_params(_KERNELS[kind], params)
+    kernel = config_from_params(_pick(_KERNELS, "kernel", params.get("kernel", "coordinate")),
+                                params)
     delta = _cast("delta", float, params.get("delta", 0.04))
     try:
         report = estimate_mixing(kernel, delta, initial=params.get("initial", "all"))
@@ -476,8 +489,7 @@ def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
     deviating from it by more than 1/4.
     """
     params = config.params
-    # The instances are drawn per (xi, draw) below, whatever ``params`` names.
-    test, tester, _ = _tester("uniformity", {**params, "instance": "uniform"})
+    test, tester = _tester("uniformity", params)
     grid = params.get("xi_grid", [0.0, 0.1, 0.2])
     if not isinstance(grid, list) or not grid:
         raise ConfigError(f"xi_grid must be a non-empty list, not {grid!r}")
@@ -542,8 +554,9 @@ def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentRe
     """Execute one experiment; deterministic given ``(config, seed)``.
 
     A kind with independent trials resolves its tester, config and
-    instance once, before the first trial, so too few trials, a bad name
-    or a bad instance file fails before any work. ``processes > 1`` runs
+    instance once, before the first trial, so too few trials, a bad name,
+    a bad instance file or a hard-meta parameter out of range fails
+    before any work. ``processes > 1`` runs
     the trials in a process pool, which receives the resolved tester;
     per-trial streams are derived from the trial index, so records are
     identical to a sequential run and are written in trial order.
@@ -552,7 +565,11 @@ def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentRe
     if config.kind in _TRIAL_FUNCS:
         name, trial_fn, aggregate_fn, _ = _TRIAL_FUNCS[config.kind]
         _enough_trials(config.kind, config.trials)
-        tester = _tester(name or config.params.get("tester", "closeness"), config.params)
+        name = name or config.params.get("tester", "closeness")
+        test, tester_config = _tester(name, config.params)
+        instances = TESTERS[name][2]
+        build = _pick(instances, "instance", config.params.get("instance", next(iter(instances))))
+        tester = (test, tester_config, build(config.params, tester_config))
         worker = partial(trial_fn, config.kind, tester, config.seed)
         if processes > 1:
             # Imported here: it costs every other caller about 13 ms of import.
@@ -590,33 +607,32 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     """Desk-scale audit of the constants in ``params`` (defaults where absent).
 
     Reports the constants with what they give at the given parameters
-    and never changes them. Closeness reports the accept rate on a
-    uniform pair and the reject rate on a uniform/half-flat pair, which
-    are the ``closeness-acceptance`` kind's at the same seed;
-    uniformity draws no samples and reports the ceiling, the floor and
-    whether the gap is open; independence reports the averaged
-    non-singleton count and the spread ``sd_z_a`` of the averaged
-    statistic on product-uniform sets. Each of those estimates averages
-    ``min(k_avg, 50)`` runs, though the output reports the configured
-    ``k_avg``. That statistic is averaged exactly over its fair marks
-    (see ``independence``), so ``sd_z_a`` is the spread of the
-    mark-averaged statistic, lower than that of one with drawn marks.
+    and never changes them. It resolves the tester alone and names its
+    own instances, whatever ``params`` names. Closeness reports the
+    accept rate on a uniform pair and the reject rate on a
+    uniform/half-flat pair, which are the ``closeness-acceptance``
+    kind's on its ``uniform`` and ``uniform-vs-half-flat`` instances at
+    the same seed; uniformity draws no samples and reports the ceiling,
+    the floor and whether the gap is open; independence reports the
+    averaged non-singleton count and the spread ``sd_z_a`` of the
+    averaged statistic on sets drawn from the uniform product measure.
+    Each of those estimates averages ``min(k_avg, 50)`` runs, though the
+    output reports the configured ``k_avg``. That statistic is averaged
+    exactly over its fair marks (see ``independence``), so ``sd_z_a`` is
+    the spread of the mark-averaged statistic, lower than that of one
+    with drawn marks.
     The output can be passed to the CLI's ``--constants`` flag, which
     ignores the keys that are not constants.
     """
-    # Each rate runs on its own instance, whatever ``params`` names: the
-    # builders' defaults (a uniform pair, product-uniform sets) and
-    # closeness's uniform/half-flat pair.
-    params = {key: value for key, value in params.items() if key != "instance"}
-    tester = _tester(kind, params)
-    _, config, draw_instance = tester
+    test, config = _tester(kind, params)
     m = config.sample_size()
     if kind == "closeness":
         trials = _count(params, "calibration_trials", 50)
+        p = uniform_measure(config.n)
         same, far = [
-            _rate_aggregate([_acceptance_trial("closeness-acceptance", each, seed, t)
-                             for t in range(trials)])
-            for each in (tester, _tester(kind, {**params, "instance": "uniform-vs-half-flat"}))]
+            _rate_aggregate([_acceptance_trial("closeness-acceptance", (test, config, draw),
+                                               seed, t) for t in range(trials)])
+            for draw in (_twice(p), _fixed(p, half_flat_measure(config.n)))]
         return {
             "kind": kind, "c1": config.c1, "c2": config.c2, "m": m,
             "complete_accept_rate": same["accept_rate"],
@@ -632,8 +648,7 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     # sd_z_a is a sample standard deviation (ddof=1): it needs two trials.
     trials = _count(params, "calibration_trials", 20, least=2)
     root = RngStream(seed, "calibrate-independence")
-    (p,) = draw_instance(root)
-    sampler = measure_sampler(p)
+    sampler = measure_sampler(uniform_product_measure(config.n1, config.n2))
     n_hats, z_hats = [], []
     for t in range(trials):
         z_a, n_a = ind.sampled_averaged_stats(

@@ -122,9 +122,3 @@ def instance_to_json(params, measures) -> str:
         "measures": [m.to_dict() for m in measures],
     }
     return json.dumps(payload)
-
-
-def instance_from_json(text: str) -> tuple[dict, list[NonNegativeMeasure]]:
-    payload = json.loads(text)
-    measures = [NonNegativeMeasure.from_dict(d) for d in payload["measures"]]
-    return payload["params"], measures

@@ -352,7 +352,8 @@ def test_counts_below_their_least_are_named(tmp_path, capsys, argv, params, name
     ({**_ACCEPTANCE, "params": _ACCEPTANCE_PARAMS, "out": 5}, "out"),
     ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "instance": "file", "instance_file": 5}},
      "instance_file"),
-], ids=["kind", "tester", "kernel", "out", "instance_file"])
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "instance": ["uniform"]}}, "instance"),
+], ids=["kind", "tester", "kernel", "out", "instance_file", "instance"])
 def test_config_names_and_paths_that_are_not_strings_are_named(tmp_path, capsys, config, named):
     # each of these once ended in a TypeError traceback: an unhashable
     # name used as a key, or a number given to Path
@@ -362,6 +363,87 @@ def test_config_names_and_paths_that_are_not_strings_are_named(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{named} must be a " in err
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("replicability", {**_ACCEPTANCE_PARAMS, "tester": "nope"},
+     "unknown tester 'nope'; expected one of closeness, uniformity, independence"),
+    ("closeness-acceptance", {**_ACCEPTANCE_PARAMS, "instance": "nope"},
+     "unknown instance 'nope'; expected one of uniform, zipf, uniform-vs-half-flat, hard-meta, "
+     "file"),
+    ("mixing", {**_MIXING, "kernel": "nope"},
+     "unknown kernel 'nope'; expected one of coordinate, closeness-pair"),
+], ids=["tester", "instance", "kernel"])
+def test_unknown_names_list_the_choices(tmp_path, capsys, kind, params, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_ACCEPTANCE, "kind": kind, "params": params}))
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, params, named", [
+    ("closeness-acceptance", {"instance": "hard-meta", "hard_m": 60}, "hard_m"),
+    ("uniformity-acceptance", {"instance": "hard-meta", "xi": 0.5}, "xi"),
+], ids=["hard_m", "xi"])
+def test_hard_meta_parameters_are_refused_before_a_draw(tmp_path, capsys, monkeypatch,
+                                                        kind, params, named):
+    # at n = 100, hard_m = 60 leaves the sublinear regime m < n/2, and
+    # xi = 0.5 lies above epsilon = 0.3; each once failed only when the
+    # first trial drew its instance
+    from replitest import experiments, hard_instances
+
+    draws = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            draws.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "draw_meta_closeness",
+                        counted(experiments.draw_meta_closeness))
+    monkeypatch.setattr(hard_instances, "draw_uniformity_hard",
+                        counted(hard_instances.draw_uniformity_hard))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_ACCEPTANCE, "kind": kind,
+                               "params": {**_ACCEPTANCE_PARAMS, **params}}))
+    assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"hard-meta parameter {named!r}" in err
+    assert draws == []
+
+
+def test_test_and_calibrate_build_no_instance(tmp_path, capsys, monkeypatch):
+    # each command resolves only its tester: with every instance builder
+    # raising, it gives the same output
+    from replitest import experiments
+
+    def build(params, config):
+        raise AssertionError("an instance was built")
+
+    samples = tmp_path / "s.txt"
+    _uniform_file(samples, 2)
+    commands = [
+        [*_UNIFORMITY_ARGS, "--samples", str(samples)],
+        ["calibrate", "--kind", "uniformity", "--n", "500", "--epsilon", "0.3", "--rho", "0.1"],
+        ["calibrate", "--kind", "closeness", "--params", str(tmp_path / "closeness.json")],
+        ["calibrate", "--kind", "independence", "--params", str(tmp_path / "independence.json")],
+    ]
+    (tmp_path / "closeness.json").write_text(json.dumps(
+        {"n": 100, "epsilon": 0.3, "rho": 0.1, "calibration_trials": 3}))
+    (tmp_path / "independence.json").write_text(json.dumps(
+        {"n1": 20, "n2": 10, "epsilon": 0.35, "rho": 0.2, "m_scale": 0.05,
+         "calibration_trials": 2}))
+    for argv in commands:
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            for name, (cls, test, instances) in experiments.TESTERS.items():
+                patch.setitem(experiments.TESTERS, name,
+                              (cls, test, dict.fromkeys(instances, build)))
+            assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
 
 def test_experiment_command_bad_config(tmp_path, capsys):

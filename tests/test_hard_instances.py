@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from replitest.experiments import _load_instance_measures
 from replitest.hard_instances import (
     ClosenessHardParams,
     UniformityHardParams,
@@ -11,7 +13,6 @@ from replitest.hard_instances import (
     draw_meta_closeness,
     draw_meta_uniformity,
     draw_uniformity_hard,
-    instance_from_json,
     instance_to_json,
 )
 from replitest.measures import uniform_measure
@@ -167,11 +168,15 @@ def test_poissonized_bucket_matches_two_poisson_mixture():
     assert result.pvalue >= 1e-3
 
 
-def test_instance_json_round_trip():
+def test_instance_json_round_trip(tmp_path):
+    # the file is read back as a ``file`` instance reads it
     params = ClosenessHardParams(100, 10, 0.2, 0.1)
     p, q = draw_closeness_hard(params, ROOT.substream("json"))
     text = instance_to_json(params, [p, q])
-    loaded_params, measures = instance_from_json(text)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    measures = _load_instance_measures({"instance_file": str(path)}, 2)
+    loaded_params = json.loads(text)["params"]
     assert loaded_params["n"] == 100 and loaded_params["xi"] == 0.1
     np.testing.assert_array_equal(measures[0].masses, p.masses)
     np.testing.assert_array_equal(measures[1].masses, q.masses)
