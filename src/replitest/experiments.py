@@ -61,8 +61,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if _name("kind", self.kind) not in _TRIAL_FUNCS and self.kind not in _RUNNERS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        _pick(_KINDS, "experiment kind", self.kind)
         if self.out is not None and not isinstance(self.out, (str, Path)):
             raise ConfigError(f"out must be a path string, not {self.out!r}")
         if self.trials < 1:
@@ -145,6 +144,12 @@ def _pick(table: dict, field: str, name):
     if _name(field, name) not in table:
         raise ConfigError(f"unknown {field} {name!r}; expected one of {', '.join(table)}")
     return table[name]
+
+
+def _param(params: dict, key: str, default):
+    """``params[key]``, or ``default`` where the key is absent or ``None`` (JSON ``null``)."""
+    value = params.get(key)
+    return default if value is None else value
 
 
 def _rate_stderr(rate: float, n: int) -> float:
@@ -460,8 +465,8 @@ _KERNELS = {"coordinate": CoordKernel, "closeness-pair": ClosenessPairKernel}
 
 def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
-    kernel = config_from_params(_pick(_KERNELS, "kernel", params.get("kernel", "coordinate")),
-                                params)
+    kernel_cls = _pick(_KERNELS, "kernel", _param(params, "kernel", "coordinate"))
+    kernel = config_from_params(kernel_cls, params)
     delta = _cast("delta", float, params.get("delta", 0.04))
     try:
         report = estimate_mixing(kernel, delta, initial=params.get("initial", "all"))
@@ -543,8 +548,11 @@ def _enough_trials(kind: str, trials: int) -> None:
     if trials < least:
         raise ConfigError(f"{kind} needs trials >= {least}, not {trials}")
 
-# whole-run kinds (matrix computations, grids)
-_RUNNERS = {
+
+# Every kind: the trial kinds' entries above, and for each whole-run
+# kind (matrix computations, grids) the function that runs it.
+_KINDS = {
+    **_TRIAL_FUNCS,
     "mixing": _run_mixing,
     "concentration": _run_concentration,
 }
@@ -565,10 +573,11 @@ def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentRe
     if config.kind in _TRIAL_FUNCS:
         name, trial_fn, aggregate_fn, _ = _TRIAL_FUNCS[config.kind]
         _enough_trials(config.kind, config.trials)
-        name = name or config.params.get("tester", "closeness")
+        name = name or _param(config.params, "tester", "closeness")
         test, tester_config = _tester(name, config.params)
         instances = TESTERS[name][2]
-        build = _pick(instances, "instance", config.params.get("instance", next(iter(instances))))
+        build = _pick(instances, "instance",
+                      _param(config.params, "instance", next(iter(instances))))
         tester = (test, tester_config, build(config.params, tester_config))
         worker = partial(trial_fn, config.kind, tester, config.seed)
         if processes > 1:
@@ -584,7 +593,7 @@ def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentRe
             records = [worker(t) for t in range(config.trials)]
         aggregate = aggregate_fn(records)
     else:
-        records, aggregate = _RUNNERS[config.kind](config)
+        records, aggregate = _KINDS[config.kind](config)
     result = ExperimentResult(config, records, aggregate, time.perf_counter() - start)
     if config.out:
         result.write(config.out)

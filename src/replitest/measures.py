@@ -14,13 +14,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class NonNegativeMeasure:
-    """Masses over ``[n]`` or ``[n1] x [n2]`` (row-major flat storage)."""
+    """Masses over ``[n]`` or ``[n1] x [n2]`` (row-major flat storage).
+
+    The masses are a read-only copy of the array given, so what is built
+    from them once, such as the index sampler that
+    ``sampling.measure_sampler`` keeps on the measure, never goes stale.
+    """
 
     masses: np.ndarray
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        masses = np.asarray(self.masses, dtype=float)
+        masses = np.array(self.masses, dtype=float)
         if masses.ndim != 1:
             raise ValueError("masses must be stored flat (row-major)")
         if masses.size != int(np.prod(self.shape)):
@@ -29,8 +34,14 @@ class NonNegativeMeasure:
             raise ValueError("masses must be finite")
         if np.any(masses < 0):
             raise ValueError("masses must be non-negative")
+        masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+
+    def __reduce__(self):
+        # Rebuilt from masses and shape: the copy is read-only again, and
+        # a kept sampler, a closure, is not pickled.
+        return type(self), (self.masses, self.shape)
 
     @property
     def size(self) -> int:

@@ -8,7 +8,8 @@ entries.
 Index samplers of measures invert the cdf. The search for each uniform
 starts from a guide table of power-of-two size (the indexed search of
 Chen & Asau, 1974) instead of bisecting the whole cdf, and returns
-exactly the indices and generator state of ``Generator.choice``.
+exactly the indices and generator state of ``Generator.choice``. A
+measure builds its sampler once and keeps it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def sample_counts_poissonized(p: NonNegativeMeasure, m: int, rng: RngStream) -> 
     if m < 0:
         raise ValueError("m must be non-negative")
     gen = rng.generator()
-    return gen.poisson(m * p.masses).astype(np.int64)
+    return gen.poisson(m * p.masses).astype(np.int64, copy=False)
 
 
 def multinomial_split(total: int, k: int, rng: RngStream) -> np.ndarray:
@@ -52,6 +53,18 @@ def multinomial_split(total: int, k: int, rng: RngStream) -> np.ndarray:
     return gen.multinomial(total, np.full(k, 1.0 / k)).astype(np.int64)
 
 
+def _guide_buckets(size: int) -> int:
+    """Guide table size of a sampler over ``size`` cells: ``max(P, min(4P, 2**16))``.
+
+    ``P`` is the power of two at or above ``size``. Four buckets per
+    cell leave few buckets holding a cell boundary, so most draws take
+    no forward step; the cap keeps a large domain's table at ``P``
+    entries, one bucket per cell.
+    """
+    cells = 1 << (size - 1).bit_length()
+    return max(cells, min(4 * cells, 1 << 16))
+
+
 def measure_sampler(p: NonNegativeMeasure) -> IndexSampler:
     """I.i.d. index sampler for the normalized version of ``p``.
 
@@ -62,16 +75,30 @@ def measure_sampler(p: NonNegativeMeasure) -> IndexSampler:
     *Non-Uniform Random Variate Generation*, 1986, section III.2.4),
     takes a few vectorized forward steps over the draws not yet placed,
     and bisects for any left after ``_GUIDE_STEPS``.
+
+    The sampler is built on the first call for ``p`` and kept on ``p``,
+    whose masses are read-only, so later calls return the same sampler.
     """
+    sampler = vars(p).get("_sampler")
+    if sampler is None:
+        sampler = _build_sampler(p)
+        object.__setattr__(p, "_sampler", sampler)
+    return sampler
+
+
+def _build_sampler(p: NonNegativeMeasure) -> IndexSampler:
     probs = p.normalized().masses
     # The cdf exactly as ``Generator.choice`` builds it.
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     # ``guide[g]`` is the answer at ``u = g/B``, a lower bound for every u
     # in ``[g/B, (g+1)/B)``. B is a power of two, so ``u*B`` and ``g/B``
-    # are exact and ``floor(u*B)`` never lands in a later bucket.
-    buckets = 1 << (probs.size - 1).bit_length()
-    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+    # are exact and ``floor(u*B)`` never lands in a later bucket. That
+    # answer counts the cdf values at or below g/B, which are those with
+    # ``ceil(cdf*B) <= g``, since ``cdf*B`` is exact too.
+    buckets = _guide_buckets(probs.size)
+    guide = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+    guide = guide[:buckets].cumsum()
 
     def draw(k: int, gen: np.random.Generator) -> np.ndarray:
         u = gen.random(k)
@@ -90,4 +117,4 @@ def measure_sampler(p: NonNegativeMeasure) -> IndexSampler:
 
 
 def counts_from_indices(indices: np.ndarray, domain_size: int) -> CountVector:
-    return np.bincount(indices, minlength=domain_size).astype(np.int64)
+    return np.bincount(indices, minlength=domain_size).astype(np.int64, copy=False)

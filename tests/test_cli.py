@@ -373,7 +373,11 @@ def test_config_names_and_paths_that_are_not_strings_are_named(tmp_path, capsys,
      "file"),
     ("mixing", {**_MIXING, "kernel": "nope"},
      "unknown kernel 'nope'; expected one of coordinate, closeness-pair"),
-], ids=["tester", "instance", "kernel"])
+    ("nope", _ACCEPTANCE_PARAMS,
+     "unknown experiment kind 'nope'; expected one of closeness-acceptance, "
+     "uniformity-acceptance, independence-acceptance, replicability, variance-audit, mixing, "
+     "concentration"),
+], ids=["tester", "instance", "kernel", "kind"])
 def test_unknown_names_list_the_choices(tmp_path, capsys, kind, params, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**_ACCEPTANCE, "kind": kind, "params": params}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replitest.cli import _pool_sampler
 from replitest.closeness import (
     ClosenessConfig,
     closeness_sample_size,
@@ -187,3 +188,39 @@ def test_full_run_reproducible():
     v1 = rep_closeness_test(p, p, config, ROOT.substream("repr"))
     v2 = rep_closeness_test(p, p, config, ROOT.substream("repr"))
     assert (v1.accept, v1.statistic, v1.threshold) == (v2.accept, v2.statistic, v2.threshold)
+
+
+def _pinned_inputs(m):
+    """The three inputs of the pinned verdicts, built afresh for each run:
+    two measures on [500], two far measures, and two pools of indices
+    that ``replitest test closeness --samples`` consumes in order."""
+    pools = np.random.default_rng(500)
+    return {
+        "uniform": (uniform_measure(500), uniform_measure(500)),
+        "uniform-vs-half-flat": (uniform_measure(500), half_flat_measure(500)),
+        "index-pools": (_pool_sampler(pools.integers(0, 500, 4 * m)),
+                        _pool_sampler(pools.integers(0, 250, 4 * m))),
+    }
+
+
+# (statistic, threshold) at seeds 0, 1 and 2. Any change to the split,
+# the index sampler or the count path that moves one draw moves these.
+_PINNED = {
+    "uniform": [(-66, "0x1.10bfb1428efb5p+11"), (-14, "0x1.5ce7b95c51539p+11"),
+                (-112, "0x1.4a443d3397df8p+10")],
+    "uniform-vs-half-flat": [(7310, "0x1.10bfb1428efb5p+11"), (7018, "0x1.5ce7b95c51539p+11"),
+                             (6996, "0x1.4a443d3397df8p+10")],
+    "index-pools": [(7460, "0x1.10bfb1428efb5p+11"), (7314, "0x1.5ce7b95c51539p+11"),
+                    (7344, "0x1.4a443d3397df8p+10")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_verdicts_are_pinned_bit_for_bit(name):
+    config = ClosenessConfig(n=500, epsilon=0.3, rho=0.1)
+    got = []
+    for seed in range(3):
+        p, q = _pinned_inputs(config.sample_size())[name]
+        verdict = rep_closeness_test(p, q, config, RngStream(seed, "pinned-closeness"))
+        got.append((int(verdict.statistic), verdict.threshold.hex()))
+    assert got == _PINNED[name]

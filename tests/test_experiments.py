@@ -28,6 +28,7 @@ from replitest.independence import IndependenceConfig
 from replitest.uniformity import UniformityConfig
 from replitest.measures import uniform_measure
 from replitest.rng import RngStream
+from replitest.sampling import measure_sampler
 
 ROOT = RngStream(515, "experiment-tests")
 
@@ -110,6 +111,33 @@ def test_parallel_trials_match_sequential(kind):
     assert sequential.records == parallel.records
     assert sequential.aggregate == parallel.aggregate
     assert [r["trial"] for r in parallel.records] == list(range(16))
+
+
+def test_parallel_trials_send_a_measure_that_keeps_its_sampler(monkeypatch):
+    # a fixed instance's measure keeps the sampler its first draw built;
+    # the pool must still receive the measure
+    p = uniform_measure(100)
+    measure_sampler(p)(10, ROOT.substream("warm").generator())
+    monkeypatch.setitem(experiments.TESTERS["closeness"][2], "uniform",
+                        lambda params, config: experiments._twice(p))
+    config = ExperimentConfig(
+        "closeness-acceptance", seed=23, trials=6,
+        params={"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"},
+    )
+    assert run_experiment(config, processes=2).records == run_experiment(config).records
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("closeness-acceptance", {"n": 100, "epsilon": 0.3, "rho": 0.1}, "instance"),
+    ("replicability", {"n": 100, "epsilon": 0.3, "rho": 0.1}, "tester"),
+    ("mixing", {"n": 1000, "m": 100, "xi": 0.2}, "kernel"),
+])
+def test_a_null_name_takes_its_default(kind, params, name):
+    # JSON null counts as absent, as it does for a tester config field
+    def records(params):
+        return run_experiment(ExperimentConfig(kind, seed=4, trials=3, params=params)).records
+
+    assert records({**params, name: None}) == records(params)
 
 
 def _closeness_file(tmp_path) -> Path:

@@ -24,6 +24,16 @@ def test_rejects_negative_and_non_finite():
         measure_1d([np.inf, 1.0])
 
 
+def test_masses_are_a_read_only_copy():
+    given = np.array([1.0, 2.0])
+    p = measure_1d(given)
+    with pytest.raises(ValueError):
+        p.masses[0] = 1.0
+    assert given.flags.writeable
+    given[0] = 5.0
+    assert p.masses.tolist() == [1.0, 2.0]
+
+
 def test_total_mass_and_normalization():
     p = measure_1d([1.0, 3.0])
     assert p.total_mass() == 4.0

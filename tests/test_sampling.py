@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from replitest.measures import NonNegativeMeasure, measure_1d, uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import (
+    _guide_buckets,
     counts_from_indices,
     measure_sampler,
     multinomial_split,
@@ -154,9 +156,11 @@ def test_measure_sampler_equals_inverse_cdf_and_choice(p, k, seed):
 
 
 def test_measure_sampler_many_tiny_cells_in_one_guide_bucket():
-    # 64 cells, 64 guide buckets: bucket 10 holds 40 near-zero cells and
-    # then cell 41 with 1/64 of the mass, so a draw that lands there
-    # needs 40 forward steps and ends in the bisection fallback.
+    # 64 cells, 256 guide buckets: the 40 near-zero cells 1-40 all end
+    # within 1e-11 of 40/256, so bucket 40 starts at cell 7 and
+    # then holds the start of cell 41, with 1/64 of the mass. A draw of
+    # cell 41 that lands in bucket 40 needs 34 forward steps and ends in
+    # the bisection fallback.
     masses = np.zeros(64)
     masses[0] = 10 / 64
     masses[1:41] = 1e-12
@@ -179,11 +183,13 @@ class _FixedUniforms:
         return self.values.copy()
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 100, 500, 511, 512, 513])
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 100, 500, 511, 512, 513,
+                                  2**14 - 1, 2**14, 2**14 + 1])
 def test_measure_sampler_at_cdf_and_bucket_edges(size):
-    # Uniforms on and next to every cdf value and every g/size and g/B
-    # boundary, where a guide built on an inexact grid would start past
-    # the answer.
+    # Uniforms on and next to every cdf value and every g/size, g/P and
+    # g/B boundary (P the power of two at or above size, B the guide's
+    # bucket count), where a guide built on an inexact grid would start
+    # past the answer.
     masses = np.random.default_rng(size).random(size)
     masses[::3] = 0.0
     masses[-1] = 1.0
@@ -191,15 +197,55 @@ def test_measure_sampler_at_cdf_and_bucket_edges(size):
     probs = p.normalized().masses
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    buckets = 1 << (size - 1).bit_length()
-    edges = np.concatenate([cdf, np.arange(size) / size, np.arange(buckets) / buckets,
-                            np.arange(3 * size) / (3 * size)])
+    cells, buckets = 1 << (size - 1).bit_length(), _guide_buckets(size)
+    edges = np.concatenate([cdf, np.arange(size) / size, np.arange(cells) / cells,
+                            np.arange(buckets) / buckets, np.arange(3 * size) / (3 * size)])
     u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     u = np.unique(u[(u >= 0.0) & (u < 1.0)])
     np.testing.assert_array_equal(
         measure_sampler(p)(u.size, _FixedUniforms(u)),
         inverse_cdf_indices(probs, u.size, _FixedUniforms(u)),
     )
+
+
+@pytest.mark.parametrize("size, buckets", [
+    (1, 4), (64, 256), (500, 2048), (2**14 - 1, 2**16), (2**14, 2**16), (2**14 + 1, 2**16),
+    (2**15 + 1, 2**16), (10**6, 2**20),
+])
+def test_guide_has_four_buckets_per_cell_up_to_its_cap(size, buckets):
+    # four buckets per cell up to 2**16 buckets; a domain of more than
+    # 2**15 cells gets one per cell (rounded up to a power of two), as
+    # every domain did before, so n = 10**6 builds no larger table
+    assert _guide_buckets(size) == buckets
+
+
+def test_measure_sampler_is_built_once_per_measure(monkeypatch):
+    builds = []
+    normalized = NonNegativeMeasure.normalized
+
+    def counted(self):
+        builds.append(self)
+        return normalized(self)
+
+    monkeypatch.setattr(NonNegativeMeasure, "normalized", counted)
+    p = uniform_measure(50)
+    sampler = measure_sampler(p)
+    sampler(100, ROOT.substream("once").generator())
+    assert measure_sampler(p) is sampler
+    assert len(builds) == 1
+    measure_sampler(uniform_measure(50))
+    assert len(builds) == 2
+
+
+def test_a_sampled_measure_pickles_and_draws_the_same():
+    p = measure_1d([0.5, 0.0, 0.2, 0.3])
+    measure_sampler(p)(10, ROOT.substream("before-pickle").generator())
+    q = pickle.loads(pickle.dumps(p))
+    assert q.shape == p.shape
+    assert not q.masses.flags.writeable
+    np.testing.assert_array_equal(q.masses, p.masses)
+    np.testing.assert_array_equal(measure_sampler(q)(1000, np.random.default_rng(9)),
+                                  measure_sampler(p)(1000, np.random.default_rng(9)))
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 10, 11, 12, 100, 500])
