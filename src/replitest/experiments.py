@@ -291,8 +291,8 @@ def _cast(name: str, cast, value):
 
 
 def _count(params: dict, name: str, default: int, least: int = 1) -> int:
-    """``params[name]`` (``default`` when absent) cast to an int of at least ``least``."""
-    value = _cast(name, int, params.get(name, default))
+    """``params[name]`` (``default`` when absent or ``None``) cast to an int of at least ``least``."""
+    value = _cast(name, int, _param(params, name, default))
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, not {value}")
     return value
@@ -467,9 +467,9 @@ def _run_mixing(config: ExperimentConfig) -> tuple[list[dict], dict]:
     params = config.params
     kernel_cls = _pick(_KERNELS, "kernel", _param(params, "kernel", "coordinate"))
     kernel = config_from_params(kernel_cls, params)
-    delta = _cast("delta", float, params.get("delta", 0.04))
+    delta = _cast("delta", float, _param(params, "delta", 0.04))
     try:
-        report = estimate_mixing(kernel, delta, initial=params.get("initial", "all"))
+        report = estimate_mixing(kernel, delta, initial=_param(params, "initial", "all"))
     except TruncationError as exc:
         raise ConfigError(f"a_max = {kernel.a_max} truncates the kernel ({exc}); "
                           "raise a_max") from exc
@@ -495,7 +495,7 @@ def _run_concentration(config: ExperimentConfig) -> tuple[list[dict], dict]:
     """
     params = config.params
     test, tester = _tester("uniformity", params)
-    grid = params.get("xi_grid", [0.0, 0.1, 0.2])
+    grid = _param(params, "xi_grid", [0.0, 0.1, 0.2])
     if not isinstance(grid, list) or not grid:
         raise ConfigError(f"xi_grid must be a non-empty list, not {grid!r}")
     xi_grid = [_cast("xi_grid", float, xi) for xi in grid]
@@ -627,9 +627,9 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     averaged statistic on sets drawn from the uniform product measure.
     Each of those estimates averages ``min(k_avg, 50)`` runs, though the
     output reports the configured ``k_avg``. That statistic is averaged
-    exactly over its fair marks (see ``independence``), so ``sd_z_a`` is
-    the spread of the mark-averaged statistic, lower than that of one
-    with drawn marks.
+    exactly over its sub-bin orders and fair marks (see
+    ``independence``), so ``sd_z_a`` is the spread of the averaged
+    statistic, lower than that of one with drawn orders or marks.
     The output can be passed to the CLI's ``--constants`` flag, which
     ignores the keys that are not constants.
     """

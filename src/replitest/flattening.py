@@ -6,9 +6,13 @@ sample is tagged with the number of flattening samples of the same
 element that precede it. Two kept samples collide only if they share
 the element and the tag, so heavy elements are diluted into sub-bins
 while distinct elements are never merged. The 2D flattening of the
-independence tester (``independence._finish_runs``) tags the row and
-column coordinates independently with :func:`subbin_indices` and keeps a
-sample only if it was selected on neither axis.
+independence tester tags the row and column coordinates independently
+and keeps a sample only if it was selected on neither axis.
+
+:func:`subbin_indices` is the definition of the tags under one order.
+The tester's runs draw no order: they add the exact mean over all
+orders (:mod:`.cell_means`), and the test oracles draw orders with
+:func:`subbin_indices` as the reference for that mean.
 """
 
 from __future__ import annotations

@@ -17,22 +17,46 @@ the count is at most ``Σ ell / k``, about ``2m``, and its least
 threshold is ``2 C_N max(m^2/(n1 n2), m/n2)``, so its runs finish only
 where ``m < n1 n2 / C_N`` can let it fire.
 
-The marks are not drawn: each run contributes the exact mean of the
-marked statistic over them, the sum over keys of :func:`_key_mark_mean`.
-That is the conditional expectation given the run's flattened sets, so
-the averaged statistic keeps its mean and its variance cannot rise
-(Rao-Blackwell; Casella & Robert, *Biometrika*, 1996).
+Neither the orders nor the marks are drawn. In a run, a kept sample of
+row ``r`` is tagged with the number of the row's ``F_r`` x-flagged
+dividers before it in a uniform order. That order puts the row's kept
+samples, in a uniform order, into a uniform composition of ``F_r + 1``
+gaps, so the row tags are iid Categorical(theta) with
+``theta ~ Dirichlet(1, ..., 1)`` over ``F_r + 1`` tags. The column tags
+are the same with an independent ``phi`` per column, and the marks are
+fair coins. So the ``M = (F_r + 1)(F_c + 1)`` sub-bins of a cell
+``(r, c)`` that keeps ``a`` samples of ``S_p`` and ``b`` of ``S_q``,
+``n = a + b``, are exchangeable, and
+
+    E[Z_cell] = M Σ_{k>=2} Q(k) H_ab(k),    E[N_cell] = M Σ_{k>=2} Q(k) k.
+
+``Q`` is the law of one sub-bin's count: ``R ~ BetaBin(n; 1, F_r)`` of
+the cell's samples take its row tag and ``C | R ~ BetaBin(R; 1, F_c)``
+of those its column tag; with ``F = 0`` every sample lands in the one
+sub-bin. ``H_ab(k)`` is the mean, over ``A ~ Hyp(n, a, k)`` and the
+marks, of the marked statistic's term of a sub-bin of ``A`` samples of
+``S_p`` and ``k - A`` of ``S_q``. A run adds these means over its cells
+of at least 2 samples (:func:`_finish_runs`). That is the exact
+conditional expectation of its ``(Z, N)`` given its kept samples and
+flag counts, so the averaged statistic and count keep their means and
+their variances cannot rise (Rao-Blackwell; Casella & Robert,
+*Biometrika*, 1996). The orders are those of the flattening of
+Diakonikolas & Kane (FOCS 2016); :func:`.flattening.subbin_indices`
+draws them by definition, and the tests hold the sampled-order run as
+a reference.
 
 Every estimate ``(Z_a, N_a)`` takes one path, for fixed sample sets
 (``averaged_stats``) and fresh draws (``sampled_averaged_stats``) alike:
 
 - Plan (:func:`_plan_average`). Each chunk of runs draws its selectors
-  sparsely (:func:`_plan_runs`): a Binomial number of dividers at a
-  uniform subset of positions, which has the law of iid Bernoulli
-  flags, and the Poisson truncation sizes. No pair is read yet.
-- Touched positions (:func:`_touched_positions`). The plans name the
-  positions the runs read: a prefix that holds every kept sample, plus
-  the scattered dividers beyond it.
+  sparsely (:func:`_plan_runs`): a Binomial number of dividers, which
+  with a uniform subset of positions has the law of iid Bernoulli
+  flags, and the Poisson truncation sizes. No position and no pair is
+  drawn yet, so a stage decided from its plans draws neither.
+- Touched positions (:func:`_touched_positions`). Each plan places its
+  dividers (:func:`_place_dividers`), and the plans name the positions
+  the runs read: a prefix that holds every kept sample, plus the
+  scattered dividers beyond it.
 - Pairs. The rows and columns of the pairs at those positions come as
   one ``(2, T0 + T1)`` array. Fixed sets are indexed there. The tester,
   which never draws its sets of ``100 m`` pairs in full, draws pairs
@@ -42,17 +66,19 @@ Every estimate ``(Z_a, N_a)`` takes one path, for fixed sample sets
   changes no law (the principle of deferred decisions, Motwani &
   Raghavan, *Randomized Algorithms*, 1995). At desk scale a set then
   holds about 3,600 of its 58,000 pairs.
-- Finish (:func:`_finish_runs`). Each chunk runs as one array program
-  on its kept samples and dividers only. Keys carry the run index, so a
-  statistic of all runs of a chunk comes from one call on its keys and
-  equals the sum of the per-run values exactly. One sort of the chunk's
-  keys gives both statistics: the mark-averaged statistic that stage 2
-  reads and the non-singleton count that stage 1 reads.
+- Finish (:func:`_finish_runs`). Each chunk finds its kept samples from
+  the divider positions alone and draws its divider types. Keys carry
+  the run index, so one sort of the chunk's ``(run, cell, side)`` keys
+  gives every run's cells with their ``(a, b)``, and the flagged
+  dividers give each run's ``F_r`` and ``F_c``. A cell's two means
+  depend on ``(a, b, F_r, F_c)`` alone and are memoised
+  (:mod:`.cell_means`), so a chunk costs one sort and one lookup of its
+  cells: it draws no order and sorts no sub-bin. A cell not yet in the
+  memo costs ``O((F_r + F_c + 1) n)`` for its ``n`` samples.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -60,8 +86,9 @@ from typing import Callable
 import numpy as np
 
 from .calibrated import INDEPENDENCE_DESK
+from .cell_means import CELL_MEANS
 from .closeness import closeness_statistic, soundness_floor
-# non_singleton_count is bound only for bench/spans.py, which wraps it here by name.
+# Bound only for bench/spans.py, which wraps these names here; no run calls them.
 from .flattening import non_singleton_count, pack_keys, subbin_indices
 from .measures import NonNegativeMeasure
 from .rng import RngStream
@@ -169,7 +196,8 @@ def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStre
     statistic is :func:`closeness_statistic` of the per-key counts
     ``(Tp0, Tp1, Tq0, Tq1)`` split by source and 0/1 mark. Singleton
     keys contribute 0. This is the definition; the tester's runs add its
-    exact mean over the marks instead (:func:`_key_stats`).
+    exact mean over the marks and the sub-bin orders instead
+    (:func:`_finish_runs`).
     """
     sp_keys = np.asarray(sp_keys, dtype=np.int64)
     sq_keys = np.asarray(sq_keys, dtype=np.int64)
@@ -191,68 +219,55 @@ def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStre
     )
 
 
-@functools.lru_cache(maxsize=2**12)
-def _key_mark_mean(a: int, b: int) -> float:
-    """Mean over fair marks of one key's term of :func:`closeness_stat_marked`.
+# Expected kept samples plus dividers in one chunk of averaged runs: it
+# bounds the working memory of an average, whatever K_avg is. A chunk's
+# largest arrays hold one int64 per item (about 128 KB at 2^14 items),
+# and all are freed when the chunk ends.
+_CHUNK_ITEMS = 2**14
 
-    The key holds ``a`` samples from ``S_p`` and ``b`` from ``S_q``;
-    ``U ~ Bin(a, 1/2)`` and ``V ~ Bin(b, 1/2)`` count their marked ones.
-    The term is ``|U - V| + |(a - U) - (b - V)| - |2U - a| - |2V - b|``,
-    and ``W = U + b - V ~ Bin(a + b, 1/2)`` is symmetric about
-    ``(a + b) / 2``, so both first terms have mean ``E|W - a|``:
-    ``f(a, b) = 2 E|W - a| - E|2U - a| - E|2V - b|``. The three means
-    are exact integer sums over ``2^(a+b)``, rounded once. Singletons
-    give 0. A chunk's keys hold a few dozen distinct ``(a, b)`` pairs at
-    desk scale, so the values are memoised; counts pass 64 at library
-    defaults, so no fixed table covers them.
+
+def _shared_cells(
+    cells: np.ndarray,
+    kept_p: int,
+    shape: tuple[int, int],
+    x_flags: np.ndarray,
+    y_flags: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, F_r, F_c)`` of every cell of at least 2 kept samples, of every run.
+
+    Rows lie in ``range(height)`` and columns in ``range(width)``,
+    ``shape = (height, width)``. A kept sample of run ``j`` in row ``r``
+    and column ``c`` has ``cells[i] = (j height + r) width + c``, and the
+    first ``kept_p`` are from ``S_p``; ``cells`` is overwritten.
+    ``x_flags`` holds ``j height + r`` for each x-flagged divider of run
+    ``j`` in row ``r``, and ``y_flags`` ``j width + c`` for each
+    y-flagged one in column ``c``. One in-place sort of ``2 cell + side``
+    lists each cell's samples together, the ``S_p`` ones first, so a
+    cell's group size and the start of its odd entries give ``(a, b)``.
+    A cell's ``F_r`` counts the x-flags of its run and row, its ``F_c``
+    the y-flags of its run and column. A singleton cell adds 0 to both
+    means, so it is left out.
     """
-    n = a + b
-    w = sum(math.comb(n, k) * abs(k - a) for k in range(n + 1))
-    u = sum(math.comb(a, k) * abs(2 * k - a) for k in range(a + 1))
-    v = sum(math.comb(b, k) * abs(2 * k - b) for k in range(b + 1))
-    return (2 * w - (u << b) - (v << a)) / (1 << n)
-
-
-def _key_stats(keys: np.ndarray, kept_p: int) -> tuple[float, int]:
-    """``(Z, N)`` of the keys; the first ``kept_p`` are from ``S_p``. Overwrites ``keys``.
-
-    ``Z`` is the sum of :func:`_key_mark_mean` over the distinct keys and
-    ``N`` the non-singleton count (:func:`non_singleton_count`). One
-    in-place sort of ``2 key + side`` lists each key's samples together,
-    the ``S_p`` ones first, so a key's group size and the start of its
-    odd entries give ``(a, b)``, and ``N`` is the sum of the group sizes
-    of at least 2. Each ``(a, b)`` pair that occurs is evaluated once.
-    """
-    if keys.max(initial=0) >= 2**62:
-        raise OverflowError("2 * key does not fit in int64")
+    height, width = shape
+    keys = cells
     keys <<= 1
     keys[kept_p:] += 1
     keys.sort()
-    key = keys >> 1
-    # Group starts, plus the end of the last group.
+    # Group starts, where the cell changes, plus the end of the last group.
     first = np.ones(keys.size + 1, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:-1])
-    del key
+    np.greater(keys[1:] ^ keys[:-1], 1, out=first[1:-1])
     bounds = np.flatnonzero(first)
-    shared = np.flatnonzero(np.diff(bounds) >= 2)
+    shared = np.flatnonzero(np.diff(bounds) - 1)  # groups of 2 or more, without a bool temporary
     lo = bounds.take(shared)
     hi = bounds.take(shared + 1)
-    size = hi - lo
     b = hi - np.searchsorted(keys, keys.take(lo) | 1)
-    radix = int(b.max(initial=0)) + 1
-    count = np.bincount((size - b) * radix + b)
-    pairs = np.flatnonzero(count)
-    z = sum(c * _key_mark_mean(*divmod(pair, radix))
-            for pair, c in zip(pairs.tolist(), count[pairs].tolist()))
-    return z, int(size.sum())
+    run_row, col = np.divmod(keys.take(lo) >> 1, width)
+    run_col = run_row // height * width + col
 
+    def flags_at(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return np.bincount(flags, minlength=int(at.max(initial=-1)) + 1)[at]
 
-# Expected kept samples plus dividers in one chunk of averaged runs: it
-# bounds the working memory of an average, whatever K_avg is. A chunk's
-# largest arrays hold one int64 per item (about 128 KB at 2^14 items).
-# At most about six of them are alive at once (_finish_runs), and all
-# are freed when the chunk ends.
-_CHUNK_ITEMS = 2**14
+    return hi - lo - b, b, flags_at(x_flags, run_row), flags_at(y_flags, run_col)
 
 
 def _distinct_positions(
@@ -281,22 +296,22 @@ def _distinct_positions(
 
 @dataclass(frozen=True)
 class _RunPlan:
-    """Selectors of the live runs of one chunk, before any sample is read.
+    """Selectors of the live runs of one chunk, before any divider is placed.
 
     Segment ``s`` holds side ``s // runs`` (0 for ``S_p``, 1 for ``S_q``)
-    of run ``s % runs``: ``dividers[s]`` dividers at the positions
-    ``div_pos`` of ``div_seg == s``, and the first ``ell[s]``
+    of run ``s % runs``: ``dividers[s]`` dividers among the
+    ``sizes[s // runs]`` positions of its side, and the first ``ell[s]``
     non-dividers kept. ``gen`` is the chunk's generator, part way
-    through its draws.
+    through its draws: the divider positions come next
+    (:func:`_place_dividers`), then the divider types (:func:`_finish_runs`).
     """
 
     alpha: float
     beta: float
     runs: int
+    sizes: np.ndarray
     dividers: np.ndarray
     ell: np.ndarray
-    div_seg: np.ndarray
-    div_pos: np.ndarray
     gen: np.random.Generator
 
 
@@ -319,6 +334,7 @@ def _plan_runs(
     ``(0, 0)``, when a side has more dividers than ``abort_excess`` or a
     Poisson size ``ell`` exceeds the kept count; an aborted run adds no
     items, matching the convention that its flattened sets are empty.
+    The positions are drawn only when the plan is finished.
     """
     rate = 1.0 - (1.0 - alpha) * (1.0 - beta)
     gen = rng.generator()
@@ -333,16 +349,26 @@ def _plan_runs(
     runs = ell.size // 2
     if runs == 0:
         return None
-    div_seg, div_pos = _distinct_positions(np.repeat(sizes, runs), dividers, gen)
-    return _RunPlan(alpha, beta, runs, dividers, ell, div_seg, div_pos, gen)
+    return _RunPlan(alpha, beta, runs, sizes, dividers, ell, gen)
+
+
+# The (segment, position) arrays of a plan's dividers.
+_Placed = tuple[np.ndarray, np.ndarray]
+
+
+def _place_dividers(plans: list[_RunPlan]) -> list[_Placed]:
+    """Each plan's divider positions (:func:`_distinct_positions`), drawn from its generator."""
+    return [_distinct_positions(np.repeat(plan.sizes, plan.runs), plan.dividers, plan.gen)
+            for plan in plans]
 
 
 def _finish_runs(
     plan: _RunPlan,
+    placed: _Placed,
     coords: np.ndarray,
     touched: tuple[np.ndarray, np.ndarray],
-) -> tuple[float, int]:
-    """``(Z, N)`` of the kept samples of the live runs of ``plan``.
+) -> tuple[float, float]:
+    """``(Z, N)`` of the kept samples of the live runs of ``plan``, whose dividers are ``placed``.
 
     ``coords`` holds the rows and the columns of the pairs of side 0 at
     the sorted positions ``touched[0]``, then of side 1 at
@@ -353,27 +379,17 @@ def _finish_runs(
     The kept samples are the first ``ell`` non-dividers, computed from
     the sorted divider positions alone. Each divider is x-only, both or
     y-only with weights ``alpha(1-beta) : alpha beta : (1-alpha) beta``.
-    Sub-bin tags are computed on the kept samples plus the dividers
-    only. Relative orders of a subset under a uniform permutation are
-    uniform, and independent across disjoint subsets, so one permutation
-    of all runs' items tags every run with the full-set flattening law.
-    Tagging ``run * radix + row`` (and ``+ col``) and keying on it keeps
-    runs apart: samples of different runs never collide, so both
-    statistics of all runs' keys at once, from one sort
-    (:func:`_key_stats`), are exactly the sums of the per-run values.
-
-    The axes are taken in turn: an axis's coordinates are gathered,
-    tagged and packed into the keys before the other axis starts, and
-    the items' places in ``coords`` are rebuilt for each axis rather
-    than held. With :func:`subbin_indices` sorting in place, at most
-    about six arrays of one int64 per item are alive at once.
+    Segment ``s`` holds run ``s % runs``, so the ``(run, cell)`` of each
+    kept sample, the ``(run, row)`` of each x-flagged divider and the
+    ``(run, column)`` of each y-flagged one give every run's cells with
+    at least 2 samples at once (:func:`_shared_cells`); rows and columns
+    are bounded by those of the pairs in ``coords``. Each such cell adds
+    its two means (:data:`.cell_means.CELL_MEANS`).
     """
-    runs, dividers, ell = plan.runs, plan.dividers, plan.ell
-    div_seg, div_pos, gen = plan.div_seg, plan.div_pos, plan.gen
-    kept = int(ell.sum())
+    runs, dividers, ell, gen = plan.runs, plan.dividers, plan.ell, plan.gen
+    div_seg, div_pos = placed
     kept_p = int(ell[:runs].sum())
     div_p = int(dividers[:runs].sum())
-    items = kept + div_seg.size
     # Divider t, the t-th of its segment, has gap = pos_t - t
     # non-dividers before it, so it leads the segment's ell-th kept sample
     # iff gap < ell. With c leading dividers, the kept samples are the
@@ -389,44 +405,43 @@ def _finish_runs(
     # Side 1 follows side 0 in coords, so its slots sit side1 further on.
     side1 = touched[0].size
     span_start[runs:] -= side1
+    at = np.flatnonzero(free)
+    at -= np.repeat(span_start, ell)
+    del free
     div_at = np.concatenate([np.searchsorted(touched[0], div_pos[:div_p]),
                              np.searchsorted(touched[1], div_pos[div_p:]) + side1])
     # A divider has F_x with probability alpha / r; F_x alone makes it a
     # divider, so F_y is then an independent Bernoulli(beta), else 1.
     rate = 1.0 - (1.0 - plan.alpha) * (1.0 - plan.beta)
-    u = gen.random((2, div_seg.size))
-    fx = np.zeros(items, dtype=bool)
-    fy = np.zeros(items, dtype=bool)
-    np.less(u[0] * rate, plan.alpha, out=fx[kept:])
-    np.less(u[1], plan.beta, out=fy[kept:])
-    fy[kept:] |= ~fx[kept:]
-    # Segment s holds side s // runs of run s % runs.
+    # Row 0 is F_x. Row 1 becomes F_y in place: its draw, or no F_x
+    # (row 1 >= row 0). Bool temporaries of every length would each stay
+    # in numpy's cache of small buffers.
+    flags = gen.random((2, div_seg.size)) * [[rate], [1.0]] < [[plan.alpha], [plan.beta]]
+    np.greater_equal(flags[1], flags[0], out=flags[1])
+    height = int(coords[0].max(initial=0)) + 1
+    width = int(coords[1].max(initial=0)) + 1
+    if runs * height * width >= 2**62:
+        raise OverflowError("2 * (run, cell) key does not fit in int64")
     seg_run = np.arange(ell.size) % runs
-
-    def tagged(axis: int, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Kept ``run * radix + coordinate`` of ``axis`` and their sub-bin tags."""
-        # Where each item's pair sits in coords, rebuilt for each axis
-        # rather than held: the kept samples by segment, then the dividers.
-        at = np.empty(items, dtype=np.int64)
-        np.subtract(np.flatnonzero(free), np.repeat(span_start, ell), out=at[:kept])
-        at[kept:] = div_at
-        values = coords[axis].take(at)
-        del at
-        base = seg_run * (int(values.max()) + 1)
-        values[:kept] += np.repeat(base, ell)
-        values[kept:] += base[div_seg]
-        subs = subbin_indices(values, flags, gen.permutation(items))
-        return values[:kept], subs[:kept]
-
-    # Each axis is packed as soon as it is tagged, so that only one
-    # axis's arrays are alive at a time; the keys equal those of one
-    # pack of all four columns.
-    keys = pack_keys(*tagged(0, fx))
-    keys = pack_keys(keys, *tagged(1, fy))
-    return _key_stats(keys, kept_p)
+    cells = np.repeat(seg_run * height, ell)
+    cells += coords[0].take(at)
+    cells *= width
+    cells += coords[1].take(at)
+    del at
+    div_run = seg_run.take(div_seg)
+    x, y = np.flatnonzero(flags[0]), np.flatnonzero(flags[1])
+    shared = _shared_cells(cells, kept_p, (height, width),
+                           div_run.take(x) * height + coords[0].take(div_at.take(x)),
+                           div_run.take(y) * width + coords[1].take(div_at.take(y)))
+    # The kept samples' keys go before any cell is evaluated.
+    del cells
+    z, n = CELL_MEANS.sums(*shared)
+    return float(z), float(n)
 
 
-def _touched_positions(plans: list[_RunPlan]) -> tuple[np.ndarray, np.ndarray]:
+def _touched_positions(
+    plans: list[_RunPlan], placed: list[_Placed]
+) -> tuple[np.ndarray, np.ndarray]:
     """Sorted positions of each side that some plan reads.
 
     A side's prefix ``[0, P)``, with ``P = max_j(ell_j + D_j)`` over its
@@ -436,10 +451,10 @@ def _touched_positions(plans: list[_RunPlan]) -> tuple[np.ndarray, np.ndarray]:
     touched = []
     for side in (0, 1):
         reach, scattered = 0, [np.zeros(0, dtype=np.int64)]
-        for plan in plans:
+        for plan, (_, div_pos) in zip(plans, placed):
             reach = max(reach, int((plan.ell + plan.dividers).reshape(2, -1)[side].max()))
             cut = int(plan.dividers[: plan.runs].sum())
-            scattered.append(plan.div_pos[cut:] if side else plan.div_pos[:cut])
+            scattered.append(div_pos[cut:] if side else div_pos[:cut])
         far = np.concatenate(scattered)
         far = np.sort(far[far >= reach])
         # np.unique does the same about ten times slower here.
@@ -465,8 +480,9 @@ def _plan_average(
 
     The runs execute in chunks of about 2^14 kept samples plus dividers,
     chunk ``c`` on ``rng.substream("avg", c)``; planning one draws its
-    selectors only (:func:`_plan_runs`), no pair. ``None`` takes the
-    configured ``k_avg``, ``alpha``, ``beta`` and Poisson mean ``m``.
+    selectors only (:func:`_plan_runs`), no divider position and no
+    pair. ``None`` takes the configured ``k_avg``, ``alpha``, ``beta``
+    and Poisson mean ``m``.
     """
     k = config.k_avg if k_avg is None else k_avg
     m = config.sample_size()
@@ -488,24 +504,25 @@ def _plan_average(
 def _kept_bound(k: int, plans: list[_RunPlan]) -> float:
     """``Σ ell / k`` over the live runs of ``plans``: a bound on their ``N_a``.
 
-    A run's ``N`` counts kept samples whose key occurs at least twice,
-    so it is at most the run's ``ell_p + ell_q``; an aborted run adds 0.
-    The integer sums satisfy ``Σ N <= Σ ell``, so the bound holds after
-    the division too.
+    A cell of ``n`` kept samples adds at most ``n`` to its run's ``N``,
+    so a run's ``N`` is at most its ``ell_p + ell_q``; an aborted run
+    adds 0. The bound reads only the plans' truncation sizes, so it
+    needs no divider position.
     """
     return sum(int(plan.ell.sum()) for plan in plans) / k
 
 
 def _finish_average(k: int, plans: list[_RunPlan], pairs_at: _PairsAt) -> tuple[float, float]:
-    """``(Z_a, N_a)`` of the planned runs: the pairs they read, then each chunk's finish.
+    """``(Z_a, N_a)`` of the planned runs: their dividers, the pairs they read, each chunk's finish.
 
     Run ``j`` flattens both axes, truncates to Poisson sizes and
-    contributes ``(Z, N)`` of the truncated flattened sets; an aborted
-    run contributes ``(0, 0)``.
+    contributes ``(Z, N)`` of the truncated flattened sets, averaged over
+    its sub-bin orders and marks; an aborted run contributes ``(0, 0)``.
     """
-    touched = _touched_positions(plans)
+    placed = _place_dividers(plans)
+    touched = _touched_positions(plans, placed)
     coords = pairs_at(touched)
-    stats = [_finish_runs(plan, coords, touched) for plan in plans]
+    stats = [_finish_runs(plan, where, coords, touched) for plan, where in zip(plans, placed)]
     return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
 
 
@@ -524,9 +541,9 @@ def averaged_stats(
     """Monte Carlo estimates ``(Z_a, N_a)`` of the averaged statistic and count.
 
     Averages ``k_avg`` (default ``config.k_avg``) independent randomized
-    evaluations on fixed sample sets; ``Z`` is the marked statistic,
-    averaged exactly over its marks, and ``N`` the non-singleton count
-    of the truncated flattened sets. The runs execute in chunks of
+    evaluations on fixed sample sets; ``Z`` is the marked statistic and
+    ``N`` the non-singleton count of the truncated flattened sets, each
+    averaged exactly over its sub-bin orders and marks. The runs execute in chunks of
     about 2^14 kept samples and dividers; chunk ``c`` draws from
     ``rng.substream("avg", c)``. The sets must
     hold ``100 m`` pairs each unless ``strict_size`` is false. The

@@ -87,7 +87,11 @@ def measure_sampler(p: NonNegativeMeasure) -> IndexSampler:
 
 
 def _build_sampler(p: NonNegativeMeasure) -> IndexSampler:
-    probs = p.normalized().masses
+    # The probabilities of ``p.normalized()``, without building a measure.
+    total = p.total_mass()
+    if total <= 0:
+        raise ValueError("cannot sample a zero measure")
+    probs = p.masses / total
     # The cdf exactly as ``Generator.choice`` builds it.
     cdf = probs.cumsum()
     cdf /= cdf[-1]

@@ -4,7 +4,10 @@ Everything here follows the operational definitions literally in pure
 Python: flattening by scanning a random order, the marked closeness
 statistic by dictionary counting, expectations by enumerating every
 assignment of the internal randomness (selector vectors, orders,
-truncation sizes with exact Poisson weights, markings). The mixing
+truncation sizes with exact Poisson weights, markings). The sub-bin
+count law of an independence cell is summed in exact rationals, and
+the independence runs' finish with drawn sub-bin orders is kept as
+the sampled-order reference for the library's exact order average. The mixing
 oracle powers the dense truncated kernel and diagonalises it whole, the
 point-mass oracle forms every row of ``post @ M``, and the product-walk
 oracle forms ``kron`` powers of the dense kernels.
@@ -12,14 +15,17 @@ oracle forms ``kron`` powers of the dense kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
-from replitest.flattening import subbin_indices
+import replitest.independence as ind
+from replitest.flattening import pack_keys, subbin_indices
 from replitest.measures import NonNegativeMeasure, measure_2d
 from replitest.rng import RngStream
 
@@ -287,6 +293,196 @@ def enumerate_independence_means(
                     z_mean += w_f * order_weight * z_part
                     n_mean += w_f * order_weight * n_part
     return z_mean, n_mean
+
+
+def order_average_stats(kept, x_rows, y_cols) -> tuple[Fraction, Fraction]:
+    """Exact ``(E[Z], E[N])`` of one independence run over every sub-bin order and marking.
+
+    ``kept`` lists ``(row, col, side)`` per kept sample, side 0 for
+    ``S_p``; ``x_rows`` holds the row of each x-flagged divider and
+    ``y_cols`` the column of each y-flagged one. Every order of the kept
+    samples and x-flagged dividers tags the rows (``flatten_by_definition``),
+    every order of the kept samples and y-flagged dividers the columns,
+    and every marking scores the tagged keys (``zc_marking_sum``).
+    """
+    def tag_counts(values, flagged):
+        flags = [0] * (len(values) - flagged) + [1] * flagged
+        return Counter(
+            tuple(tag for _, tag in flatten_by_definition(values, flags, order))
+            for order in permutations(range(len(values)))
+        )
+
+    row_tags = tag_counts([r for r, _, _ in kept] + list(x_rows), len(x_rows))
+    col_tags = tag_counts([c for _, c, _ in kept] + list(y_cols), len(y_cols))
+    z = n = Fraction(0)
+    for rows, row_weight in row_tags.items():
+        for cols, col_weight in col_tags.items():
+            keys = [(r, rt, c, ct) for (r, c, _), rt, ct in zip(kept, rows, cols)]
+            sp = [key for key, (_, _, side) in zip(keys, kept) if side == 0]
+            sq = [key for key, (_, _, side) in zip(keys, kept) if side == 1]
+            weight = row_weight * col_weight
+            z += weight * Fraction(zc_marking_sum(sp, sq), 2 ** len(kept))
+            n += weight * non_singleton(sp + sq)
+    total = sum(row_tags.values()) * sum(col_tags.values())
+    return z / total, n / total
+
+
+def _mark_mean_exact(a: int, b: int) -> Fraction:
+    """``key_mark_mean(a, b)`` as an exact rational."""
+    n = a + b
+    w = sum(math.comb(n, k) * abs(k - a) for k in range(n + 1))
+    u = sum(math.comb(a, k) * abs(2 * k - a) for k in range(a + 1))
+    v = sum(math.comb(b, k) * abs(2 * k - b) for k in range(b + 1))
+    return Fraction(2 * w - (u << b) - (v << a), 1 << n)
+
+
+def _one_tag_law(k: int, count: int, flags: int) -> Fraction:
+    """``P(k of count samples take one tag)`` under iid tags of Dirichlet(1, ..., 1) weights.
+
+    ``BetaBin(count; 1, flags)``: the first part of a uniform composition
+    of ``count`` into ``flags + 1`` parts, ``C(count - k + F - 1, F - 1) /
+    C(count + F, F)``; with no flag every sample takes the one tag.
+    """
+    if flags == 0:
+        return Fraction(int(k == count))
+    return Fraction(math.comb(count - k + flags - 1, flags - 1), math.comb(count + flags, flags))
+
+
+def exact_cell_means(a: int, b: int, f_r: int, f_c: int) -> tuple[Fraction, Fraction]:
+    """``(E[Z_cell], E[N_cell])`` of a cell of ``a`` + ``b`` kept samples, in exact rationals.
+
+    ``M = (f_r + 1)(f_c + 1)`` exchangeable sub-bins each hold ``k``
+    samples with probability ``Q(k) = Σ_R BetaBin(R; n, 1, f_r)
+    BetaBin(k; R, 1, f_c)``, of which ``A ~ Hyp(n, a, k)`` are from ``S_p``:
+    ``E[Z_cell] = M Σ_{k>=2} Q(k) H(k)`` with ``H(k) = E f(A, k - A)``, and
+    ``E[N_cell] = M Σ_{k>=2} Q(k) k``.
+    """
+    n = a + b
+    subbins = (f_r + 1) * (f_c + 1)
+    z = count = Fraction(0)
+    for k in range(2, n + 1):
+        q = sum(_one_tag_law(r, n, f_r) * _one_tag_law(k, r, f_c) for r in range(k, n + 1))
+        h = sum(Fraction(math.comb(a, s) * math.comb(b, k - s), math.comb(n, k))
+                * _mark_mean_exact(s, k - s)
+                for s in range(max(0, k - b), min(a, k) + 1))
+        z += q * h
+        count += q * k
+    return subbins * z, subbins * count
+
+
+@functools.lru_cache(maxsize=2**12)
+def key_mark_mean(a: int, b: int) -> float:
+    """Mean over fair marks of one key's term of :func:`closeness_stat_marked`.
+
+    The key holds ``a`` samples from ``S_p`` and ``b`` from ``S_q``;
+    ``U ~ Bin(a, 1/2)`` and ``V ~ Bin(b, 1/2)`` count their marked ones.
+    The term is ``|U - V| + |(a - U) - (b - V)| - |2U - a| - |2V - b|``,
+    and ``W = U + b - V ~ Bin(a + b, 1/2)`` is symmetric about
+    ``(a + b) / 2``, so both first terms have mean ``E|W - a|``:
+    ``f(a, b) = 2 E|W - a| - E|2U - a| - E|2V - b|``. The three means
+    are exact integer sums over ``2^(a+b)``, rounded once. Singletons
+    give 0. A chunk's keys hold a few dozen distinct ``(a, b)`` pairs at
+    desk scale, so the values are memoised; counts pass 64 at library
+    defaults, so no fixed table covers them.
+    """
+    n = a + b
+    w = sum(math.comb(n, k) * abs(k - a) for k in range(n + 1))
+    u = sum(math.comb(a, k) * abs(2 * k - a) for k in range(a + 1))
+    v = sum(math.comb(b, k) * abs(2 * k - b) for k in range(b + 1))
+    return (2 * w - (u << b) - (v << a)) / (1 << n)
+
+
+def key_stats(keys: np.ndarray, kept_p: int) -> tuple[float, int]:
+    """``(Z, N)`` of the keys; the first ``kept_p`` are from ``S_p``. Overwrites ``keys``.
+
+    ``Z`` is the sum of :func:`key_mark_mean` over the distinct keys and
+    ``N`` the non-singleton count (:func:`non_singleton_count`). One
+    in-place sort of ``2 key + side`` lists each key's samples together,
+    the ``S_p`` ones first, so a key's group size and the start of its
+    odd entries give ``(a, b)``, and ``N`` is the sum of the group sizes
+    of at least 2. Each ``(a, b)`` pair that occurs is evaluated once.
+    """
+    if keys.max(initial=0) >= 2**62:
+        raise OverflowError("2 * key does not fit in int64")
+    keys <<= 1
+    keys[kept_p:] += 1
+    keys.sort()
+    key = keys >> 1
+    # Group starts, plus the end of the last group.
+    first = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:-1])
+    del key
+    bounds = np.flatnonzero(first)
+    shared = np.flatnonzero(np.diff(bounds) >= 2)
+    lo = bounds.take(shared)
+    hi = bounds.take(shared + 1)
+    size = hi - lo
+    b = hi - np.searchsorted(keys, keys.take(lo) | 1)
+    radix = int(b.max(initial=0)) + 1
+    count = np.bincount((size - b) * radix + b)
+    pairs = np.flatnonzero(count)
+    z = sum(c * key_mark_mean(*divmod(pair, radix))
+            for pair, c in zip(pairs.tolist(), count[pairs].tolist()))
+    return z, int(size.sum())
+
+
+def sampled_order_finish(plan, placed, coords, touched) -> tuple[float, int]:
+    """``(Z, N)`` of the live runs of an independence chunk plan, with drawn sub-bin orders.
+
+    The finish of ``independence._finish_runs`` before its orders were
+    averaged out: the same kept samples and divider types from the same
+    generator draws, then one ``gen.permutation`` of all the chunk's
+    items per axis tags the rows and the columns (``subbin_indices`` on
+    ``run * radix + coordinate``), and :func:`key_stats` scores the
+    packed keys. The marks are averaged exactly, as they were.
+    """
+    runs, dividers, ell, gen = plan.runs, plan.dividers, plan.ell, plan.gen
+    div_seg, div_pos = placed
+    kept = int(ell.sum())
+    kept_p = int(ell[:runs].sum())
+    div_p = int(dividers[:runs].sum())
+    items = kept + div_seg.size
+    gap = div_pos - np.arange(div_seg.size)
+    gap += np.repeat(np.cumsum(dividers) - dividers, dividers)
+    lead = gap < np.repeat(ell, dividers)
+    seg = div_seg[lead]
+    span = ell + np.bincount(seg, minlength=ell.size)
+    span_start = np.cumsum(span) - span
+    free = np.ones(int(span.sum()), dtype=bool)
+    free[span_start[seg] + div_pos[lead]] = False
+    side1 = touched[0].size
+    span_start[runs:] -= side1
+    at = np.concatenate([
+        np.flatnonzero(free) - np.repeat(span_start, ell),
+        np.searchsorted(touched[0], div_pos[:div_p]),
+        np.searchsorted(touched[1], div_pos[div_p:]) + side1,
+    ])
+    rate = 1.0 - (1.0 - plan.alpha) * (1.0 - plan.beta)
+    u = gen.random((2, div_seg.size))
+    fx = np.zeros(items, dtype=bool)
+    fy = np.zeros(items, dtype=bool)
+    fx[kept:] = u[0] * rate < plan.alpha
+    fy[kept:] = (u[1] < plan.beta) | ~fx[kept:]
+    seg_run = np.arange(ell.size) % runs
+    columns = []
+    for axis, flags in ((0, fx), (1, fy)):
+        values = coords[axis].take(at)
+        base = seg_run * (int(values.max()) + 1)
+        values[:kept] += np.repeat(base, ell)
+        values[kept:] += base[div_seg]
+        tags = subbin_indices(values, flags, gen.permutation(items))
+        columns += [values[:kept], tags[:kept]]
+    return key_stats(pack_keys(pack_keys(*columns[:2]), *columns[2:]), kept_p)
+
+
+def sampled_order_average(k, plans, pairs_at) -> tuple[float, float]:
+    """``independence._finish_average`` with each chunk finished by :func:`sampled_order_finish`."""
+    placed = ind._place_dividers(plans)
+    touched = ind._touched_positions(plans, placed)
+    coords = pairs_at(touched)
+    stats = [sampled_order_finish(plan, where, coords, touched)
+             for plan, where in zip(plans, placed)]
+    return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
 
 
 def dense_mixing_report(kernel, delta: float, *, initial="all", max_steps=64):

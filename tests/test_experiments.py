@@ -140,6 +140,26 @@ def test_a_null_name_takes_its_default(kind, params, name):
     assert records({**params, name: None}) == records(params)
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("mixing", {"n": 1000, "m": 100, "xi": 0.2}, "delta"),
+    ("mixing", {"n": 1000, "m": 100, "xi": 0.2}, "initial"),
+    ("concentration", {"n": 100, "epsilon": 0.3, "rho": 0.1, "draws_per_xi": 3}, "xi_grid"),
+    ("concentration", {"n": 100, "epsilon": 0.3, "rho": 0.1, "xi_grid": [0, 0.2]}, "draws_per_xi"),
+])
+def test_a_null_option_takes_its_default(kind, params, name):
+    # JSON null counts as absent for every optional key, not only for names
+    def records(params):
+        return run_experiment(ExperimentConfig(kind, seed=4, trials=3, params=params)).records
+
+    assert records({**params, name: None}) == records(params)
+
+
+def test_null_calibration_trials_take_their_default():
+    params = {"n1": 20, "n2": 10, "epsilon": 0.35, "rho": 0.2, "m_scale": 0.05}
+    assert calibrate("independence", {**params, "calibration_trials": None}) == calibrate(
+        "independence", params)
+
+
 def _closeness_file(tmp_path) -> Path:
     from replitest.hard_instances import (
         ClosenessHardParams,

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import replitest.independence as ind
+from replitest import cell_means
 from replitest.calibrated import INDEPENDENCE_DESK
 from replitest.closeness import closeness_statistic
 from replitest.flattening import non_singleton_count
@@ -31,7 +32,16 @@ from replitest.measures import (
 from replitest.rng import RngStream
 from replitest.sampling import measure_sampler
 
-from oracles import enumerate_independence_means, zc_mean, zc_value
+from oracles import (
+    enumerate_independence_means,
+    exact_cell_means,
+    key_mark_mean,
+    key_stats,
+    order_average_stats,
+    sampled_order_average,
+    zc_mean,
+    zc_value,
+)
 
 ROOT = RngStream(314159, "independence-tests")
 
@@ -193,8 +203,8 @@ def test_marked_statistic_is_the_closeness_statistic_of_the_mark_split_counts(sp
 def test_key_mark_mean_is_the_mean_over_every_marking(split):
     # zc_mean enumerates all 2^n markings of a key held a times by S_p
     a, n = split
-    assert ind._key_mark_mean(a, n - a) == pytest.approx(zc_mean([0] * a, [0] * (n - a)),
-                                                         rel=1e-12, abs=0)
+    assert key_mark_mean(a, n - a) == pytest.approx(zc_mean([0] * a, [0] * (n - a)),
+                                                    rel=1e-12, abs=0)
 
 
 @given(key_bags, key_bags)
@@ -202,17 +212,17 @@ def test_key_mark_mean_is_the_mean_over_every_marking(split):
 def test_mark_averaged_statistic_sums_the_key_means(sp, sq):
     # the one sort must recover (a, b) and N for every key, whatever the order
     keys = np.array(sp + sq, dtype=np.int64)
-    expected = sum(ind._key_mark_mean(sp.count(k), sq.count(k)) for k in set(sp) | set(sq))
-    got = ind._key_stats(keys.copy(), len(sp))[0]
+    expected = sum(key_mark_mean(sp.count(k), sq.count(k)) for k in set(sp) | set(sq))
+    got = key_stats(keys.copy(), len(sp))[0]
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert ind._key_stats(keys.copy(), len(sp))[1] == non_singleton_count(keys)
+    assert key_stats(keys.copy(), len(sp))[1] == non_singleton_count(keys)
 
 
 def test_marked_statistic_averages_to_the_mark_averaged_statistic():
     # fixed keys with shared keys on one side, on both sides and singletons
     sp = [3, 3, 7, 7, 7, 9, 11, 12, 12, 12, 12]
     sq = [3, 7, 9, 9, 11, 11, 11, 2, 12]
-    exact = ind._key_stats(np.array(sp + sq), len(sp))[0]
+    exact = key_stats(np.array(sp + sq), len(sp))[0]
     draws = 4000
     values = np.array([
         closeness_stat_marked(np.array(sp), np.array(sq), ROOT.substream("averaged-marks", t))
@@ -381,7 +391,7 @@ def test_lazy_sets_equal_eager_sets_holding_the_drawn_pairs():
         lazy = sampled_averaged_stats(measure_sampler(p), config, sets, runs)
         # the same plans and pairs, planned again on the same streams
         _, plans, pairs_at = ind._plan_fresh(measure_sampler(p), config, sets, runs)
-        drawn = ind._touched_positions(plans)
+        drawn = ind._touched_positions(plans, ind._place_dividers(plans))
         coords = pairs_at(drawn)
         assert drawn[0].size < size // 10 and drawn[1].size < size // 10
         junk = ROOT.substream("junk", t).generator()
@@ -597,42 +607,50 @@ def test_diagonal_rejected_at_stage_two():
 # statistic, threshold, stage 1 statistic, stage 1 threshold) per desk
 # case and seed, and the stage 1 bound that certifies it. The stage 1
 # statistics were recorded before stage 1 was certified from its plans;
-# it is no longer computed, and each bound must hold it.
+# it is no longer computed, and each bound must hold it. (Z_a, N_a) and
+# the statistic were recorded when the runs began to average their
+# sub-bin orders exactly; the values before that are those of the
+# sampled-order reference (SAMPLED_ORDER_PINNED).
 PINNED = {
-    ("product", 1): ((-6.68, 387.08),
-                     (True, 9.17875, 65.12607293088472, 392.74, 149378.42096167366), 1163.26),
-    ("product", 2): ((-0.76, 399.54),
-                     (True, 2.401875, 174.68180028039433, 385.12, 86136.42177728892), 1162.6),
-    ("product", 3): ((-11.22875, 406.4),
-                     (True, -4.6, 164.02021913793246, 387.28, 69952.57788250218), 1158.3),
-    ("diagonal", 1): ((250.42254133224486, 444.3),
-                      (False, 236.29555905118585, 85.12210291180885, 455.52, 134893.42284526196),
+    ("product", 1): ((-7.0737899393601, 387.09492458130296),
+                     (True, 7.8052720944064085, 65.12607293088472, 392.74, 149378.42096167366),
+                     1163.26),
+    ("product", 2): ((2.3017925076246444, 395.4632036046125),
+                     (True, 1.468451970347569, 174.68180028039433, 385.12, 86136.42177728892),
+                     1162.6),
+    ("product", 3): ((-10.82934984200806, 401.61532068949157),
+                     (True, -4.286287563007184, 164.02021913793246, 387.28, 69952.57788250218),
+                     1158.3),
+    ("diagonal", 1): ((250.51067953531964, 444.32509996434453),
+                      (False, 236.5713195869477, 85.12210291180885, 455.52, 134893.42284526196),
                       761.62),
-    ("diagonal", 2): ((238.83080971062182, 450.76),
-                      (False, 249.06461846858264, 94.46644534070057, 444.18, 76711.24645430324),
+    ("diagonal", 2): ((238.2534966766976, 449.6672569899619),
+                      (False, 250.03321739420085, 94.46644534070057, 444.18, 76711.24645430324),
                       753.12),
-    ("diagonal", 3): ((249.28944613239727, 456.58),
-                      (False, 262.6787642747164, 78.45495983284846, 460.98, 86655.95419729636),
+    ("diagonal", 3): ((249.8415325723621, 456.57776259751734),
+                      (False, 261.85363094260714, 78.45495983284846, 460.98, 86655.95419729636),
                       758.82),
 }
 
 
-@pytest.mark.parametrize("case, seed", sorted(PINNED))
-def test_desk_outputs_are_pinned_bit_for_bit(case, seed):
-    """The independence-desk cases give exactly the values recorded on commit 3c4711b.
-
-    Those values come from the chunk path before it was rewritten to
-    sort in place and to hold fewer arrays. Any change to a draw, to the
-    chunk boundaries or to the arithmetic of a run changes some of
-    these floats, so a change that means to keep every verdict
-    bit-identical must leave this test passing.
-    """
+def _desk_case(case):
     p, (n1, n2) = {"product": (uniform_product_measure(40, 20), (40, 20)),
                    "diagonal": (diagonal_measure(20), (20, 20))}[case]
-    config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+    return p, IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+
+
+@pytest.mark.parametrize("case, seed", sorted(PINNED))
+def test_desk_outputs_are_pinned_bit_for_bit(case, seed):
+    """The independence-desk cases give exactly the recorded values.
+
+    Any change to a draw, to the chunk boundaries or to the arithmetic
+    of a run changes some of these floats, so a change that means to
+    keep every verdict bit-identical must leave this test passing.
+    """
+    p, config = _desk_case(case)
     rng = RngStream(seed, f"pinned/{case}")
     stats_expected, verdict_expected, bound = PINNED[case, seed]
-    assert sampled_averaged_stats(measure_sampler(p.on((n1, n2))), config,
+    assert sampled_averaged_stats(measure_sampler(p.on((config.n1, config.n2))), config,
                                   rng.substream("sets"), rng.substream("runs")) == stats_expected
     v = rep_independence_test(p, config, rng.substream("verdict"))
     accept, statistic, threshold, stage1_statistic, stage1_threshold = verdict_expected
@@ -645,25 +663,23 @@ def test_desk_outputs_are_pinned_bit_for_bit(case, seed):
 
 # (Z_a, N_a) of averaged_stats per desk case and seed, on fixed sets of
 # 100 m pairs drawn once from measure_sampler and from
-# product_of_marginals_sampler, recorded on commit d61ae86. PINNED
-# reaches the runs only through fresh draws, and the lazy/eager test
-# compares the two paths with each other, so neither sees a change that
-# moves both paths at once.
+# product_of_marginals_sampler. PINNED reaches the runs only through
+# fresh draws, and the lazy/eager test compares the two paths with each
+# other, so neither sees a change that moves both paths at once.
 FIXED_PINNED = {
-    ("product", 1): (-12.4325, 391.84),
-    ("product", 2): (2.44, 380.44),
-    ("product", 3): (-1.745625, 386.62),
-    ("diagonal", 1): (243.35789502039552, 460.0),
-    ("diagonal", 2): (240.90160653159023, 450.28),
-    ("diagonal", 3): (234.38215021699668, 453.08),
+    ("product", 1): (-11.818191127682953, 383.19367380776185),
+    ("product", 2): (1.5593823275792718, 384.4448422728065),
+    ("product", 3): (-3.9633333039255128, 388.7787185576649),
+    ("diagonal", 1): (243.20554376287467, 458.3891288183934),
+    ("diagonal", 2): (241.9677509150987, 451.8845391597543),
+    ("diagonal", 3): (235.0235507911865, 451.7905540416304),
 }
 
 
-@pytest.mark.parametrize("case, seed", sorted(FIXED_PINNED))
-def test_desk_fixed_sets_are_pinned_bit_for_bit(case, seed):
-    p, (n1, n2) = {"product": (uniform_product_measure(40, 20), (40, 20)),
-                   "diagonal": (diagonal_measure(20), (20, 20))}[case]
-    config = IndependenceConfig(n1=n1, n2=n2, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+def _fixed_desk_sets(case, seed):
+    """The fixed sets of FIXED_PINNED: ``(config, S_p, S_q, rng)``."""
+    p, config = _desk_case(case)
+    n1, n2 = config.n1, config.n2
     size = 100 * config.sample_size()
     rng = RngStream(seed, f"pinned/{case}")
     sampler = measure_sampler(p.on((n1, n2)))
@@ -671,4 +687,263 @@ def test_desk_fixed_sets_are_pinned_bit_for_bit(case, seed):
     flat_q = product_of_marginals_sampler(sampler, (n1, n2))(
         size, rng.substream("fixed-sets", "q").generator())
     sp, sq = (np.stack(np.divmod(flat, n2), axis=1) for flat in (flat_p, flat_q))
+    return config, sp, sq, rng
+
+
+@pytest.mark.parametrize("case, seed", sorted(FIXED_PINNED))
+def test_desk_fixed_sets_are_pinned_bit_for_bit(case, seed):
+    config, sp, sq, rng = _fixed_desk_sets(case, seed)
     assert averaged_stats(sp, sq, config, rng.substream("fixed-runs")) == FIXED_PINNED[case, seed]
+
+
+def _pairs_at(sp, sq):
+    """The pair source of ``averaged_stats`` on the fixed sets ``sp`` and ``sq``."""
+    return lambda touched: np.concatenate([sp[touched[0]].T, sq[touched[1]].T], axis=1)
+
+
+# (Z_a, N_a) recorded before the runs averaged their sub-bin orders
+# exactly: PINNED's and FIXED_PINNED's estimates with drawn orders.
+SAMPLED_ORDER_PINNED = {
+    ("fresh", "product", 1): (-6.68, 387.08),
+    ("fresh", "product", 2): (-0.76, 399.54),
+    ("fresh", "product", 3): (-11.22875, 406.4),
+    ("fresh", "diagonal", 1): (250.42254133224486, 444.3),
+    ("fresh", "diagonal", 2): (238.83080971062182, 450.76),
+    ("fresh", "diagonal", 3): (249.28944613239727, 456.58),
+    ("fixed", "product", 1): (-12.4325, 391.84),
+    ("fixed", "product", 2): (2.44, 380.44),
+    ("fixed", "product", 3): (-1.745625, 386.62),
+    ("fixed", "diagonal", 1): (243.35789502039552, 460.0),
+    ("fixed", "diagonal", 2): (240.90160653159023, 450.28),
+    ("fixed", "diagonal", 3): (234.38215021699668, 453.08),
+}
+
+
+@pytest.mark.parametrize("path, case, seed", sorted(SAMPLED_ORDER_PINNED))
+def test_sampled_order_reference_gives_the_values_before_the_order_average(path, case, seed):
+    # the reference draws the orders from the generator that places the
+    # dividers and draws their types, after them, as the runs did
+    if path == "fresh":
+        p, config = _desk_case(case)
+        rng = RngStream(seed, f"pinned/{case}")
+        planned = ind._plan_fresh(measure_sampler(p.on((config.n1, config.n2))), config,
+                                  rng.substream("sets"), rng.substream("runs"))
+    else:
+        config, sp, sq, rng = _fixed_desk_sets(case, seed)
+        planned = (*ind._plan_average((sp.shape[0], sq.shape[0]), config,
+                                      rng.substream("fixed-runs"), None), _pairs_at(sp, sq))
+    assert sampled_order_average(*planned) == SAMPLED_ORDER_PINNED[path, case, seed]
+
+
+@pytest.mark.parametrize("case, seed, runs", [("product", 1, 1000), ("diagonal", 1, 1000)])
+def test_order_average_keeps_the_mean_and_lowers_the_spread(case, seed, runs):
+    # Single runs on fixed desk sets, each planned once and finished twice:
+    # with the exact order average, and with orders drawn by the reference.
+    # The difference has mean 0, so the paired mean of Z and N agrees
+    # within 3 se, and the exact runs spread less.
+    config, sp, sq, rng = _fixed_desk_sets(case, seed)
+    exact, drawn = np.empty((runs, 2)), np.empty((runs, 2))
+    for j in range(runs):
+        stream = rng.substream("single-run", j)
+        exact[j] = averaged_stats(sp, sq, config, stream, k_avg=1)
+        drawn[j] = sampled_order_average(
+            *ind._plan_average((sp.shape[0], sq.shape[0]), config, stream, 1), _pairs_at(sp, sq))
+    gap = drawn - exact
+    se = gap.std(axis=0, ddof=1) / math.sqrt(runs)
+    assert np.all(np.abs(gap.mean(axis=0)) <= 3 * se)
+    assert np.all(exact.std(axis=0, ddof=1) <= drawn.std(axis=0, ddof=1))
+
+
+# Tiny runs: kept samples (row, col, side), then the rows of the
+# x-flagged dividers and the columns of the y-flagged ones.
+ORDER_CASES = [
+    ([(0, 0, 0), (0, 0, 0)], [], []),
+    ([(0, 0, 0), (0, 0, 1)], [0], []),
+    ([(0, 0, 0), (0, 0, 1), (0, 0, 0)], [0], []),
+    ([(0, 0, 0), (0, 0, 0), (0, 0, 1)], [0, 0], [0]),
+    ([(0, 0, 0), (0, 0, 1), (0, 0, 1)], [], [0, 0]),
+    ([(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)], [0], [1]),
+    ([(0, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)], [0, 1], [1, 1]),
+    ([(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 1)], [0, 0], [0, 0]),
+    ([(0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 1), (0, 0, 0)], [0], [0]),
+    ([(0, 0, 0), (0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, 0)], [1, 1], [0]),
+    ([(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (0, 1, 1)], [0, 0], []),
+    ([(2, 1, 0), (2, 1, 0), (2, 1, 1), (2, 1, 1), (0, 0, 0)], [2], [1, 1]),
+]
+
+
+@pytest.mark.parametrize("kept, x_rows, y_cols", ORDER_CASES)
+def test_order_average_is_the_mean_over_every_order(kept, x_rows, y_cols):
+    # One run, flag counts F from 0 to 2, up to 5 kept samples: the
+    # cells' exact means must be the average over every row order,
+    # every column order and every marking.
+    shape = (3, 2)
+    kept = sorted(kept, key=lambda sample: sample[2])
+    cells = np.array([r * shape[1] + c for r, c, _ in kept])
+    kept_p = sum(side == 0 for _, _, side in kept)
+    shared = ind._shared_cells(cells, kept_p, shape, np.array(x_rows, dtype=np.int64),
+                               np.array(y_cols, dtype=np.int64))
+    got = cell_means.CELL_MEANS.sums(*shared)
+    expected = order_average_stats(kept, x_rows, y_cols)
+    assert got == pytest.approx([float(v) for v in expected], rel=0, abs=1e-9)
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 6), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_cell_means_match_exact_fractions(a, b, f_r, f_c):
+    # relative 1e-12; where the mean is near 0 its terms cancel, so the
+    # error is held to 1e-12 absolute there
+    if a + b < 2:
+        return
+    memo = cell_means.CellMeanMemo()
+    got = memo.sums(*(np.array([v]) for v in (a, b, f_r, f_c)))
+    expected = exact_cell_means(a, b, f_r, f_c)
+    assert got == pytest.approx([float(v) for v in expected], rel=1e-12, abs=1e-12)
+
+
+def test_a_cell_mean_does_not_depend_on_its_group_or_the_memo():
+    # the memo keeps values by key, so a value must be the same whichever
+    # cells it was evaluated with, and a cell too large for a key is
+    # evaluated each time
+    gen = ROOT.substream("cell-groups").generator()
+    size = 300
+    a = gen.integers(0, 40, size)
+    b = gen.integers(0, 8, size)
+    f1 = gen.integers(0, 12, size)
+    f2 = np.minimum(gen.integers(0, 12, size), f1)
+    a, b = np.maximum(a, b) + 1, np.minimum(a, b) + 1
+    together = cell_means.cell_means(a, b, f1, f2)
+    alone = np.concatenate([cell_means.cell_means(a[i:i + 1], b[i:i + 1], f1[i:i + 1], f2[i:i + 1])
+                            for i in range(size)])
+    assert np.array_equal(together, alone)
+    memo = cell_means.CellMeanMemo()
+    first = memo.sums(a, b, f1, f2)
+    assert memo.size == np.unique(np.stack([a, b, f1, f2]), axis=1).shape[1]
+    # the same cells again, with a and b and the flags swapped, are all known
+    assert np.array_equal(memo.sums(b, a, f2, f1), first)
+    # a memo filled in two rounds moves its first entries to merge the second
+    halves = cell_means.CellMeanMemo()
+    halves.sums(a[::2], b[::2], f1[::2], f2[::2])
+    assert np.array_equal(halves.sums(a, b, f1, f2), first)
+    assert halves.size == memo.size
+    assert np.array_equal(halves.sums(a, b, f1, f2), first)
+    big = np.array([2**11])
+    assert np.array_equal(memo.sums(np.array([3]), np.array([2]), big, np.array([1])),
+                          cell_means.cell_means(np.array([3]), np.array([2]), big, np.array([1]))[0])
+
+
+def test_a_group_of_cells_stays_within_its_entries(monkeypatch):
+    # a group's laws are as wide as its largest cell, rounded up to a
+    # multiple of _STEP, and it repeats its last cell up to a power of two
+    shapes = []
+    group = cell_means._cell_group
+    monkeypatch.setattr(cell_means, "_cell_group",
+                        lambda a, b, f1, f2: shapes.append((a.size, int((a + b).max())))
+                        or group(a, b, f1, f2))
+    gen = ROOT.substream("cell-group-size").generator()
+    n = np.concatenate([gen.integers(2, 40, 2000), gen.integers(40, 600, 1000)])
+    b = gen.integers(0, n // 2 + 1)
+    f1 = gen.integers(0, 6, n.size)
+    cell_means.cell_means(n - b, b, f1, np.minimum(gen.integers(0, 6, n.size), f1))
+    assert sum(rows for rows, _ in shapes) >= n.size
+    for rows, largest in shapes:
+        assert rows & (rows - 1) == 0
+        assert 4 * rows * cell_means._wide(largest + 1) <= cell_means._GROUP_ENTRIES
+
+
+def test_a_trimmed_law_drops_only_each_rows_tail():
+    # a row keeps its entries up to where less than 2^-60 of its mass is
+    # left, whatever the other rows hold
+    laws = cell_means._half_binomials(np.array([40, 400, 4000]), 4097)
+    trimmed = cell_means._trimmed(laws)
+    assert trimmed.shape[1] < laws.shape[1]
+    for law, row in zip(laws, trimmed):
+        kept = int(np.flatnonzero(row)[-1]) + 1
+        assert np.array_equal(row[:kept], law[:kept]) and not row[kept:].any()
+        assert law[kept:].sum() < 2.0**-60 <= law[kept - 1:].sum()
+        alone = cell_means._trimmed(law[None, :])[0]
+        assert np.array_equal(row[:alone.size], alone) and not row[alone.size:].any()
+
+
+@pytest.mark.parametrize("a, b", [(900, 850), (1500, 700)])
+def test_a_cell_without_flags_is_its_key_mark_mean(a, b):
+    # one sub-bin holds the whole cell, so only the marks are averaged;
+    # its trimmed binomial law must still give the exact mean
+    z, n = cell_means.cell_means(np.array([a]), np.array([b]), np.array([0]), np.array([0]))[0]
+    assert z == pytest.approx(key_mark_mean(a, b), rel=1e-12)
+    assert n == a + b
+
+
+def test_excess_matches_the_hypergeometric_walk_it_sums():
+    # E[(Y - X)^+] = sum_j P(J = j) E[(2Y - j)^+], Y ~ Hyp(n, b, j), on
+    # cells far larger than the exact-fraction oracle reaches
+    gen = ROOT.substream("excess").generator()
+    a = gen.integers(1, 200, 15)
+    b = np.minimum(gen.integers(0, 200, 15), a)
+    n = a + b
+    marked = gen.random((a.size, int(n.max()) + 1)) * (np.arange(int(n.max()) + 1) <= n[:, None])
+    marked /= marked.sum(axis=1, keepdims=True)
+    got = cell_means._excess(a, b, marked)
+    for t in range(a.size):
+        j = np.arange(2 * b[t])
+        y = np.arange(b[t] + 1)
+        walk = (stats.hypergeom.pmf(y[None, :], n[t], b[t], j[:, None])
+                * np.maximum(2 * y[None, :] - j[:, None], 0)).sum(axis=1)
+        assert got[t] == pytest.approx(marked[t, :j.size] @ walk, rel=1e-11, abs=1e-13)
+
+
+@pytest.mark.parametrize("count, flags", [(2000, 300), (8000, 200), (40, 7)])
+def test_a_split_keeps_its_mass_beyond_the_range_of_its_binomials(count, flags):
+    # C(count + flags, flags) is about e^890 and e^940 in the first two
+    # rows, so the quotients of the sums would underflow without their
+    # headroom; the sums must match the closed form of the same law
+    summed = cell_means._tag_count_law(np.eye(count + 1)[[count]], np.array([flags]))[0]
+    closed = cell_means._split_point_masses(np.array([count]), np.array([flags]), count + 1)[0]
+    assert summed.sum() == pytest.approx(1.0, abs=1e-12)
+    shown = closed > 1e-250
+    assert summed[shown] == pytest.approx(closed[shown], rel=1e-10)
+
+
+def test_a_split_in_stages_is_the_split(monkeypatch):
+    # a narrower range per stage makes each split below run in two or
+    # more stages; the law of Bin(n, 1/2) split by F is the mixture of
+    # the point masses' closed forms, and a point mass's is closed
+    monkeypatch.setattr(cell_means, "_STAGE_RANGE", 700.0)
+    thins = []
+    thin = cell_means._thin
+    monkeypatch.setattr(cell_means, "_thin", lambda *args: thins.append(args) or thin(*args))
+    count, flags = 2000, 300
+    staged = cell_means._tag_count_law(np.eye(count + 1)[[count]], np.array([flags]))[0]
+    closed = cell_means._split_point_masses(np.array([count]), np.array([flags]), count + 1)[0]
+    shown = closed > 1e-250
+    assert staged[shown] == pytest.approx(closed[shown], rel=1e-10)
+    n, flags = 6000, 300
+    binomial = cell_means._half_binomials(np.array([n]), n + 1)
+    staged = cell_means._tag_count_law(binomial, np.array([flags]))[0]
+    middle = np.flatnonzero(binomial[0] > 1e-30)
+    mixed = binomial[0, middle] @ cell_means._split_point_masses(middle, np.full(middle.size, flags), n + 1)
+    assert staged.sum() == pytest.approx(1.0, abs=1e-12)
+    shown = mixed > 1e-250
+    assert staged[shown] == pytest.approx(mixed[shown], rel=1e-9)
+    assert len(thins) >= 4
+
+
+def test_a_split_that_no_stage_can_carry_raises(monkeypatch):
+    # a stage must take at least one flag with ln C(top + s, s) in range
+    monkeypatch.setattr(cell_means, "_STAGE_RANGE", 0.5)
+    with pytest.raises(OverflowError):
+        cell_means._tag_count_law(np.eye(601)[[600]], np.array([30]))
+
+
+def test_a_certified_stage_one_places_no_divider(monkeypatch):
+    # stage 1 is decided from its plans' truncation sizes, so only stage
+    # 2's plans place their dividers
+    placed = []
+    place = ind._place_dividers
+    monkeypatch.setattr(ind, "_place_dividers", lambda plans: placed.append(plans) or place(plans))
+    p, config = _desk_case("product")
+    verdict = rep_independence_test(p, config, ROOT.substream("no-placement"))
+    assert verdict.detail["stage1_certified"] is True
+    stage2 = ind._plan_fresh(measure_sampler(p), config, ROOT.substream("unused"),
+                             ROOT.substream("no-placement", "internal", "stage2", 0))[1]
+    assert len(placed) == 1 and len(placed[0]) == len(stage2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replitest import sampling
 from replitest.measures import NonNegativeMeasure, measure_1d, uniform_measure
 from replitest.rng import RngStream
 from replitest.sampling import (
@@ -221,13 +222,13 @@ def test_guide_has_four_buckets_per_cell_up_to_its_cap(size, buckets):
 
 def test_measure_sampler_is_built_once_per_measure(monkeypatch):
     builds = []
-    normalized = NonNegativeMeasure.normalized
+    build = sampling._build_sampler
 
-    def counted(self):
-        builds.append(self)
-        return normalized(self)
+    def counted(p):
+        builds.append(p)
+        return build(p)
 
-    monkeypatch.setattr(NonNegativeMeasure, "normalized", counted)
+    monkeypatch.setattr(sampling, "_build_sampler", counted)
     p = uniform_measure(50)
     sampler = measure_sampler(p)
     sampler(100, ROOT.substream("once").generator())
