@@ -32,8 +32,8 @@ import numpy as np
 _STEP = 64
 
 
-def _wide(count: int) -> int:
-    """``count`` rounded up to a multiple of ``_STEP``."""
+def _wide(count: int | np.ndarray) -> int | np.ndarray:
+    """``count`` rounded up to a multiple of ``_STEP``, elementwise for an array."""
     return -(-count // _STEP) * _STEP
 
 
@@ -290,7 +290,7 @@ def cell_means(a: np.ndarray, b: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> 
     """
     out = np.empty((a.size, 2))
     order = np.argsort(a + b, kind="stable")
-    width = -(-((a + b)[order] + 1) // _STEP) * _STEP  # the laws' widths, as _wide rounds them
+    width = _wide((a + b)[order] + 1)  # the laws' widths
     start = 0
     while start < order.size:
         entries = np.arange(4, 4 * (order.size - start) + 1, 4) * width[start:]

@@ -135,9 +135,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _parse_checks(checks: object) -> list[tuple[str, str, float]]:
-    """``(direction, metric, bound)`` per ``"min:METRIC"`` or ``"max:METRIC"`` key."""
-    if not isinstance(checks, dict):
-        raise ConfigError(f"params 'check' must be a JSON object, not {checks!r}")
+    """``(direction, metric, bound)`` per ``"min:METRIC"`` or ``"max:METRIC"`` key.
+
+    ``checks`` is ``params["check"]``, ``None`` when absent. A run with
+    ``--check`` needs at least one bound, so that a misspelled or empty
+    table cannot pass unguarded.
+    """
+    if not isinstance(checks, dict) or not checks:
+        raise ConfigError(f"--check needs a params 'check' object of bounds, not {checks!r}")
     parsed = []
     for key, bound in checks.items():
         direction, _, metric = key.partition(":")
@@ -156,7 +161,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.constants:
         overrides["params"] = {**config.params, **_load_constants(args.constants)}
     config = dataclasses.replace(config, **overrides)
-    checks = _parse_checks(config.params.get("check", {})) if args.check else []
+    checks = _parse_checks(config.params.get("check")) if args.check else []
     result = run_experiment(config, processes=max(1, args.processes))
     print(json.dumps({"kind": config.kind, "aggregate": result.aggregate}, indent=2))
     for direction, metric, bound in checks:

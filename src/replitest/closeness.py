@@ -92,9 +92,11 @@ class ClosenessConfig:
         m = self.sample_size()
         floor = soundness_floor(m, self.n, self.epsilon, self.c2)
         if floor < 8.0 * self.c1 * math.sqrt(m):
+            # A larger C2 would also close the gap, but it lifts the floor
+            # above the mean statistic of epsilon-far pairs.
             raise CalibrationError(
                 f"R = {floor:.3g} < 8*C1*sqrt(m) = {8 * self.c1 * math.sqrt(m):.3g} "
-                f"at m = {m}; increase C2"
+                f"at m = {m}; raise m_scale or lower C1 (R / sqrt(m) grows with m)"
             )
 
     def sample_size(self) -> int:

@@ -403,6 +403,11 @@ TESTERS = {
 }
 
 
+# The closeness instances that calibrate audits, read from the table once:
+# a run resolves no instance, whatever its params name.
+_AUDITED = [TESTERS["closeness"][2][name] for name in ("uniform", "uniform-vs-half-flat")]
+
+
 def _tester(name: str, params: dict) -> tuple:
     """``(test, config)`` of the tester ``name`` at ``params``.
 
@@ -616,13 +621,13 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     """Desk-scale audit of the constants in ``params`` (defaults where absent).
 
     Reports the constants with what they give at the given parameters
-    and never changes them. It resolves the tester alone and names its
-    own instances, whatever ``params`` names. Closeness reports the
-    accept rate on a uniform pair and the reject rate on a
-    uniform/half-flat pair, which are the ``closeness-acceptance``
-    kind's on its ``uniform`` and ``uniform-vs-half-flat`` instances at
-    the same seed; uniformity draws no samples and reports the ceiling,
-    the floor and whether the gap is open; independence reports the
+    and never changes them. It resolves the tester alone and resolves
+    no instance that ``params`` names. Closeness reports the accept rate
+    on a uniform pair and the reject rate on a uniform/half-flat pair,
+    the ``closeness-acceptance`` kind's on the ``uniform`` and
+    ``uniform-vs-half-flat`` instances of ``TESTERS`` at the same seed;
+    uniformity draws no samples and reports the ceiling, the floor and
+    whether the gap is open; independence reports the
     averaged non-singleton count and the spread ``sd_z_a`` of the
     averaged statistic on sets drawn from the uniform product measure.
     Each of those estimates averages ``min(k_avg, 50)`` runs, though the
@@ -637,11 +642,9 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     m = config.sample_size()
     if kind == "closeness":
         trials = _count(params, "calibration_trials", 50)
-        p = uniform_measure(config.n)
-        same, far = [
-            _rate_aggregate([_acceptance_trial("closeness-acceptance", (test, config, draw),
-                                               seed, t) for t in range(trials)])
-            for draw in (_twice(p), _fixed(p, half_flat_measure(config.n)))]
+        testers = [(test, config, build(params, config)) for build in _AUDITED]
+        same, far = [_rate_aggregate([_acceptance_trial("closeness-acceptance", tester, seed, t)
+                                      for t in range(trials)]) for tester in testers]
         return {
             "kind": kind, "c1": config.c1, "c2": config.c2, "m": m,
             "complete_accept_rate": same["accept_rate"],

@@ -49,14 +49,17 @@ Every estimate ``(Z_a, N_a)`` takes one path, for fixed sample sets
 (``averaged_stats``) and fresh draws (``sampled_averaged_stats``) alike:
 
 - Plan (:func:`_plan_average`). Each chunk of runs draws its selectors
-  sparsely (:func:`_plan_runs`): a Binomial number of dividers, which
-  with a uniform subset of positions has the law of iid Bernoulli
-  flags, and the Poisson truncation sizes. No position and no pair is
-  drawn yet, so a stage decided from its plans draws neither.
+  sparsely (:func:`_plan_runs`), at the divider rate computed once per
+  estimate: a Binomial number of dividers, which with a uniform subset
+  of positions has the law of iid Bernoulli flags, and the Poisson
+  truncation sizes. No position and no pair is drawn yet, so a stage
+  decided from its plans draws neither.
 - Touched positions (:func:`_touched_positions`). Each plan places its
-  dividers (:func:`_place_dividers`), and the plans name the positions
-  the runs read: a prefix that holds every kept sample, plus the
-  scattered dividers beyond it.
+  dividers (:func:`_place_dividers`): their positions, then their
+  types, the last draws of the chunk's generator. So planning and
+  placement hold all of a run's randomness. The plans name the
+  positions the runs read: a prefix that holds every kept sample, plus
+  the scattered dividers beyond it.
 - Pairs. The rows and columns of the pairs at those positions come as
   one ``(2, T0 + T1)`` array. Fixed sets are indexed there. The tester,
   which never draws its sets of ``100 m`` pairs in full, draws pairs
@@ -66,8 +69,9 @@ Every estimate ``(Z_a, N_a)`` takes one path, for fixed sample sets
   changes no law (the principle of deferred decisions, Motwani &
   Raghavan, *Randomized Algorithms*, 1995). At desk scale a set then
   holds about 3,600 of its 58,000 pairs.
-- Finish (:func:`_finish_runs`). Each chunk finds its kept samples from
-  the divider positions alone and draws its divider types. Keys carry
+- Finish (:func:`_finish_runs`), a pure function of a plan, its
+  placement and the pairs: it draws nothing. Each chunk finds its kept
+  samples from the divider positions alone. Keys carry
   the run index, so one sort of the chunk's ``(run, cell, side)`` keys
   gives every run's cells with their ``(a, b)``, and the flagged
   dividers give each run's ``F_r`` and ``F_c``. A cell's two means
@@ -93,7 +97,7 @@ from .flattening import non_singleton_count, pack_keys, subbin_indices
 from .measures import NonNegativeMeasure
 from .rng import RngStream
 from .sampling import IndexSampler, measure_sampler
-from .verdict import TesterVerdict, _require_finite, _sample_budget
+from .verdict import TesterVerdict, _require_finite, _sample_budget, decide, uniform_threshold
 
 
 def independence_sample_size(
@@ -301,13 +305,15 @@ class _RunPlan:
     Segment ``s`` holds side ``s // runs`` (0 for ``S_p``, 1 for ``S_q``)
     of run ``s % runs``: ``dividers[s]`` dividers among the
     ``sizes[s // runs]`` positions of its side, and the first ``ell[s]``
-    non-dividers kept. ``gen`` is the chunk's generator, part way
-    through its draws: the divider positions come next
-    (:func:`_place_dividers`), then the divider types (:func:`_finish_runs`).
+    non-dividers kept. A sample is a divider at the rate
+    ``rate = 1 - (1 - alpha)(1 - beta)``. ``gen`` is the chunk's
+    generator, part way through its draws: only the divider positions
+    and then their types are left, both drawn by :func:`_place_dividers`.
     """
 
     alpha: float
     beta: float
+    rate: float
     runs: int
     sizes: np.ndarray
     dividers: np.ndarray
@@ -319,6 +325,7 @@ def _plan_runs(
     sizes: np.ndarray,
     alpha: float,
     beta: float,
+    rate: float,
     poisson_mean: float,
     abort_excess: tuple[float, float],
     k: int,
@@ -328,15 +335,14 @@ def _plan_runs(
 
     The iid flags ``F_x ~ Bernoulli(alpha)`` and ``F_y ~ Bernoulli(beta)``
     make a sample a divider with probability
-    ``r = 1 - (1 - alpha)(1 - beta)``, so each side holds
-    ``D ~ Binomial(size, r)`` dividers at a uniform ``D``-subset of
+    ``rate = 1 - (1 - alpha)(1 - beta)``, so each side holds
+    ``D ~ Binomial(size, rate)`` dividers at a uniform ``D``-subset of
     positions: the same law (Devroye 1986). A run aborts, adding
     ``(0, 0)``, when a side has more dividers than ``abort_excess`` or a
     Poisson size ``ell`` exceeds the kept count; an aborted run adds no
     items, matching the convention that its flattened sets are empty.
-    The positions are drawn only when the plan is finished.
+    The dividers are placed only when the plan is finished.
     """
-    rate = 1.0 - (1.0 - alpha) * (1.0 - beta)
     gen = rng.generator()
     dividers = gen.binomial(sizes, rate, size=(k, 2))
     ell = gen.poisson(poisson_mean, size=(k, 2))
@@ -349,17 +355,35 @@ def _plan_runs(
     runs = ell.size // 2
     if runs == 0:
         return None
-    return _RunPlan(alpha, beta, runs, sizes, dividers, ell, gen)
+    return _RunPlan(alpha, beta, rate, runs, sizes, dividers, ell, gen)
 
 
-# The (segment, position) arrays of a plan's dividers.
-_Placed = tuple[np.ndarray, np.ndarray]
+# The segment and position arrays of a plan's dividers, and their (2, D)
+# flags: row 0 is F_x, row 1 is F_y.
+_Placed = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _place_dividers(plans: list[_RunPlan]) -> list[_Placed]:
-    """Each plan's divider positions (:func:`_distinct_positions`), drawn from its generator."""
-    return [_distinct_positions(np.repeat(plan.sizes, plan.runs), plan.dividers, plan.gen)
-            for plan in plans]
+    """Each plan's dividers, drawn from its generator: their positions, then their types.
+
+    The positions are :func:`_distinct_positions`. Each divider is
+    x-only, both or y-only with weights
+    ``alpha(1-beta) : alpha beta : (1-alpha) beta``: it has ``F_x`` with
+    probability ``alpha / rate``, and ``F_x`` alone makes it a divider,
+    so ``F_y`` is then an independent Bernoulli(beta), else 1. These are
+    the last draws of a plan's generator.
+    """
+    placed = []
+    for plan in plans:
+        gen = plan.gen
+        seg, pos = _distinct_positions(np.repeat(plan.sizes, plan.runs), plan.dividers, gen)
+        # Row 1 becomes F_y in place: its draw, or no F_x (row 1 >= row 0).
+        # Bool temporaries of every length would each stay in numpy's cache
+        # of small buffers.
+        flags = gen.random((2, seg.size)) * [[plan.rate], [1.0]] < [[plan.alpha], [plan.beta]]
+        np.greater_equal(flags[1], flags[0], out=flags[1])
+        placed.append((seg, pos, flags))
+    return placed
 
 
 def _finish_runs(
@@ -370,24 +394,24 @@ def _finish_runs(
 ) -> tuple[float, float]:
     """``(Z, N)`` of the kept samples of the live runs of ``plan``, whose dividers are ``placed``.
 
-    ``coords`` holds the rows and the columns of the pairs of side 0 at
+    A pure function of its arguments: it draws nothing, since the
+    placement holds the divider types. ``coords`` holds the rows and the columns of the pairs of side 0 at
     the sorted positions ``touched[0]``, then of side 1 at
     ``touched[1]``. Kept samples lie in the prefix ``[0, P)`` that
     ``touched[s]`` starts with (:func:`_touched_positions`), so their
     positions index the side directly; only the dividers are looked up.
 
     The kept samples are the first ``ell`` non-dividers, computed from
-    the sorted divider positions alone. Each divider is x-only, both or
-    y-only with weights ``alpha(1-beta) : alpha beta : (1-alpha) beta``.
-    Segment ``s`` holds run ``s % runs``, so the ``(run, cell)`` of each
+    the sorted divider positions alone. Segment ``s`` holds run
+    ``s % runs``, so the ``(run, cell)`` of each
     kept sample, the ``(run, row)`` of each x-flagged divider and the
     ``(run, column)`` of each y-flagged one give every run's cells with
     at least 2 samples at once (:func:`_shared_cells`); rows and columns
     are bounded by those of the pairs in ``coords``. Each such cell adds
     its two means (:data:`.cell_means.CELL_MEANS`).
     """
-    runs, dividers, ell, gen = plan.runs, plan.dividers, plan.ell, plan.gen
-    div_seg, div_pos = placed
+    runs, dividers, ell = plan.runs, plan.dividers, plan.ell
+    div_seg, div_pos, flags = placed
     kept_p = int(ell[:runs].sum())
     div_p = int(dividers[:runs].sum())
     # Divider t, the t-th of its segment, has gap = pos_t - t
@@ -410,14 +434,6 @@ def _finish_runs(
     del free
     div_at = np.concatenate([np.searchsorted(touched[0], div_pos[:div_p]),
                              np.searchsorted(touched[1], div_pos[div_p:]) + side1])
-    # A divider has F_x with probability alpha / r; F_x alone makes it a
-    # divider, so F_y is then an independent Bernoulli(beta), else 1.
-    rate = 1.0 - (1.0 - plan.alpha) * (1.0 - plan.beta)
-    # Row 0 is F_x. Row 1 becomes F_y in place: its draw, or no F_x
-    # (row 1 >= row 0). Bool temporaries of every length would each stay
-    # in numpy's cache of small buffers.
-    flags = gen.random((2, div_seg.size)) * [[rate], [1.0]] < [[plan.alpha], [plan.beta]]
-    np.greater_equal(flags[1], flags[0], out=flags[1])
     height = int(coords[0].max(initial=0)) + 1
     width = int(coords[1].max(initial=0)) + 1
     if runs * height * width >= 2**62:
@@ -451,7 +467,7 @@ def _touched_positions(
     touched = []
     for side in (0, 1):
         reach, scattered = 0, [np.zeros(0, dtype=np.int64)]
-        for plan, (_, div_pos) in zip(plans, placed):
+        for plan, (_, div_pos, _) in zip(plans, placed):
             reach = max(reach, int((plan.ell + plan.dividers).reshape(2, -1)[side].max()))
             cut = int(plan.dividers[: plan.runs].sum())
             scattered.append(div_pos[cut:] if side else div_pos[:cut])
@@ -489,13 +505,14 @@ def _plan_average(
     a = config.alpha(m) if alpha is None else alpha
     b = config.beta(m) if beta is None else beta
     mean = float(m) if poisson_mean is None else poisson_mean
-    run_items = 2.0 * mean + (1.0 - (1.0 - a) * (1.0 - b)) * sum(sizes)
+    rate = 1.0 - (1.0 - a) * (1.0 - b)
+    run_items = 2.0 * mean + rate * sum(sizes)
     chunk = max(1, int(_CHUNK_ITEMS // max(run_items, 1.0)))
     abort_excess = (10.0 * config.n1, 10.0 * config.n2)
     set_sizes = np.array(sizes)
     plans = [
         plan for c, start in enumerate(range(0, k, chunk))
-        if (plan := _plan_runs(set_sizes, a, b, mean, abort_excess,
+        if (plan := _plan_runs(set_sizes, a, b, rate, mean, abort_excess,
                                min(chunk, k - start), rng.substream("avg", c)))
     ]
     return k, plans
@@ -550,7 +567,7 @@ def averaged_stats(
     overrides of ``alpha``, ``beta`` and the Poisson mean of the
     truncation sizes exist for enumeration-scale tests; defaults follow
     the configuration (``alpha = min(n1/(100m), 1/100)``,
-    ``beta = n2/(100m)``, mean ``m``).
+    ``beta = min(n2/(100m), 1)``, mean ``m``).
     """
     sets = (np.asarray(sp_pairs, dtype=np.int64), np.asarray(sq_pairs, dtype=np.int64))
     sizes = (sets[0].shape[0], sets[1].shape[0])
@@ -666,26 +683,18 @@ def rep_independence_test(
     def median(estimates: list[tuple[int, list[_RunPlan], _PairsAt]], element: int) -> float:
         return float(np.median([_finish_average(*estimate)[element] for estimate in estimates]))
 
-    n_threshold = float(
-        internal.substream("threshold-N").generator().uniform(2 * config.c_n, 100 * config.c_n)
-    ) * stage1_scale(m, config.n1, config.n2)
+    n_threshold = uniform_threshold(internal.substream("threshold-N"), 2 * config.c_n,
+                                    100 * config.c_n, stage1_scale(m, config.n1, config.n2))
     stage1 = planned("stage1")
     bound = max(_kept_bound(k, runs) for k, runs, _ in stage1)
     detail = {"m": m, "stage1_bound": bound, "stage1_certified": bound <= n_threshold}
     if not detail["stage1_certified"]:
-        n_hat = median(stage1, 1)
-        if n_hat > n_threshold:
-            return TesterVerdict(
-                accept=False, statistic=n_hat, threshold=n_threshold,
-                detail={"stage": 1, **detail},
-            )
-        detail["stage1_statistic"] = n_hat
+        verdict = decide(median(stage1, 1), n_threshold, {"stage": 1, **detail})
+        if not verdict.accept:
+            return verdict
+        detail["stage1_statistic"] = verdict.statistic
 
-    z_threshold = float(
-        internal.substream("threshold-Z").generator().uniform(config.c_i1, config.c_i2)
-    ) * independence_gap(m, config.n1, config.n2, config.epsilon)
-    z_hat = median(planned("stage2"), 0)
-    return TesterVerdict(
-        accept=z_hat <= z_threshold, statistic=z_hat, threshold=z_threshold,
-        detail={"stage": 2, **detail, "stage1_threshold": n_threshold},
-    )
+    z_threshold = uniform_threshold(internal.substream("threshold-Z"), config.c_i1, config.c_i2,
+                                    independence_gap(m, config.n1, config.n2, config.epsilon))
+    return decide(median(planned("stage2"), 0), z_threshold,
+                  {"stage": 2, **detail, "stage1_threshold": n_threshold})

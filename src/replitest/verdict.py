@@ -1,4 +1,12 @@
-"""Verdict type, constant and sample-budget checks of all testers; gap threshold and verdict of 1D testers."""
+"""Verdict type, threshold law and accept rule of all testers; their constant and budget checks.
+
+Every tester accepts iff its statistic is at most a threshold drawn
+uniformly from its internal randomness (:func:`uniform_threshold`,
+:func:`decide`): the randomized threshold of Impagliazzo, Lei, Pitassi
+& Sorrell (STOC 2022). The 1D testers draw it in the middle half of the
+gap between their ceiling and floor (:func:`gap_verdict`); each
+independence stage draws a multiple of its scale.
+"""
 
 from __future__ import annotations
 
@@ -54,17 +62,26 @@ class TesterVerdict:
         return "accept" if self.accept else "reject"
 
 
+def uniform_threshold(rng: RngStream, low: float, high: float, scale: float) -> float:
+    """The threshold ``U(low, high) scale``, one uniform draw of ``rng``'s generator."""
+    return rng.generator().uniform(low, high) * scale
+
+
+def decide(z: float, r: float, detail: dict, calibrated: bool = True) -> TesterVerdict:
+    """The verdict on statistic ``z`` at threshold ``r``: accept iff ``z <= r``."""
+    return TesterVerdict(z <= r, float(z), float(r), calibrated, detail)
+
+
 def draw_gap_threshold(ceiling: float, floor: float, rng: RngStream) -> tuple[float, bool]:
     """Threshold ``r = ceiling + r0 (floor - ceiling)`` with ``r0 ~ U(1/4, 3/4)``.
 
-    This is the randomized threshold of Impagliazzo, Lei, Pitassi &
-    Sorrell (STOC 2022) in the middle half of the gap between the
-    completeness ceiling and the soundness floor. An empty gap (an
-    under-sampled run) draws nothing and returns ``(ceiling, False)``.
+    The middle half of the gap between the completeness ceiling and the
+    soundness floor. An empty gap (an under-sampled run) draws nothing
+    and returns ``(ceiling, False)``.
     """
     if floor <= ceiling:
         return ceiling, False
-    r = ceiling + rng.generator().uniform(0.25, 0.75) * (floor - ceiling)
+    r = ceiling + uniform_threshold(rng, 0.25, 0.75, floor - ceiling)
     if not ceiling < r < floor:
         raise AssertionError("threshold escaped the calibrated gap")
     return r, True
@@ -75,4 +92,4 @@ def gap_verdict(
 ) -> TesterVerdict:
     """Accept iff ``z <= r``, with ``r`` drawn from ``internal.substream("threshold")``."""
     r, calibrated = draw_gap_threshold(ceiling, floor, internal.substream("threshold"))
-    return TesterVerdict(z <= r, float(z), float(r), calibrated, detail)
+    return decide(z, r, detail, calibrated)

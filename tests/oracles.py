@@ -430,14 +430,15 @@ def sampled_order_finish(plan, placed, coords, touched) -> tuple[float, int]:
     """``(Z, N)`` of the live runs of an independence chunk plan, with drawn sub-bin orders.
 
     The finish of ``independence._finish_runs`` before its orders were
-    averaged out: the same kept samples and divider types from the same
-    generator draws, then one ``gen.permutation`` of all the chunk's
-    items per axis tags the rows and the columns (``subbin_indices`` on
-    ``run * radix + coordinate``), and :func:`key_stats` scores the
-    packed keys. The marks are averaged exactly, as they were.
+    averaged out: the same kept samples, the divider types of the
+    placement, then one ``gen.permutation`` of all the chunk's items per
+    axis, the plan's next draws, tags the rows and the columns
+    (``subbin_indices`` on ``run * radix + coordinate``), and
+    :func:`key_stats` scores the packed keys. The marks are averaged
+    exactly, as they were.
     """
     runs, dividers, ell, gen = plan.runs, plan.dividers, plan.ell, plan.gen
-    div_seg, div_pos = placed
+    div_seg, div_pos, types = placed
     kept = int(ell.sum())
     kept_p = int(ell[:runs].sum())
     div_p = int(dividers[:runs].sum())
@@ -457,12 +458,9 @@ def sampled_order_finish(plan, placed, coords, touched) -> tuple[float, int]:
         np.searchsorted(touched[0], div_pos[:div_p]),
         np.searchsorted(touched[1], div_pos[div_p:]) + side1,
     ])
-    rate = 1.0 - (1.0 - plan.alpha) * (1.0 - plan.beta)
-    u = gen.random((2, div_seg.size))
     fx = np.zeros(items, dtype=bool)
     fy = np.zeros(items, dtype=bool)
-    fx[kept:] = u[0] * rate < plan.alpha
-    fy[kept:] = (u[1] < plan.beta) | ~fx[kept:]
+    fx[kept:], fy[kept:] = types
     seg_run = np.arange(ell.size) % runs
     columns = []
     for axis, flags in ((0, fx), (1, fy)):

@@ -250,9 +250,14 @@ _ACCEPTANCE_PARAMS = {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform
     ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": {"min:accept_rate": True}}},
      "'min:accept_rate'"),
     ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": [1]}}, "'check'"),
+    # a misspelled or empty table would leave the run unguarded
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "chek": {"min:accept_rate": 0.9}}},
+     "'check'"),
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": {}}}, "'check'"),
     ([1, 2], "must hold a JSON object"),
     ({**_ACCEPTANCE, "params": [1]}, "params"),
-], ids=["string-bound", "bool-bound", "check-list", "config-list", "params-list"])
+], ids=["string-bound", "bool-bound", "check-list", "misspelled-check", "empty-check",
+        "config-list", "params-list"])
 def test_experiment_config_of_the_wrong_shape_fails_before_the_run(
     tmp_path, capsys, monkeypatch, config, named
 ):

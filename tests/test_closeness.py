@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replitest.calibrated import INDEPENDENCE_DESK
 from replitest.cli import _pool_sampler
 from replitest.closeness import (
     ClosenessConfig,
@@ -12,9 +13,15 @@ from replitest.closeness import (
     rep_closeness_test,
     soundness_floor,
 )
+from replitest.independence import IndependenceConfig, independence_gap, stage1_scale
 from replitest.measures import half_flat_measure, measure_1d, uniform_measure
 from replitest.rng import RngStream
-from replitest.verdict import CalibrationError, draw_gap_threshold, gap_verdict
+from replitest.verdict import (
+    CalibrationError,
+    draw_gap_threshold,
+    gap_verdict,
+    uniform_threshold,
+)
 
 ROOT = RngStream(424242, "closeness-tests")
 
@@ -95,14 +102,34 @@ def test_threshold_miscalibration_signals():
 
 
 def test_threshold_mean():
-    draws = 10**5
+    # The one threshold law at its three uses: the 1D testers' middle half
+    # of the gap (ceiling C1 sqrt(m) = 100, R = 1000), independence stage 1
+    # on [2 C_N, 100 C_N] times its scale and stage 2 on [C_I1, C_I2]
+    # times the gap, at the desk (40, 20). Every draw lies in its support
+    # and the mean within 3 se of its midpoint; a uniform draw on
+    # [low, high] has sd (high - low) / sqrt(12), so the middle half's
+    # r0 ~ U(1/4, 3/4) has sd 1/(4 sqrt(3)).
     stream = ROOT.substream("thr-mean")
-    values = np.array([draw_gap_threshold(100.0, 1000.0, stream.substream(t))[0]
-                       for t in range(draws)])
-    # mean is C1 sqrt(m) + (R - C1 sqrt(m)) / 2; r0 has sd 1/(4 sqrt(3))
-    expected = 100.0 + 450.0
-    sigma = 900.0 / (4 * math.sqrt(3)) / math.sqrt(draws)
-    assert abs(values.mean() - expected) <= 3 * sigma
+    config = IndependenceConfig(n1=40, n2=20, epsilon=0.35, rho=0.2, **INDEPENDENCE_DESK)
+    m = config.sample_size()
+    n_scale = stage1_scale(m, config.n1, config.n2)
+    z_scale = independence_gap(m, config.n1, config.n2, config.epsilon)
+    c_n, c_i1, c_i2 = config.c_n, config.c_i1, config.c_i2
+    cases = [
+        (lambda t: draw_gap_threshold(100.0, 1000.0, stream.substream(t))[0],
+         100.0 + 225.0, 100.0 + 675.0, 10**5),
+        (lambda t: uniform_threshold(stream.substream(t, "internal").substream("threshold-N"),
+                                     2 * c_n, 100 * c_n, n_scale),
+         2 * c_n * n_scale, 100 * c_n * n_scale, 2000),
+        (lambda t: uniform_threshold(stream.substream(t, "internal").substream("threshold-Z"),
+                                     c_i1, c_i2, z_scale),
+         c_i1 * z_scale, c_i2 * z_scale, 2000),
+    ]
+    for draw, low, high, draws in cases:
+        values = np.array([draw(t) for t in range(draws)])
+        assert np.all((low <= values) & (values <= high))
+        sigma = (high - low) / math.sqrt(12) / math.sqrt(draws)
+        assert abs(values.mean() - (low + high) / 2) <= 3 * sigma
 
 
 def test_gap_verdict_accepts_on_a_tie_and_rejects_just_above():
@@ -130,7 +157,7 @@ def test_gap_verdict_threshold_is_a_function_of_the_internal_stream():
 
 def test_config_enforces_gap_condition():
     ClosenessConfig(n=100, epsilon=0.3, rho=0.1)  # fine with defaults
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="raise m_scale or lower C1"):
         ClosenessConfig(n=100, epsilon=0.3, rho=0.1, c2=0.5)
 
 

@@ -31,6 +31,7 @@ from replitest.measures import (
 )
 from replitest.rng import RngStream
 from replitest.sampling import measure_sampler
+from replitest.verdict import uniform_threshold
 
 from oracles import (
     enumerate_independence_means,
@@ -733,6 +734,47 @@ def test_sampled_order_reference_gives_the_values_before_the_order_average(path,
         planned = (*ind._plan_average((sp.shape[0], sq.shape[0]), config,
                                       rng.substream("fixed-runs"), None), _pairs_at(sp, sq))
     assert sampled_order_average(*planned) == SAMPLED_ORDER_PINNED[path, case, seed]
+
+
+@pytest.mark.parametrize("case", ["product", "diagonal"])
+def test_a_finish_draws_nothing(case):
+    # planning and placement hold all of a run's randomness, so finishing
+    # one plan and placement twice gives the same (Z, N)
+    config, sp, sq, rng = _fixed_desk_sets(case, 1)
+    k, plans = ind._plan_average((sp.shape[0], sq.shape[0]), config,
+                                 rng.substream("fixed-runs"), None)
+    placed = ind._place_dividers(plans)
+    touched = ind._touched_positions(plans, placed)
+    coords = _pairs_at(sp, sq)(touched)
+    assert len(plans) > 1
+    for plan, where in zip(plans, placed):
+        first = ind._finish_runs(plan, where, coords, touched)
+        assert ind._finish_runs(plan, where, coords, touched) == first
+
+
+@pytest.mark.parametrize("case, c_n, seed", [
+    ("product", None, 1), ("diagonal", None, 2), ("diagonal", 0.005, 0), ("diagonal", 0.005, 1),
+])
+def test_verdict_thresholds_are_the_shared_draw_on_the_internal_substreams(case, c_n, seed):
+    # stage 2 at the desk constants; with C_N = 0.005 stage 1 runs and
+    # rejects, and its verdict carries the stage 1 threshold
+    p, config = _desk_case(case)
+    if c_n is not None:
+        config = IndependenceConfig(n1=20, n2=20, epsilon=0.35, rho=0.2,
+                                    **{**INDEPENDENCE_DESK, "c_n": c_n, "k_avg": 20})
+    rng = ROOT.substream("shared-threshold", case, seed)
+    verdict = rep_independence_test(p, config, rng)
+    internal, m, (n1, n2) = rng.substream("internal"), config.sample_size(), (config.n1, config.n2)
+    n_threshold = uniform_threshold(internal.substream("threshold-N"), 2 * config.c_n,
+                                    100 * config.c_n, stage1_scale(m, n1, n2))
+    if c_n is None:
+        z_threshold = uniform_threshold(internal.substream("threshold-Z"), config.c_i1,
+                                        config.c_i2, independence_gap(m, n1, n2, config.epsilon))
+        assert verdict.detail["stage"] == 2
+        assert (verdict.threshold, verdict.detail["stage1_threshold"]) == (z_threshold, n_threshold)
+    else:
+        assert (verdict.detail["stage"], verdict.accept) == (1, False)
+        assert verdict.threshold == n_threshold < verdict.statistic
 
 
 @pytest.mark.parametrize("case, seed, runs", [("product", 1, 1000), ("diagonal", 1, 1000)])

@@ -4,13 +4,15 @@
 
 Run from the root of the git checkout. The change is the working tree's
 tracked files (``git stash create``; stage new files first), or ``HEAD``
-when the tree is clean; the parent is its first parent. Both are
-exported with ``git archive`` into a fresh temporary directory, and
-``bench/run.py`` of each copy runs unchanged, as ``BENCHMARK.json``
-declares it, one process at a time, for every declared workload and its
-``run_seconds``. Pair ``i`` of the 10 runs seed ``first_seed + i`` on
-both trees, the parent first in even pairs and the change first in odd
-ones.
+when the tree is clean or its only tracked changes are ``BENCH_*.json``
+files at the root, which this tool writes; the parent is the change's
+first parent, and both resolved commits are printed to stderr before
+the first run. Both are exported with ``git archive`` into a fresh
+temporary directory, and ``bench/run.py`` of each copy runs unchanged,
+as ``BENCHMARK.json`` declares it, one process at a time, for every
+declared workload and its ``run_seconds``. Pair ``i`` of the 10 runs
+seed ``first_seed + i`` on both trees, the parent first in even pairs
+and the change first in odd ones.
 
 The output holds, per workload and end-to-end metric, each tree's
 median and interquartile range over the pairs and the pairs the change
@@ -27,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
 import shutil
 import statistics
@@ -47,6 +50,20 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def resolve() -> tuple[str, str, bool]:
+    """``(change, parent, from_working_tree)``: the commits a run compares.
+
+    A BENCH file left modified by an earlier run is not a change to
+    measure: with it, the working tree would be measured against the
+    commit it was written for.
+    """
+    changed = git("diff", "--name-only", "HEAD").splitlines()
+    ours = all(re.fullmatch(r"BENCH_[^/]*\.json", name) for name in changed)
+    stash = "" if ours else git("stash", "create")
+    change = git("rev-parse", stash or "HEAD")
+    return change, git("rev-parse", f"{change}^"), bool(stash)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -137,9 +154,9 @@ def main(argv=None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
-    stash = git("stash", "create")
-    change = git("rev-parse", stash or "HEAD")
-    parent = git("rev-parse", f"{change}^")
+    change, parent, from_working_tree = resolve()
+    print(f"change {change} ({'the working tree' if from_working_tree else 'HEAD'}), "
+          f"parent {parent}", file=sys.stderr)
     base = Path(tempfile.mkdtemp(prefix="bench_compare-"))
     copies = {"parent": base / "parent", "change": base / "change"}
     try:
@@ -149,7 +166,7 @@ def main(argv=None) -> int:
             "commit": change, "parent": parent,
             # A working-tree commit is not on any branch; its src tree
             # hash matches the commit that later records the same files.
-            "from_working_tree": bool(stash),
+            "from_working_tree": from_working_tree,
             "src_tree": {"change": git("rev-parse", f"{change}:src"),
                          "parent": git("rev-parse", f"{parent}:src")},
             "nproc": os.cpu_count(), "cpus_allowed": len(os.sched_getaffinity(0)),
