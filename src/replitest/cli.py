@@ -23,10 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
+    _AGGREGATE_KEYS,
     _KERNELS,
     TESTERS,
     ConfigError,
     ExperimentConfig,
+    _pick,
     _tester,
     calibrate,
     read_json_object,
@@ -134,12 +136,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_checks(checks: object) -> list[tuple[str, str, float]]:
+def _parse_checks(kind: str, checks: object) -> list[tuple[str, str, float]]:
     """``(direction, metric, bound)`` per ``"min:METRIC"`` or ``"max:METRIC"`` key.
 
     ``checks`` is ``params["check"]``, ``None`` when absent. A run with
     ``--check`` needs at least one bound, so that a misspelled or empty
-    table cannot pass unguarded.
+    table cannot pass unguarded, and each metric must be a key of the
+    ``kind``'s aggregate, so that a misspelled one fails before the
+    first trial.
     """
     if not isinstance(checks, dict) or not checks:
         raise ConfigError(f"--check needs a params 'check' object of bounds, not {checks!r}")
@@ -150,6 +154,7 @@ def _parse_checks(checks: object) -> list[tuple[str, str, float]]:
             raise ConfigError(f"check key {key!r} is not 'min:METRIC' or 'max:METRIC'")
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise ConfigError(f"check {key!r} bound {bound!r} is not a number")
+        _pick(dict.fromkeys(_AGGREGATE_KEYS[kind]), f"{kind} check metric", metric)
         parsed.append((direction, metric, bound))
     return parsed
 
@@ -161,13 +166,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.constants:
         overrides["params"] = {**config.params, **_load_constants(args.constants)}
     config = dataclasses.replace(config, **overrides)
-    checks = _parse_checks(config.params.get("check")) if args.check else []
+    checks = _parse_checks(config.kind, config.params.get("check")) if args.check else []
     result = run_experiment(config, processes=max(1, args.processes))
     print(json.dumps({"kind": config.kind, "aggregate": result.aggregate}, indent=2))
     for direction, metric, bound in checks:
-        value = result.aggregate.get(metric)
-        if value is None:
-            print(f"check failed: metric {metric!r} missing", file=sys.stderr)
+        value = result.aggregate[metric]
+        if not isinstance(value, (int, float)):  # mixing's initial, concentration's xi_grid
+            print(f"check failed: metric {metric!r} is {value!r}, not a number", file=sys.stderr)
             return EXIT_CHECK_FAILED
         ok = value >= bound if direction == "min" else value <= bound
         if not ok:

@@ -563,6 +563,17 @@ _KINDS = {
 }
 
 
+# The keys of each kind's aggregate: the metrics a ``check`` table may bound.
+_AGGREGATE_KEYS = {
+    **{f"{name}-acceptance": ("trials", "accept_rate", "reject_rate", "stderr")
+       for name in TESTERS},
+    "replicability": ("pairs", "disagreement_rate", "stderr"),
+    "variance-audit": ("m", "mean", "variance", "variance_per_m"),
+    "mixing": ("tau_delta", "delta", "gap_estimate", "initial"),
+    "concentration": ("max_deviation_fraction", "xi_grid"),
+}
+
+
 def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentResult:
     """Execute one experiment; deterministic given ``(config, seed)``.
 

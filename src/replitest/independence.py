@@ -59,7 +59,8 @@ Every estimate ``(Z_a, N_a)`` takes one path, for fixed sample sets
   types, the last draws of the chunk's generator. So planning and
   placement hold all of a run's randomness. The plans name the
   positions the runs read: a prefix that holds every kept sample, plus
-  the scattered dividers beyond it.
+  the scattered dividers beyond it. The one sort that orders those
+  also gives each divider's place among them.
 - Pairs. The rows and columns of the pairs at those positions come as
   one ``(2, T0 + T1)`` array. Fixed sets are indexed there. The tester,
   which never draws its sets of ``100 m`` pairs in full, draws pairs
@@ -70,15 +71,21 @@ Every estimate ``(Z_a, N_a)`` takes one path, for fixed sample sets
   Raghavan, *Randomized Algorithms*, 1995). At desk scale a set then
   holds about 3,600 of its 58,000 pairs.
 - Finish (:func:`_finish_runs`), a pure function of a plan, its
-  placement and the pairs: it draws nothing. Each chunk finds its kept
-  samples from the divider positions alone. Keys carry
-  the run index, so one sort of the chunk's ``(run, cell, side)`` keys
-  gives every run's cells with their ``(a, b)``, and the flagged
-  dividers give each run's ``F_r`` and ``F_c``. A cell's two means
-  depend on ``(a, b, F_r, F_c)`` alone and are memoised
-  (:mod:`.cell_means`), so a chunk costs one sort and one lookup of its
-  cells: it draws no order and sorts no sub-bin. A cell not yet in the
-  memo costs ``O((F_r + F_c + 1) n)`` for its ``n`` samples.
+  placement and the pairs: it draws nothing. A segment keeps the first
+  ``L = ell + c`` positions of its side less its ``c`` leading
+  dividers (:func:`_leading`), so every run of a side keeps from one
+  prefix of the same pairs. Once per estimate, one ``np.unique`` names
+  the ``U`` distinct cells of the pairs in both sides' prefixes, up to
+  their longest ``L``. A chunk then counts every run's cells from the
+  counts of its shortest prefix on each side, plus each run's own tail
+  beyond it, minus its leading dividers: a ``(2, runs, U)`` count, in
+  ``O(runs U)`` with no sort, whose cells of at least 2 samples give
+  ``(a, b)``; the flagged dividers give each run's ``F_r`` and
+  ``F_c``. A cell's two means depend on ``(a, b, F_r, F_c)`` alone and
+  are memoised (:mod:`.cell_means`), so a chunk costs its counts and
+  one lookup of its cells: it draws no order and sorts no sub-bin. A
+  cell not yet in the memo costs ``O((F_r + F_c + 1) n)`` for its ``n``
+  samples.
 """
 
 from __future__ import annotations
@@ -225,53 +232,9 @@ def closeness_stat_marked(sp_keys: np.ndarray, sq_keys: np.ndarray, rng: RngStre
 
 # Expected kept samples plus dividers in one chunk of averaged runs: it
 # bounds the working memory of an average, whatever K_avg is. A chunk's
-# largest arrays hold one int64 per item (about 128 KB at 2^14 items),
-# and all are freed when the chunk ends.
+# largest array, its cell counts, holds about two int64 per item (about
+# 256 KB at 2^14 items), and all are freed when the chunk ends.
 _CHUNK_ITEMS = 2**14
-
-
-def _shared_cells(
-    cells: np.ndarray,
-    kept_p: int,
-    shape: tuple[int, int],
-    x_flags: np.ndarray,
-    y_flags: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(a, b, F_r, F_c)`` of every cell of at least 2 kept samples, of every run.
-
-    Rows lie in ``range(height)`` and columns in ``range(width)``,
-    ``shape = (height, width)``. A kept sample of run ``j`` in row ``r``
-    and column ``c`` has ``cells[i] = (j height + r) width + c``, and the
-    first ``kept_p`` are from ``S_p``; ``cells`` is overwritten.
-    ``x_flags`` holds ``j height + r`` for each x-flagged divider of run
-    ``j`` in row ``r``, and ``y_flags`` ``j width + c`` for each
-    y-flagged one in column ``c``. One in-place sort of ``2 cell + side``
-    lists each cell's samples together, the ``S_p`` ones first, so a
-    cell's group size and the start of its odd entries give ``(a, b)``.
-    A cell's ``F_r`` counts the x-flags of its run and row, its ``F_c``
-    the y-flags of its run and column. A singleton cell adds 0 to both
-    means, so it is left out.
-    """
-    height, width = shape
-    keys = cells
-    keys <<= 1
-    keys[kept_p:] += 1
-    keys.sort()
-    # Group starts, where the cell changes, plus the end of the last group.
-    first = np.ones(keys.size + 1, dtype=bool)
-    np.greater(keys[1:] ^ keys[:-1], 1, out=first[1:-1])
-    bounds = np.flatnonzero(first)
-    shared = np.flatnonzero(np.diff(bounds) - 1)  # groups of 2 or more, without a bool temporary
-    lo = bounds.take(shared)
-    hi = bounds.take(shared + 1)
-    b = hi - np.searchsorted(keys, keys.take(lo) | 1)
-    run_row, col = np.divmod(keys.take(lo) >> 1, width)
-    run_col = run_row // height * width + col
-
-    def flags_at(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
-        return np.bincount(flags, minlength=int(at.max(initial=-1)) + 1)[at]
-
-    return hi - lo - b, b, flags_at(x_flags, run_row), flags_at(y_flags, run_col)
 
 
 def _distinct_positions(
@@ -386,96 +349,148 @@ def _place_dividers(plans: list[_RunPlan]) -> list[_Placed]:
     return placed
 
 
+def _leading(plan: _RunPlan, placed: _Placed) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the leading dividers of ``plan``, and each segment's prefix ``ell + c``.
+
+    Divider t, the t-th of its segment, has gap = pos_t - t non-dividers
+    before it, so it leads the segment's ell-th kept sample iff
+    gap < ell. With c leading dividers, the kept samples are the free
+    slots of the segment's first ell + c positions.
+    """
+    dividers, ell = plan.dividers, plan.ell
+    div_seg, div_pos, _ = placed
+    gap = div_pos - np.arange(div_seg.size)
+    gap += np.repeat(np.cumsum(dividers) - dividers, dividers)
+    lead = gap < np.repeat(ell, dividers)
+    return lead, ell + np.bincount(div_seg[lead], minlength=ell.size)
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """The pairs an estimate's runs read, and the cells of those they can keep.
+
+    ``coords`` holds the rows and the columns of the pairs of side 0 at
+    its touched positions, then of side 1 at its touched positions
+    (:func:`_touched_positions`), each of which starts with the prefix that
+    holds every kept sample; rows lie in ``range(shape[0])`` and columns
+    in ``range(shape[1])``. ``reach`` is side 0's longest segment prefix
+    ``ell + c``: ``inverse[i]`` is the index in ``rows`` and ``cols`` of
+    the cell of position ``i`` of side 0 below it, and
+    ``inverse[reach + i]`` that of position ``i`` of side 1, up to side
+    1's longest prefix.
+    """
+
+    coords: np.ndarray
+    shape: tuple[int, int]
+    reach: int
+    inverse: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
 def _finish_runs(
     plan: _RunPlan,
     placed: _Placed,
-    coords: np.ndarray,
-    touched: tuple[np.ndarray, np.ndarray],
+    reads: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cells: _Cells,
 ) -> tuple[float, float]:
     """``(Z, N)`` of the kept samples of the live runs of ``plan``, whose dividers are ``placed``.
 
     A pure function of its arguments: it draws nothing, since the
-    placement holds the divider types. ``coords`` holds the rows and the columns of the pairs of side 0 at
-    the sorted positions ``touched[0]``, then of side 1 at
-    ``touched[1]``. Kept samples lie in the prefix ``[0, P)`` that
-    ``touched[s]`` starts with (:func:`_touched_positions`), so their
-    positions index the side directly; only the dividers are looked up.
-
-    The kept samples are the first ``ell`` non-dividers, computed from
-    the sorted divider positions alone. Segment ``s`` holds run
-    ``s % runs``, so the ``(run, cell)`` of each
-    kept sample, the ``(run, row)`` of each x-flagged divider and the
-    ``(run, column)`` of each y-flagged one give every run's cells with
-    at least 2 samples at once (:func:`_shared_cells`); rows and columns
-    are bounded by those of the pairs in ``coords``. Each such cell adds
-    its two means (:data:`.cell_means.CELL_MEANS`).
+    placement holds the divider types. ``reads`` holds :func:`_leading`
+    of the plan and the column of each divider in ``cells.coords``
+    (:func:`_touched_positions`). A segment keeps its prefix
+    ``[0, ell + c)`` less its ``c`` leading dividers, and every segment
+    of a side keeps from the same pairs. So its cell counts are those of
+    the side's shortest prefix in the chunk, plus those of its own tail
+    beyond it, minus its leading dividers: a ``(2, runs, U)`` count of
+    the ``U`` cells in ``cells``, from two bincounts and a subtraction,
+    with no sort. Segment ``s`` holds side ``s // runs`` of run
+    ``s % runs``. A run's ``F_r`` counts its x-flagged dividers in row
+    ``r``, and its ``F_c`` its y-flagged ones in column ``c``. Each cell
+    of at least 2 kept samples adds its two means
+    (:data:`.cell_means.CELL_MEANS`).
     """
-    runs, dividers, ell = plan.runs, plan.dividers, plan.ell
-    div_seg, div_pos, flags = placed
-    kept_p = int(ell[:runs].sum())
-    div_p = int(dividers[:runs].sum())
-    # Divider t, the t-th of its segment, has gap = pos_t - t
-    # non-dividers before it, so it leads the segment's ell-th kept sample
-    # iff gap < ell. With c leading dividers, the kept samples are the
-    # free slots of the segment's first ell + c positions.
-    gap = div_pos - np.arange(div_seg.size)
-    gap += np.repeat(np.cumsum(dividers) - dividers, dividers)
-    lead = gap < np.repeat(ell, dividers)
+    runs, (div_seg, div_pos, flags), (lead, span, div_at) = plan.runs, placed, reads
+    size = cells.rows.size
+    # Segment s reads its side's cells from base[s] in cells.inverse.
+    base = np.repeat([0, cells.reach], runs)
+    low = np.repeat([span[:runs].min(), span[runs:].min()], runs)
+    tail = span - low
+    at = np.arange(int(tail.sum()))
+    at += np.repeat(base + low - (np.cumsum(tail) - tail), tail)
+    keys = cells.inverse.take(at)
+    keys += np.repeat(np.arange(2 * runs) * size, tail)
+    counts = np.bincount(keys, minlength=2 * runs * size)
+    del at, keys
     seg = div_seg[lead]
-    span = ell + np.bincount(seg, minlength=ell.size)
-    span_start = np.cumsum(span) - span
-    free = np.ones(int(span.sum()), dtype=bool)
-    free[span_start[seg] + div_pos[lead]] = False
-    # Side 1 follows side 0 in coords, so its slots sit side1 further on.
-    side1 = touched[0].size
-    span_start[runs:] -= side1
-    at = np.flatnonzero(free)
-    at -= np.repeat(span_start, ell)
-    del free
-    div_at = np.concatenate([np.searchsorted(touched[0], div_pos[:div_p]),
-                             np.searchsorted(touched[1], div_pos[div_p:]) + side1])
-    height = int(coords[0].max(initial=0)) + 1
-    width = int(coords[1].max(initial=0)) + 1
-    if runs * height * width >= 2**62:
-        raise OverflowError("2 * (run, cell) key does not fit in int64")
-    seg_run = np.arange(ell.size) % runs
-    cells = np.repeat(seg_run * height, ell)
-    cells += coords[0].take(at)
-    cells *= width
-    cells += coords[1].take(at)
-    del at
-    div_run = seg_run.take(div_seg)
-    x, y = np.flatnonzero(flags[0]), np.flatnonzero(flags[1])
-    shared = _shared_cells(cells, kept_p, (height, width),
-                           div_run.take(x) * height + coords[0].take(div_at.take(x)),
-                           div_run.take(y) * width + coords[1].take(div_at.take(y)))
-    # The kept samples' keys go before any cell is evaluated.
-    del cells
-    z, n = CELL_MEANS.sums(*shared)
+    np.subtract.at(counts, seg * size + cells.inverse.take(base.take(seg) + div_pos[lead]), 1)
+    counts.shape = (2, runs, size)
+    for side, start in enumerate((0, cells.reach)):
+        counts[side] += np.bincount(cells.inverse[start:start + low[side * runs]], minlength=size)
+    a, b = counts.reshape(2, -1)
+    shared = a + b
+    shared >>= 1  # nonzero where a cell keeps 2 samples or more, without a bool temporary
+    shared = np.flatnonzero(shared)
+    run, cell = np.divmod(shared, size)
+    div_run = div_seg % runs
+
+    def flags_at(axis: int, lines: np.ndarray) -> np.ndarray:
+        flagged = np.flatnonzero(flags[axis])
+        line = run * cells.shape[axis] + lines.take(cell)
+        flag_lines = div_run.take(flagged) * cells.shape[axis]
+        flag_lines += cells.coords[axis].take(div_at.take(flagged))
+        return np.bincount(flag_lines, minlength=int(line.max(initial=-1)) + 1)[line]
+
+    z, n = CELL_MEANS.sums(a.take(shared), b.take(shared),
+                           flags_at(0, cells.rows), flags_at(1, cells.cols))
     return float(z), float(n)
 
 
 def _touched_positions(
     plans: list[_RunPlan], placed: list[_Placed]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted positions of each side that some plan reads.
+) -> tuple[tuple[np.ndarray, np.ndarray], list[np.ndarray]]:
+    """Sorted positions of each side that some plan reads, and where each plan's dividers are.
 
     A side's prefix ``[0, P)``, with ``P = max_j(ell_j + D_j)`` over its
     segments, holds every kept sample; the divider positions at or above
-    ``P`` follow it, each once.
+    ``P`` follow it, each once. A plan's array gives the index of each of
+    its dividers in the two sides' positions, side 1 after side 0. One
+    sort of a side's divider positions, each packed with its place among
+    them, gives the positions beyond ``P`` in order and each divider's
+    rank among the distinct ones: a lookup with no search.
     """
-    touched = []
+    touched, found = [], []
+    cuts = [int(plan.dividers[: plan.runs].sum()) for plan in plans]
     for side in (0, 1):
-        reach, scattered = 0, [np.zeros(0, dtype=np.int64)]
-        for plan, (_, div_pos, _) in zip(plans, placed):
-            reach = max(reach, int((plan.ell + plan.dividers).reshape(2, -1)[side].max()))
-            cut = int(plan.dividers[: plan.runs].sum())
-            scattered.append(div_pos[cut:] if side else div_pos[:cut])
-        far = np.concatenate(scattered)
-        far = np.sort(far[far >= reach])
-        # np.unique does the same about ten times slower here.
-        touched.append(np.concatenate([np.arange(reach), far[:1], far[1:][far[1:] != far[:-1]]]))
-    return touched[0], touched[1]
+        reach = max((int((plan.ell + plan.dividers).reshape(2, -1)[side].max()) for plan in plans),
+                    default=0)
+        scattered = [div_pos[cut:] if side else div_pos[:cut]
+                     for (_, div_pos, _), cut in zip(placed, cuts)]
+        pos = np.concatenate([np.zeros(0, dtype=np.int64), *scattered])
+        shift = pos.size.bit_length()
+        if max(reach, int(pos.max(initial=0))) >> (62 - shift):
+            raise OverflowError("a divider position and its place do not fit in int64")
+        keys = pos << shift
+        keys |= np.arange(pos.size)
+        keys.sort()
+        far = keys[int(np.searchsorted(keys, reach << shift)):]
+        beyond = far >> shift
+        # A divider below P is at its position; one from P on, at P plus
+        # the number of distinct positions from P before its own.
+        at = np.empty(far.size, dtype=np.int64)
+        at[:1] = reach
+        np.not_equal(beyond[1:], beyond[:-1], out=at[1:])
+        np.cumsum(at, out=at)
+        line = np.arange(int(at[-1]) + 1 if at.size else reach)
+        line[at] = beyond
+        pos[far & ((1 << shift) - 1)] = at
+        if side:
+            pos += touched[0].size
+        touched.append(line)
+        ends = np.cumsum([0] + [part.size for part in scattered])
+        found.append([pos[start:end] for start, end in zip(ends[:-1], ends[1:])])
+    return (touched[0], touched[1]), [np.concatenate(at) for at in zip(*found)]
 
 
 # The rows and columns, shape (2, T0 + T1), of the pairs of both sample
@@ -537,9 +552,18 @@ def _finish_average(k: int, plans: list[_RunPlan], pairs_at: _PairsAt) -> tuple[
     its sub-bin orders and marks; an aborted run contributes ``(0, 0)``.
     """
     placed = _place_dividers(plans)
-    touched = _touched_positions(plans, placed)
+    touched, div_at = _touched_positions(plans, placed)
     coords = pairs_at(touched)
-    stats = [_finish_runs(plan, where, coords, touched) for plan, where in zip(plans, placed)]
+    reads = [(*_leading(plan, where), at) for plan, where, at in zip(plans, placed, div_at)]
+    reach = [max((int(span.reshape(2, -1)[side].max()) for _, span, _ in reads), default=0)
+             for side in (0, 1)]
+    side1 = touched[0].size
+    prefix = np.concatenate([coords[:, :reach[0]], coords[:, side1:side1 + reach[1]]], axis=1)
+    shape = (int(coords[0].max(initial=0)) + 1, int(coords[1].max(initial=0)) + 1)
+    codes, inverse = np.unique(prefix[0] * shape[1] + prefix[1], return_inverse=True)
+    cells = _Cells(coords, shape, reach[0], inverse, *np.divmod(codes, shape[1]))
+    stats = [_finish_runs(plan, where, read, cells)
+             for plan, where, read in zip(plans, placed, reads)]
     return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
 
 

@@ -7,7 +7,9 @@ assignment of the internal randomness (selector vectors, orders,
 truncation sizes with exact Poisson weights, markings). The sub-bin
 count law of an independence cell is summed in exact rationals, and
 the independence runs' finish with drawn sub-bin orders is kept as
-the sampled-order reference for the library's exact order average. The mixing
+the sampled-order reference for the library's exact order average, and
+their finish from one sort of every kept sample's key as the reference
+for the library's counts over the shared prefix. The mixing
 oracle powers the dense truncated kernel and diagonalises it whole, the
 point-mass oracle forms every row of ``post @ M``, and the product-walk
 oracle forms ``kron`` powers of the dense kernels.
@@ -25,6 +27,7 @@ from itertools import permutations, product
 import numpy as np
 
 import replitest.independence as ind
+from replitest import cell_means
 from replitest.flattening import pack_keys, subbin_indices
 from replitest.measures import NonNegativeMeasure, measure_2d
 from replitest.rng import RngStream
@@ -473,14 +476,103 @@ def sampled_order_finish(plan, placed, coords, touched) -> tuple[float, int]:
     return key_stats(pack_keys(pack_keys(*columns[:2]), *columns[2:]), kept_p)
 
 
+def _average(finish, k, plans, pairs_at) -> tuple[float, float]:
+    """``independence._finish_average`` with each chunk finished by ``finish``."""
+    placed = ind._place_dividers(plans)
+    touched, _ = ind._touched_positions(plans, placed)
+    coords = pairs_at(touched)
+    stats = [finish(plan, where, coords, touched) for plan, where in zip(plans, placed)]
+    return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
+
+
 def sampled_order_average(k, plans, pairs_at) -> tuple[float, float]:
     """``independence._finish_average`` with each chunk finished by :func:`sampled_order_finish`."""
-    placed = ind._place_dividers(plans)
-    touched = ind._touched_positions(plans, placed)
-    coords = pairs_at(touched)
-    stats = [sampled_order_finish(plan, where, coords, touched)
-             for plan, where in zip(plans, placed)]
-    return sum(z for z, _ in stats) / k, sum(n for _, n in stats) / k
+    return _average(sampled_order_finish, k, plans, pairs_at)
+
+
+def shared_cells(cells, kept_p: int, shape: tuple[int, int], x_flags, y_flags):
+    """``(a, b, F_r, F_c)`` of every cell of at least 2 kept samples, of every run.
+
+    Rows lie in ``range(height)`` and columns in ``range(width)``,
+    ``shape = (height, width)``. A kept sample of run ``j`` in row ``r``
+    and column ``c`` has ``cells[i] = (j height + r) width + c``, and the
+    first ``kept_p`` are from ``S_p``; ``cells`` is overwritten.
+    ``x_flags`` holds ``j height + r`` for each x-flagged divider of run
+    ``j`` in row ``r``, and ``y_flags`` ``j width + c`` for each
+    y-flagged one in column ``c``. One in-place sort of ``2 cell + side``
+    lists each cell's samples together, the ``S_p`` ones first, so a
+    cell's group size and the start of its odd entries give ``(a, b)``.
+    A cell's ``F_r`` counts the x-flags of its run and row, its ``F_c``
+    the y-flags of its run and column. A singleton cell adds 0 to both
+    means, so it is left out.
+    """
+    height, width = shape
+    keys = cells
+    keys <<= 1
+    keys[kept_p:] += 1
+    keys.sort()
+    # Group starts, where the cell changes, plus the end of the last group.
+    first = np.ones(keys.size + 1, dtype=bool)
+    np.greater(keys[1:] ^ keys[:-1], 1, out=first[1:-1])
+    bounds = np.flatnonzero(first)
+    shared = np.flatnonzero(np.diff(bounds) >= 2)
+    lo = bounds.take(shared)
+    hi = bounds.take(shared + 1)
+    b = hi - np.searchsorted(keys, keys.take(lo) | 1)
+    run_row, col = np.divmod(keys.take(lo) >> 1, width)
+    run_col = run_row // height * width + col
+
+    def flags_at(flags, at):
+        return np.bincount(flags, minlength=int(at.max(initial=-1)) + 1)[at]
+
+    return hi - lo - b, b, flags_at(x_flags, run_row), flags_at(y_flags, run_col)
+
+
+def sorted_key_finish(plan, placed, coords, touched) -> tuple[float, float]:
+    """``(Z, N)`` of the live runs of an independence chunk plan, from one sort of their keys.
+
+    The finish of ``independence._finish_runs`` before it counted its
+    cells from the prefix its runs share: the same kept samples and
+    divider types, each kept sample keyed by its ``(run, cell)``, and
+    :func:`shared_cells` of those keys, whose cells add their exact
+    means (``cell_means.CELL_MEANS``).
+    """
+    runs, dividers, ell = plan.runs, plan.dividers, plan.ell
+    div_seg, div_pos, flags = placed
+    kept_p = int(ell[:runs].sum())
+    div_p = int(dividers[:runs].sum())
+    gap = div_pos - np.arange(div_seg.size)
+    gap += np.repeat(np.cumsum(dividers) - dividers, dividers)
+    lead = gap < np.repeat(ell, dividers)
+    seg = div_seg[lead]
+    span = ell + np.bincount(seg, minlength=ell.size)
+    span_start = np.cumsum(span) - span
+    free = np.ones(int(span.sum()), dtype=bool)
+    free[span_start[seg] + div_pos[lead]] = False
+    side1 = touched[0].size
+    span_start[runs:] -= side1
+    at = np.flatnonzero(free) - np.repeat(span_start, ell)
+    div_at = np.concatenate([np.searchsorted(touched[0], div_pos[:div_p]),
+                             np.searchsorted(touched[1], div_pos[div_p:]) + side1])
+    height = int(coords[0].max(initial=0)) + 1
+    width = int(coords[1].max(initial=0)) + 1
+    seg_run = np.arange(ell.size) % runs
+    cells = np.repeat(seg_run * height, ell)
+    cells += coords[0].take(at)
+    cells *= width
+    cells += coords[1].take(at)
+    div_run = seg_run.take(div_seg)
+    x, y = np.flatnonzero(flags[0]), np.flatnonzero(flags[1])
+    shared = shared_cells(cells, kept_p, (height, width),
+                          div_run.take(x) * height + coords[0].take(div_at.take(x)),
+                          div_run.take(y) * width + coords[1].take(div_at.take(y)))
+    z, n = cell_means.CELL_MEANS.sums(*shared)
+    return float(z), float(n)
+
+
+def sorted_key_average(k, plans, pairs_at) -> tuple[float, float]:
+    """``independence._finish_average`` with each chunk finished by :func:`sorted_key_finish`."""
+    return _average(sorted_key_finish, k, plans, pairs_at)
 
 
 def dense_mixing_report(kernel, delta: float, *, initial="all", max_steps=64):

@@ -254,10 +254,13 @@ _ACCEPTANCE_PARAMS = {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform
     ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "chek": {"min:accept_rate": 0.9}}},
      "'check'"),
     ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": {}}}, "'check'"),
+    # a metric the kind does not report would fail only after every trial
+    ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": {"min:acept_rate": 0.9}}},
+     "'acept_rate'; expected one of trials, accept_rate, reject_rate, stderr"),
     ([1, 2], "must hold a JSON object"),
     ({**_ACCEPTANCE, "params": [1]}, "params"),
 ], ids=["string-bound", "bool-bound", "check-list", "misspelled-check", "empty-check",
-        "config-list", "params-list"])
+        "misspelled-metric", "config-list", "params-list"])
 def test_experiment_config_of_the_wrong_shape_fails_before_the_run(
     tmp_path, capsys, monkeypatch, config, named
 ):

@@ -140,6 +140,26 @@ def test_a_null_name_takes_its_default(kind, params, name):
     assert records({**params, name: None}) == records(params)
 
 
+_SMALL = {"n": 100, "epsilon": 0.3, "rho": 0.1}
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("closeness-acceptance", _SMALL),
+    ("uniformity-acceptance", _SMALL),
+    ("independence-acceptance", {"n1": 20, "n2": 10, "epsilon": 0.35, "rho": 0.2,
+                                 "m_scale": 0.05, "k_avg": 5}),
+    ("replicability", _SMALL),
+    ("variance-audit", _SMALL),
+    ("mixing", {"n": 1000, "m": 100, "xi": 0.2}),
+    ("concentration", {**_SMALL, "xi_grid": [0, 0.2], "draws_per_xi": 2}),
+])
+def test_each_kind_declares_the_keys_of_its_aggregate(kind, params):
+    # a check table may bound these keys, and no other
+    assert set(experiments._AGGREGATE_KEYS) == set(experiments._KINDS)
+    aggregate = run_experiment(ExperimentConfig(kind, seed=1, trials=2, params=params)).aggregate
+    assert tuple(aggregate) == experiments._AGGREGATE_KEYS[kind]
+
+
 @pytest.mark.parametrize("kind, params, name", [
     ("mixing", {"n": 1000, "m": 100, "xi": 0.2}, "delta"),
     ("mixing", {"n": 1000, "m": 100, "xi": 0.2}, "initial"),

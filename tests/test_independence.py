@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import replitest.independence as ind
@@ -40,6 +40,8 @@ from oracles import (
     key_stats,
     order_average_stats,
     sampled_order_average,
+    shared_cells,
+    sorted_key_average,
     zc_mean,
     zc_value,
 )
@@ -379,6 +381,25 @@ def test_desk_average_memory_is_bounded_by_the_chunk():
     assert peak < 4 * 2**20
 
 
+def test_average_memory_is_bounded_by_the_chunk_where_cells_outnumber_samples():
+    # 90,000 cells, and a run keeps about 7,300 samples; a chunk counts
+    # only the cells of the pairs in the prefixes its runs keep from
+    config = IndependenceConfig(n1=300, n2=300, epsilon=0.35, rho=0.2,
+                                **{**INDEPENDENCE_DESK, "m_scale": 0.02})
+    m = config.sample_size()
+    assert m == 3652
+    gen = ROOT.substream("memory-wide").generator()
+    sp, sq = (np.stack([gen.integers(0, 300, 100 * m), gen.integers(0, 300, 100 * m)], axis=1)
+              for _ in range(2))
+    tracemalloc.start()
+    try:
+        averaged_stats(sp, sq, config, ROOT.substream("memory-wide-avg"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_lazy_sets_equal_eager_sets_holding_the_drawn_pairs():
     # the lazy path draws pairs only at the touched positions; full sets
     # holding those pairs there and junk everywhere else must give the
@@ -392,7 +413,7 @@ def test_lazy_sets_equal_eager_sets_holding_the_drawn_pairs():
         lazy = sampled_averaged_stats(measure_sampler(p), config, sets, runs)
         # the same plans and pairs, planned again on the same streams
         _, plans, pairs_at = ind._plan_fresh(measure_sampler(p), config, sets, runs)
-        drawn = ind._touched_positions(plans, ind._place_dividers(plans))
+        drawn, _ = ind._touched_positions(plans, ind._place_dividers(plans))
         coords = pairs_at(drawn)
         assert drawn[0].size < size // 10 and drawn[1].size < size // 10
         junk = ROOT.substream("junk", t).generator()
@@ -737,19 +758,74 @@ def test_sampled_order_reference_gives_the_values_before_the_order_average(path,
 
 
 @pytest.mark.parametrize("case", ["product", "diagonal"])
-def test_a_finish_draws_nothing(case):
+def test_a_finish_draws_nothing(case, monkeypatch):
     # planning and placement hold all of a run's randomness, so finishing
     # one plan and placement twice gives the same (Z, N)
     config, sp, sq, rng = _fixed_desk_sets(case, 1)
     k, plans = ind._plan_average((sp.shape[0], sq.shape[0]), config,
                                  rng.substream("fixed-runs"), None)
-    placed = ind._place_dividers(plans)
-    touched = ind._touched_positions(plans, placed)
-    coords = _pairs_at(sp, sq)(touched)
-    assert len(plans) > 1
-    for plan, where in zip(plans, placed):
-        first = ind._finish_runs(plan, where, coords, touched)
-        assert ind._finish_runs(plan, where, coords, touched) == first
+    # each chunk's arguments, as the average builds them
+    calls = []
+    finish = ind._finish_runs
+    monkeypatch.setattr(ind, "_finish_runs", lambda *args: calls.append(args) or finish(*args))
+    ind._finish_average(k, plans, _pairs_at(sp, sq))
+    assert len(calls) == len(plans) > 1
+    for args in calls:
+        first = finish(*args)
+        assert finish(*args) == first
+
+
+def test_touched_positions_refuse_a_packed_key_beyond_int64():
+    # each divider's position is packed with its place among its side's
+    # dividers; positions near 2^60 leave no room for 4 places
+    plan = ind._RunPlan(0.1, 0.1, 0.19, 1, np.array([2**60, 2**60]), np.array([4, 4]),
+                        np.array([1, 1]), np.random.default_rng(0))
+    positions = 2**60 - np.arange(4, 0, -1)
+    placed = (np.repeat([0, 1], 4), np.tile(positions, 2), np.ones((2, 8), dtype=bool))
+    with pytest.raises(OverflowError, match="int64"):
+        ind._touched_positions([plan], [placed])
+
+
+@given(
+    shape=st.integers(1, 6).flatmap(lambda n1: st.tuples(st.just(n1), st.integers(1, n1))),
+    sizes=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    one_side=st.booleans(),
+    alpha=st.floats(0.0, 0.4),
+    beta=st.floats(0.0, 0.4),
+    k_avg=st.integers(1, 40),
+    poisson_mean=st.floats(0.5, 30.0),
+    chunk_items=st.sampled_from([2**14, 40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every run aborts: a Poisson size of about 30 exceeds each set of 4
+@example(shape=(3, 2), sizes=(4, 4), one_side=False, alpha=0.1, beta=0.1, k_avg=5,
+         poisson_mean=30.0, chunk_items=2**14, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_counted_cells_give_the_sums_of_the_sorted_keys(
+    shape, sizes, one_side, alpha, beta, k_avg, poisson_mean, chunk_items, seed
+):
+    # The same plans and placements, finished by counting each run's cells
+    # over its side's shared prefix and by the reference's sort of every
+    # kept sample's key, give the same floats. Rates up to 0.4 lead many
+    # kept samples with dividers; 40 items a chunk split the runs into
+    # chunks of different prefixes, some of which abort whole; with
+    # one_side, S_p holds even cells only and S_q odd ones.
+    n1, n2 = shape
+    gen = np.random.default_rng(seed)
+    codes = [gen.integers(0, n1 * n2, size) for size in sizes]
+    if one_side:
+        codes = [codes[0] // 2 * 2, np.minimum(codes[1] // 2 * 2 + 1, n1 * n2 - 1)]
+    sp, sq = (np.stack(np.divmod(flat, n2), axis=1) for flat in codes)
+    config = IndependenceConfig(n1=n1, n2=n2, **DESK)
+
+    def planned():
+        return ind._plan_average(sizes, config, RngStream(seed, "counted-cells"), k_avg,
+                                 alpha, beta, poisson_mean)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ind, "_CHUNK_ITEMS", chunk_items)
+        counted = ind._finish_average(*planned(), _pairs_at(sp, sq))
+        assert counted == sorted_key_average(*planned(), _pairs_at(sp, sq))
 
 
 @pytest.mark.parametrize("case, c_n, seed", [
@@ -823,8 +899,8 @@ def test_order_average_is_the_mean_over_every_order(kept, x_rows, y_cols):
     kept = sorted(kept, key=lambda sample: sample[2])
     cells = np.array([r * shape[1] + c for r, c, _ in kept])
     kept_p = sum(side == 0 for _, _, side in kept)
-    shared = ind._shared_cells(cells, kept_p, shape, np.array(x_rows, dtype=np.int64),
-                               np.array(y_cols, dtype=np.int64))
+    shared = shared_cells(cells, kept_p, shape, np.array(x_rows, dtype=np.int64),
+                          np.array(y_cols, dtype=np.int64))
     got = cell_means.CELL_MEANS.sums(*shared)
     expected = order_average_stats(kept, x_rows, y_cols)
     assert got == pytest.approx([float(v) for v in expected], rel=0, abs=1e-9)
