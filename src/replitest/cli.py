@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
-    _AGGREGATE_KEYS,
     _KERNELS,
+    _KINDS,
     TESTERS,
     ConfigError,
     ExperimentConfig,
@@ -141,9 +141,9 @@ def _parse_checks(kind: str, checks: object) -> list[tuple[str, str, float]]:
 
     ``checks`` is ``params["check"]``, ``None`` when absent. A run with
     ``--check`` needs at least one bound, so that a misspelled or empty
-    table cannot pass unguarded, and each metric must be a key of the
-    ``kind``'s aggregate, so that a misspelled one fails before the
-    first trial.
+    table cannot pass unguarded, and each metric must be a numeric key
+    of the ``kind``'s aggregate, so that a misspelled one, or one that is
+    not a number, fails before the first trial.
     """
     if not isinstance(checks, dict) or not checks:
         raise ConfigError(f"--check needs a params 'check' object of bounds, not {checks!r}")
@@ -154,7 +154,7 @@ def _parse_checks(kind: str, checks: object) -> list[tuple[str, str, float]]:
             raise ConfigError(f"check key {key!r} is not 'min:METRIC' or 'max:METRIC'")
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise ConfigError(f"check {key!r} bound {bound!r} is not a number")
-        _pick(dict.fromkeys(_AGGREGATE_KEYS[kind]), f"{kind} check metric", metric)
+        _pick(dict.fromkeys(_KINDS[kind].metrics), f"{kind} check metric", metric)
         parsed.append((direction, metric, bound))
     return parsed
 
@@ -171,9 +171,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(json.dumps({"kind": config.kind, "aggregate": result.aggregate}, indent=2))
     for direction, metric, bound in checks:
         value = result.aggregate[metric]
-        if not isinstance(value, (int, float)):  # mixing's initial, concentration's xi_grid
-            print(f"check failed: metric {metric!r} is {value!r}, not a number", file=sys.stderr)
-            return EXIT_CHECK_FAILED
         ok = value >= bound if direction == "min" else value <= bound
         if not ok:
             print(

@@ -6,6 +6,9 @@ randomness comes from substreams derived from the experiment seed, so
 records reproduce bit-for-bit and aggregate in any order. Every kind
 that runs a tester, and ``calibrate``, takes it from one table
 (``TESTERS``) naming its config class, its test function and its instances.
+Every kind is declared once, in ``_KINDS``: how it runs, the aggregate
+that ``report`` recomputes, its least trial count and the numeric
+aggregate keys that a ``check`` table may bound.
 """
 
 from __future__ import annotations
@@ -233,7 +236,7 @@ def _meta_closeness(n: int, m_hard: int, epsilon: float, stream: RngStream) -> t
 def _meta_uniformity(n: int, epsilon: float, xi: float | None, stream: RngStream) -> tuple:
     if xi is None:
         return (draw_meta_uniformity(n, epsilon, stream)[1],)
-    params = UniformityHardParams(n, max(epsilon, 1e-12), xi)
+    params = UniformityHardParams(n, epsilon, xi)
     return (hard_instances.draw_uniformity_hard(params, stream),)
 
 
@@ -455,13 +458,14 @@ def _replicability_aggregate(records: list[dict]) -> dict:
 
 def _variance_aggregate(records: list[dict]) -> dict:
     m = records[0]["m"]
-    _enough_trials("variance-audit", len(records))
     stats = np.array([r["statistic"] for r in records], dtype=float)
+    # NaN for one trial, which the kind's least trial count refuses
+    variance = stats.var(ddof=1) if len(stats) > 1 else math.nan
     return {
         "m": m,
         "mean": float(stats.mean()),
-        "variance": float(stats.var(ddof=1)),
-        "variance_per_m": float(stats.var(ddof=1) / m),
+        "variance": float(variance),
+        "variance_per_m": float(variance / m),
     }
 
 
@@ -537,40 +541,42 @@ def _rate_aggregate(records: list[dict]) -> dict:
     }
 
 
-# Kinds whose trials are independent: per kind, the tester it runs
-# (None: the ``tester`` parameter, closeness by default), its trial, its
-# aggregate and its least trial count. The sample variance (ddof=1) of
-# one trial is NaN, which JSON cannot hold.
-_TRIAL_FUNCS = {
-    **{f"{name}-acceptance": (name, _acceptance_trial, _rate_aggregate, 1) for name in TESTERS},
-    "replicability": (None, _replicability_trial, _replicability_aggregate, 1),
-    "variance-audit": ("closeness", _variance_trial, _variance_aggregate, 2),
-}
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind.
+
+    ``metrics`` are the numeric keys of its aggregate, the ones a
+    ``check`` table may bound. A whole-run kind (matrix computations,
+    grids) gives ``run(config) -> (records, aggregate)``. A kind of
+    independent trials gives the tester it runs (None: the ``tester``
+    parameter, closeness by default), its ``trial(kind, tester, seed, t)``,
+    the ``aggregate`` of its records and its ``least`` trial count.
+    """
+
+    metrics: tuple[str, ...]
+    run: Callable | None = None
+    tester: str | None = None
+    trial: Callable | None = None
+    aggregate: Callable | None = None
+    least: int = 1
+
+    def refuse_fewer(self, kind: str, trials: int) -> None:
+        if trials < self.least:
+            raise ConfigError(f"{kind} needs trials >= {self.least}, not {trials}")
 
 
-def _enough_trials(kind: str, trials: int) -> None:
-    least = _TRIAL_FUNCS[kind][3]
-    if trials < least:
-        raise ConfigError(f"{kind} needs trials >= {least}, not {trials}")
-
-
-# Every kind: the trial kinds' entries above, and for each whole-run
-# kind (matrix computations, grids) the function that runs it.
 _KINDS = {
-    **_TRIAL_FUNCS,
-    "mixing": _run_mixing,
-    "concentration": _run_concentration,
-}
-
-
-# The keys of each kind's aggregate: the metrics a ``check`` table may bound.
-_AGGREGATE_KEYS = {
-    **{f"{name}-acceptance": ("trials", "accept_rate", "reject_rate", "stderr")
-       for name in TESTERS},
-    "replicability": ("pairs", "disagreement_rate", "stderr"),
-    "variance-audit": ("m", "mean", "variance", "variance_per_m"),
-    "mixing": ("tau_delta", "delta", "gap_estimate", "initial"),
-    "concentration": ("max_deviation_fraction", "xi_grid"),
+    **{f"{name}-acceptance": _Kind(("trials", "accept_rate", "reject_rate", "stderr"),
+                                   tester=name, trial=_acceptance_trial,
+                                   aggregate=_rate_aggregate) for name in TESTERS},
+    "replicability": _Kind(("pairs", "disagreement_rate", "stderr"),
+                           trial=_replicability_trial, aggregate=_replicability_aggregate),
+    # The sample variance (ddof=1) of one trial is NaN, which JSON cannot hold.
+    "variance-audit": _Kind(("m", "mean", "variance", "variance_per_m"), tester="closeness",
+                            trial=_variance_trial, aggregate=_variance_aggregate, least=2),
+    # Their aggregates also hold ``initial`` and ``xi_grid``, which are not numbers.
+    "mixing": _Kind(("tau_delta", "delta", "gap_estimate"), run=_run_mixing),
+    "concentration": _Kind(("max_deviation_fraction",), run=_run_concentration),
 }
 
 
@@ -586,16 +592,18 @@ def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentRe
     identical to a sequential run and are written in trial order.
     """
     start = time.perf_counter()
-    if config.kind in _TRIAL_FUNCS:
-        name, trial_fn, aggregate_fn, _ = _TRIAL_FUNCS[config.kind]
-        _enough_trials(config.kind, config.trials)
-        name = name or _param(config.params, "tester", "closeness")
+    spec = _KINDS[config.kind]
+    if spec.run:
+        records, aggregate = spec.run(config)
+    else:
+        spec.refuse_fewer(config.kind, config.trials)
+        name = spec.tester or _param(config.params, "tester", "closeness")
         test, tester_config = _tester(name, config.params)
         instances = TESTERS[name][2]
         build = _pick(instances, "instance",
                       _param(config.params, "instance", next(iter(instances))))
         tester = (test, tester_config, build(config.params, tester_config))
-        worker = partial(trial_fn, config.kind, tester, config.seed)
+        worker = partial(spec.trial, config.kind, tester, config.seed)
         if processes > 1:
             # Imported here: it costs every other caller about 13 ms of import.
             from concurrent.futures import ProcessPoolExecutor
@@ -607,9 +615,7 @@ def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentRe
                 )
         else:
             records = [worker(t) for t in range(config.trials)]
-        aggregate = aggregate_fn(records)
-    else:
-        records, aggregate = _KINDS[config.kind](config)
+        aggregate = spec.aggregate(records)
     result = ExperimentResult(config, records, aggregate, time.perf_counter() - start)
     if config.out:
         result.write(config.out)
@@ -617,15 +623,19 @@ def run_experiment(config: ExperimentConfig, processes: int = 1) -> ExperimentRe
 
 
 def recompute_aggregate(kind: str, records: list[dict]) -> dict:
-    """Rebuild the aggregate from per-trial records (the `report` command)."""
-    if kind not in _TRIAL_FUNCS:
-        raise ConfigError(f"no aggregate recomputation for kind {kind!r}")
+    """Rebuild the aggregate from per-trial records (the `report` command).
+
+    A missing column is named before too few records are.
+    """
+    spec = _pick({name: k for name, k in _KINDS.items() if k.trial}, "trial kind", kind)
     if not records:
         raise ConfigError("no records to aggregate")
     try:
-        return _TRIAL_FUNCS[kind][2](records)
+        aggregate = spec.aggregate(records)
     except KeyError as exc:
         raise ConfigError(f"{kind} records need a {exc.args[0]!r} column") from exc
+    spec.refuse_fewer(kind, len(records))
+    return aggregate
 
 
 def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
@@ -653,9 +663,10 @@ def calibrate(kind: str, params: dict, seed: int = 7) -> dict:
     m = config.sample_size()
     if kind == "closeness":
         trials = _count(params, "calibration_trials", 50)
+        spec = _KINDS["closeness-acceptance"]
         testers = [(test, config, build(params, config)) for build in _AUDITED]
-        same, far = [_rate_aggregate([_acceptance_trial("closeness-acceptance", tester, seed, t)
-                                      for t in range(trials)]) for tester in testers]
+        same, far = [spec.aggregate([spec.trial("closeness-acceptance", tester, seed, t)
+                                     for t in range(trials)]) for tester in testers]
         return {
             "kind": kind, "c1": config.c1, "c2": config.c2, "m": m,
             "complete_accept_rate": same["accept_rate"],

@@ -108,8 +108,7 @@ def draw_meta_closeness(
     n: int, m: int, epsilon: float, rng: RngStream
 ) -> tuple[float, NonNegativeMeasure, NonNegativeMeasure]:
     """Draw ``xi ~ U([0, eps])``, then a measure pair at that xi."""
-    gen = rng.generator()
-    xi = float(gen.uniform(0.0, epsilon)) if epsilon > 0 else 0.0
+    xi = float(rng.generator().uniform(0.0, epsilon))
     params = ClosenessHardParams(n, m, epsilon, xi)
     p, q = draw_closeness_hard(params, rng.substream("instance"))
     return xi, p, q

@@ -257,10 +257,20 @@ _ACCEPTANCE_PARAMS = {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform
     # a metric the kind does not report would fail only after every trial
     ({**_ACCEPTANCE, "params": {**_ACCEPTANCE_PARAMS, "check": {"min:acept_rate": 0.9}}},
      "'acept_rate'; expected one of trials, accept_rate, reject_rate, stderr"),
+    # keys of the aggregate that are not numbers cannot be bounded
+    ({"schema": 1, "kind": "mixing", "seed": 0, "trials": 1,
+      "params": {"kernel": "coordinate", "n": 1000, "m": 100, "xi": 0.2,
+                 "check": {"max:initial": 5}}},
+     "unknown mixing check metric 'initial'; expected one of tau_delta, delta, gap_estimate"),
+    ({"schema": 1, "kind": "concentration", "seed": 0, "trials": 2,
+      "params": {"n": 100, "epsilon": 0.3, "rho": 0.1, "xi_grid": [0, 0.2],
+                 "check": {"max:xi_grid": 5}}},
+     "unknown concentration check metric 'xi_grid'; expected one of max_deviation_fraction"),
     ([1, 2], "must hold a JSON object"),
     ({**_ACCEPTANCE, "params": [1]}, "params"),
 ], ids=["string-bound", "bool-bound", "check-list", "misspelled-check", "empty-check",
-        "misspelled-metric", "config-list", "params-list"])
+        "misspelled-metric", "non-numeric-initial", "non-numeric-xi_grid", "config-list",
+        "params-list"])
 def test_experiment_config_of_the_wrong_shape_fails_before_the_run(
     tmp_path, capsys, monkeypatch, config, named
 ):
@@ -477,19 +487,36 @@ def test_experiment_missing_parameter_is_named(tmp_path, capsys, kind, params, m
     assert repr(missing) in capsys.readouterr().err
 
 
-def test_report_command_recomputes(tmp_path, capsys):
+@pytest.mark.parametrize("kind, params", [
+    ("closeness-acceptance", _ACCEPTANCE_PARAMS),
+    ("uniformity-acceptance", {"n": 100, "epsilon": 0.3, "rho": 0.1}),
+    ("independence-acceptance", {"n1": 20, "n2": 10, "epsilon": 0.35, "rho": 0.2,
+                                 "m_scale": 0.05, "k_avg": 5}),
+    ("replicability", {"n": 100, "epsilon": 0.3, "rho": 0.1}),
+    ("variance-audit", _ACCEPTANCE_PARAMS),
+])
+def test_report_command_recomputes(tmp_path, capsys, kind, params):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "schema": 1, "kind": "closeness-acceptance", "seed": 9, "trials": 12,
-        "params": {"n": 100, "epsilon": 0.3, "rho": 0.1, "instance": "uniform"},
-    }))
+    cfg.write_text(json.dumps({"schema": 1, "kind": kind, "seed": 9, "trials": 6,
+                               "params": params}))
     assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     first = json.loads(capsys.readouterr().out)
-    records = tmp_path / "o" / "closeness-acceptance-records.csv"
-    assert main(["report", "--records", str(records),
-                 "--kind", "closeness-acceptance"]) == EXIT_OK
-    second = json.loads(capsys.readouterr().out)
-    assert second["accept_rate"] == pytest.approx(first["aggregate"]["accept_rate"])
+    records = tmp_path / "o" / f"{kind}-records.csv"
+    if kind == "independence-acceptance":
+        assert "stage" in records.read_text().splitlines()[0].split(",")
+    assert main(["report", "--records", str(records), "--kind", kind]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == first["aggregate"]
+
+
+@pytest.mark.parametrize("kind", ["nope", "mixing", "concentration"])
+def test_report_kind_without_trials_lists_the_trial_kinds(tmp_path, capsys, kind):
+    records = tmp_path / "records.csv"
+    records.write_text("t,l1_to_stationary\n0,1.0\n")
+    assert main(["report", "--records", str(records), "--kind", kind]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"unknown trial kind {kind!r}; expected one of closeness-acceptance, "
+            "uniformity-acceptance, independence-acceptance, replicability, variance-audit") in err
 
 
 def test_report_matches_experiment_for_variance_audit(tmp_path, capsys):
@@ -599,6 +626,15 @@ def test_variance_audit_of_one_trial_is_named(tmp_path, capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert out == ""
         assert "variance-audit needs trials >= 2, not 1" in err
+
+
+def test_trials_flag_overrides_a_variance_audit_file_of_one_trial(tmp_path, capsys):
+    # the least trial count applies to the run, after --trials
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "kind": "variance-audit", "seed": 9, "trials": 1,
+                               "params": {"n": 100, "epsilon": 0.3, "rho": 0.1}}))
+    assert main(["experiment", "--config", str(cfg), "--trials", "3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["aggregate"]["m"] > 0
 
 
 @pytest.mark.parametrize("content", [

@@ -54,3 +54,14 @@ def test_bench_compare_measures_head_when_only_bench_files_changed(tmp_path, mon
     change, parent, from_working_tree = bench_compare.resolve()
     assert (parent, from_working_tree) == (head, True) and change != head
     assert git("show", f"{change}:code.py") == "edited"
+
+
+def test_heavy_cells_prints_each_seed_and_the_medians(capsys):
+    heavy_cells = _load("heavy_cells")
+    assert heavy_cells.main(["--seeds", "2", "point-8x8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "point-8x8 seed 0", "point-8x8 seed 1", "point-8x8 median"]
+    for line in lines[:2]:
+        assert all(word in line for word in ("wall", "cpu", "accept", "stage"))
+    assert "wall" in lines[2] and "cpu" in lines[2]

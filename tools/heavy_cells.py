@@ -13,9 +13,12 @@ each at the library's default constants (``m_scale`` 1) with epsilon
 - ``geometric-40x20``: the product of marginals ``P(i) ~ 0.7^i`` and
   ``P(j) ~ 0.7^j``, whose corner cells hold about 9% of the samples.
 
-For each case it prints the wall time of one verdict per seed, the
-verdict and its stage. ``--checkout`` times the tester of another
-source checkout, such as a parent commit exported with ``git archive``.
+For each case it prints, per seed, the wall and CPU seconds of one
+verdict (``time.perf_counter`` and ``time.process_time``), the verdict
+and its stage, then the median wall and CPU seconds over the seeds. CPU
+time leaves out the time the process waits for a CPU on a loaded host.
+``--checkout`` times the tester of another source checkout, such as a
+parent commit exported with ``git archive``.
 """
 
 from __future__ import annotations
@@ -65,13 +68,16 @@ def main(argv=None) -> int:
     for case in args.cases:
         p = measure(case)
         config = IndependenceConfig(*p.shape, epsilon=0.35, rho=0.2)
-        times = []
+        walls, cpus = [], []
         for seed in range(args.seeds):
-            started = time.perf_counter()
+            wall, cpu = time.perf_counter(), time.process_time()
             verdict = rep_independence_test(p, config, RngStream(seed, "heavy-cells"))
-            times.append(time.perf_counter() - started)
-        print(f"{case}: {' '.join(f'{t:.2f}' for t in times)} s, accept {verdict.accept}, "
-              f"stage {verdict.detail['stage']}", flush=True)
+            walls.append(time.perf_counter() - wall)
+            cpus.append(time.process_time() - cpu)
+            print(f"{case} seed {seed}: wall {walls[-1]:.3f} s, cpu {cpus[-1]:.3f} s, "
+                  f"accept {verdict.accept}, stage {verdict.detail['stage']}", flush=True)
+        print(f"{case} median: wall {np.median(walls):.3f} s, cpu {np.median(cpus):.3f} s",
+              flush=True)
     return 0
 
 
